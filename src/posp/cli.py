@@ -4,7 +4,9 @@ sweeps, and deterministic replay verification.
 All inputs and reports are JSON with sorted keys, so outputs are diffable
 and golden files are stable.  Exit codes: 0 success (and, for analyze,
 equilibrium holds), 1 replay mismatch / equilibrium fails, 2 validation
-error, 3 internal invariant violation.
+error, 3 internal invariant violation: any protocol invariant failure in
+simulate, replay or sweep, such as a conservation violation or no
+responsive asserter or validator.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import econ, sim
-from .protocol import ConservationViolationError
+from .protocol import ProtocolError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -118,11 +120,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        result = sim.run(config)
-    except ConservationViolationError as exc:
-        print(f"conservation violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    result = sim.run(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(_dump(result.metrics.to_dict()) + "\n")
@@ -239,7 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ProtocolError as exc:
+        print(f"protocol invariant violated: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

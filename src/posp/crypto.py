@@ -9,6 +9,7 @@ plain ``a || b || c`` concatenation would leave.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 from fractions import Fraction
@@ -54,6 +55,7 @@ def bucket(seed: bytes, unique_string: bytes, n: int) -> int:
     return _prf_u64(seed, unique_string) % n
 
 
+@functools.lru_cache(maxsize=256)
 def sample_threshold(p: float) -> int:
     """round(p * 2^64) computed exactly in integer arithmetic.
 

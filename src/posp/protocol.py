@@ -342,6 +342,44 @@ def selection_string(pk_user: bytes, x: bytes, reqid: bytes, attempt: int = 1) -
     return base
 
 
+def draw_validator(tau_chal: bytes, unique_string: bytes, asserter: int, n: int) -> int:
+    """Bucket draw over the n executors; a draw that lands on the asserter
+    moves to the next node, so the validator is never the asserter."""
+    j = crypto.bucket(tau_chal, unique_string, n)
+    return (j + 1) % n if j == asserter else j
+
+
+def payout(config: NetworkConfig, reqid: bytes, asserter: int,
+           validator: Optional[int] = None,
+           verdict: Optional[tuple[bool, bool]] = None) -> list[LedgerDelta]:
+    """The rewards and slashes that conclude a request.
+
+    No validator: unchallenged, the asserter earns R.  No verdict: the
+    results matched and both earn R.  Otherwise ``verdict`` is arbitration's
+    (asserter_honest, validator_honest): whoever diverged is slashed S, and
+    a lone honest party earns R plus the slash.  A slash with no honest
+    party to receive it is burned at settlement.
+    """
+    R = config.reward_r
+    if validator is None:
+        return [LedgerDelta(f"exec:{asserter}", R, Reason.ASSERTER_REWARD, reqid)]
+    if verdict is None:
+        return [LedgerDelta(f"exec:{asserter}", R, Reason.ASSERTER_REWARD, reqid),
+                LedgerDelta(f"exec:{validator}", R, Reason.VALIDATOR_REWARD, reqid)]
+    asserter_honest, validator_honest = verdict
+    S = config.slash_s
+    deltas = [LedgerDelta(f"exec:{node}", -S, Reason.SLASH, reqid)
+              for node, honest in ((asserter, asserter_honest),
+                                   (validator, validator_honest))
+              if not honest]
+    if asserter_honest != validator_honest:
+        winner, reason = ((asserter, Reason.ASSERTER_REWARD) if asserter_honest
+                          else (validator, Reason.VALIDATOR_REWARD))
+        deltas.append(LedgerDelta(f"exec:{winner}", R, reason, reqid))
+        deltas.append(LedgerDelta(f"exec:{winner}", S, Reason.SLASH_REDISTRIBUTION, reqid))
+    return deltas
+
+
 def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
                      orch_pks: Sequence[PublicKey], quorum: int,
                      compute: Callable[[bytes], Sequence[Fixed]],
@@ -363,11 +401,6 @@ def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
         if len(senders) >= quorum:
             return node.sign_result(x, reqid, compute(x))
     return None
-
-
-# validator_execute has the identical contract; the timeout difference lives
-# in the scheduler, not here.
-validator_execute = asserter_execute
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +446,8 @@ class Committee:
         return reqid
 
     def select_asserter(self, reqid: bytes, tau: bytes, epoch: int) -> int:
+        """Draw the asserter for a Submitted request, or redraw with the
+        attempt suffix after an asserter timeout left it Reassigned."""
         lc = self.lifecycles[reqid]
         i = crypto.bucket(
             tau, selection_string(lc.pk_user, lc.x, reqid, lc.assert_attempt),
@@ -458,9 +493,7 @@ class Committee:
         if challenged:
             lc.advance(Phase.CHALLENGED)
         else:
-            self.pending_deltas[reqid].append(LedgerDelta(
-                f"exec:{lc.asserter}", self.config.reward_r,
-                Reason.ASSERTER_REWARD, reqid))
+            self.pending_deltas[reqid].extend(payout(self.config, reqid, lc.asserter))
             lc.advance(Phase.UNCHALLENGED_DONE)
             self._finalize(reqid)
         return challenged
@@ -468,18 +501,11 @@ class Committee:
     # -- Challenge protocol ------------------------------------------------
 
     def select_validator(self, reqid: bytes, tau_chal: bytes) -> int:
-        if self.config.executors < 2:
-            raise ProtocolError("no distinct validator exists with N < 2")
         lc = self.lifecycles[reqid]
-        j = crypto.bucket(
-            tau_chal,
-            selection_string(lc.pk_user, lc.x, reqid, lc.validate_attempt),
-            self.config.executors,
-        )
-        if j == lc.asserter:
-            j = (j + 1) % self.config.executors
-        lc.validator = j
-        return j
+        lc.validator = draw_validator(
+            tau_chal, selection_string(lc.pk_user, lc.x, reqid, lc.validate_attempt),
+            lc.asserter, self.config.executors)
+        return lc.validator
 
     def accept_validator_response(self, resp: ExecutorResponse) -> bool:
         lc = self.lifecycles[resp.reqid]
@@ -497,10 +523,8 @@ class Committee:
         y_i = lc.asserter_response.y_bytes
         y_j = lc.validator_response.y_bytes
         if y_i == y_j:
-            for node, reason in ((lc.asserter, Reason.ASSERTER_REWARD),
-                                 (lc.validator, Reason.VALIDATOR_REWARD)):
-                self.pending_deltas[reqid].append(LedgerDelta(
-                    f"exec:{node}", self.config.reward_r, reason, reqid))
+            self.pending_deltas[reqid].extend(
+                payout(self.config, reqid, lc.asserter, lc.validator))
             lc.advance(Phase.MATCHED_DONE)
             self._finalize(reqid)
             return "matched"
@@ -537,7 +561,7 @@ class Committee:
         if role == "asserter":
             node = lc.asserter
             lc.assert_attempt += 1
-            lc.advance(Phase.REASSIGNED)  # reselect_asserter moves it back
+            lc.advance(Phase.REASSIGNED)  # select_asserter moves it back
         elif role == "validator":
             node = lc.validator
             lc.validate_attempt += 1
@@ -550,21 +574,6 @@ class Committee:
                 f"exec:{node}", -self.config.timeout_penalty,
                 Reason.TIMEOUT_PENALTY, reqid))
         return node
-
-    def reselect_asserter(self, reqid: bytes, tau: bytes, epoch: int) -> int:
-        # after an asserter timeout, the lifecycle sits in Reassigned and
-        # select_asserter moves it back to Assigned
-        lc = self.lifecycles[reqid]
-        if lc.phase is not Phase.REASSIGNED:
-            raise ProtocolError("reselect requires a Reassigned lifecycle")
-        i = crypto.bucket(
-            tau, selection_string(lc.pk_user, lc.x, reqid, lc.assert_attempt),
-            self.config.executors,
-        )
-        lc.t_req = epoch
-        lc.asserter = i
-        lc.advance(Phase.ASSIGNED)
-        return i
 
     # -- Settlement --------------------------------------------------------
 
@@ -622,23 +631,28 @@ class ArbitrationContract:
         self.outcomes: dict[bytes, ArbitrationOutcome] = {}
 
     def arbitrate(self, requests: Sequence[ArbitrationRequest]) -> ArbitrationOutcome:
-        if not requests:
-            raise BelowQuorumError("no arbitration requests")
-        canonical = requests[0].tuple_fields()
-        digest = crypto.sha256(encode_fields(*canonical))
-        voters = set()
+        """Act on the request that 2f+1 distinct orchestrators signed
+        identically, wherever it sits among divergent ones."""
+        groups: dict[tuple[bytes, ...], list[ArbitrationRequest]] = {}
         for req in requests:
-            if req.tuple_fields() != canonical:
-                continue
-            if not 0 <= req.orch_id < len(self.orch_pks) or req.orch_id in voters:
-                continue
-            if self.orch_pks[req.orch_id].verify(req.signature, digest):
-                voters.add(req.orch_id)
-        if len(voters) < self.config.quorum:
+            groups.setdefault(req.tuple_fields(), []).append(req)
+        most = 0
+        for fields, group in groups.items():
+            digest = crypto.sha256(encode_fields(*fields))
+            voters = set()
+            for req in group:
+                if not 0 <= req.orch_id < len(self.orch_pks) or req.orch_id in voters:
+                    continue
+                if self.orch_pks[req.orch_id].verify(req.signature, digest):
+                    voters.add(req.orch_id)
+            if len(voters) >= self.config.quorum:
+                head = group[0]
+                break
+            most = max(most, len(voters))
+        else:
             raise BelowQuorumError(
-                f"{len(voters)} identical valid requests, need {self.config.quorum}")
+                f"{most} identical valid requests, need {self.config.quorum}")
 
-        head = requests[0]
         reqid = head.reqid
         if reqid in self.outcomes:
             return self.outcomes[reqid]
@@ -652,26 +666,8 @@ class ArbitrationContract:
         truth = encode_vector(y_true)
         asserter_honest = head.asserter.y_bytes == truth
         validator_honest = head.validator.y_bytes == truth
-
-        S, R = self.config.slash_s, self.config.reward_r
-        deltas: list[LedgerDelta] = []
-        slashed_total = 0
-        for resp, honest in ((head.asserter, asserter_honest),
-                             (head.validator, validator_honest)):
-            if not honest:
-                deltas.append(LedgerDelta(f"exec:{resp.node_index}", -S,
-                                          Reason.SLASH, reqid))
-                slashed_total += S
-        if asserter_honest != validator_honest:
-            winner, reason = (
-                (head.asserter, Reason.ASSERTER_REWARD) if asserter_honest
-                else (head.validator, Reason.VALIDATOR_REWARD))
-            deltas.append(LedgerDelta(f"exec:{winner.node_index}", R, reason, reqid))
-            deltas.append(LedgerDelta(f"exec:{winner.node_index}", slashed_total,
-                                      Reason.SLASH_REDISTRIBUTION, reqid))
-        # both dishonest: slashes stand, nothing redistributed (burned at
-        # settlement); both honest cannot reach arbitration (byte-equal results
-        # are routed to MatchedDone), but if forced, neither is slashed.
+        deltas = payout(self.config, reqid, head.asserter.node_index,
+                        head.validator.node_index, (asserter_honest, validator_honest))
         outcome = ArbitrationOutcome(
             reqid=reqid, y_true=y_true, asserter_honest=asserter_honest,
             validator_honest=validator_honest, deltas=tuple(deltas))

@@ -26,6 +26,8 @@ from .protocol import (
     Orchestrator,
     Phase,
     SettlementContract,
+    draw_validator,
+    payout,
     selection_string,
     user_submit,
 )
@@ -287,6 +289,17 @@ def _wrong_output(y_true, strategy: ExecStrategy, node_index: int):
     return corrupt(y_true, "offset", amount=amount)
 
 
+def _lies(master_seed: bytes, strategy: ExecStrategy, node: int, reqid: bytes) -> bool:
+    """Whether a responsive node returns a wrong result for this request;
+    fraud-with-probability nodes decide per request from a PRF of the master
+    seed and their index."""
+    if strategy.kind == FRAUD_WITH_PROBABILITY:
+        return crypto.sampled(
+            prf(master_seed, b"fraud-decision" + node.to_bytes(8, "big")),
+            reqid, strategy.fraud_probability)
+    return strategy.adversarial
+
+
 class _Simulation:
     """One run's mutable state; see run() for the public entry point."""
 
@@ -361,17 +374,10 @@ class _Simulation:
         if leaked is not None and strategy.adversarial:
             # free-ride on the leaked asserter result: no computation at all
             return decode_vector(leaked), False
-        if strategy.kind == HONEST:
-            self.computations[node] += 1
-            return forward(self.model, self.x_vec), True
-        if strategy.kind == FRAUD_WITH_PROBABILITY:
-            decide = crypto.sampled(
-                prf(self.config.master_seed, b"fraud-decision" + node.to_bytes(8, "big")),
-                reqid, strategy.fraud_probability)
-            if not decide:
-                self.computations[node] += 1
-                return forward(self.model, self.x_vec), True
-        return _wrong_output(self.y_true, strategy, node), False
+        if _lies(self.config.master_seed, strategy, node, reqid):
+            return _wrong_output(self.y_true, strategy, node), False
+        self.computations[node] += 1
+        return forward(self.model, self.x_vec), True
 
     def asserter_output(self, node: int, reqid: bytes):
         # a user colluding with the selected asserter gets a free wrong answer:
@@ -392,11 +398,7 @@ class _Simulation:
 
     def assign(self, epoch: int, reqid: bytes) -> None:
         lc = self.committee.lifecycles[reqid]
-        tau = self.beacon.tau(epoch)
-        if lc.phase is Phase.SUBMITTED:
-            asserter = self.committee.select_asserter(reqid, tau, epoch)
-        else:
-            asserter = self.committee.reselect_asserter(reqid, tau, epoch)
+        asserter = self.committee.select_asserter(reqid, self.beacon.tau(epoch), epoch)
         self.trace("assign", epoch, reqid, asserter.to_bytes(4, "big"),
                    lc.assert_attempt.to_bytes(4, "big"))
 
@@ -460,7 +462,7 @@ class _Simulation:
             return
         y, _computed = output
         node = self.executors[validator]
-        resp = protocol.validator_execute(
+        resp = protocol.asserter_execute(
             self.committee.task_messages(reqid), node, self.committee.orch_pks,
             self.config.network.quorum, lambda _x, out=y: out)
         if resp is None:
@@ -558,16 +560,6 @@ def run(config: ScenarioConfig) -> SimResult:
     return _Simulation(config).run()
 
 
-def leak_attack(config: ScenarioConfig) -> SimResult:
-    """Run a scenario whose Byzantine orchestrators leak the asserter's
-    result, letting adversarial validators free-ride."""
-    leakers = [k for k, b in config.orchestrator_overrides.items()
-               if b == protocol.ORCH_LEAK]
-    if not leakers:
-        raise ValueError("scenario has no leak-to-validator orchestrators")
-    return run(config)
-
-
 # ---------------------------------------------------------------------------
 # Focal-strategy Monte Carlo
 # ---------------------------------------------------------------------------
@@ -610,9 +602,14 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
     asserts under the given strategy.
 
     Each trial is one request asserted by the focal node, driven by an
-    independent sub-seed PRF(master, trial-index); selection, challenge, and
-    arbitration follow the same sampling rules as the full simulator, with
-    the signature plumbing elided since it cannot change any payoff.
+    independent sub-seed PRF(master, trial-index).  The challenge and
+    validator draws, the redraw past an unresponsive validator, the nodes'
+    fraud decisions, free-riding on a leaking orchestrator, and the payouts
+    are the protocol's own rules; only the signature plumbing is elided,
+    since it cannot change any payoff.  The payoff is the sum of the focal
+    account's ledger deltas minus its compute cost.  ``user_colludes_with``
+    plays no part: ``strategy`` already fixes what the focal asserter
+    returns.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -624,66 +621,58 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
     net = config.network
     master = config.master_seed
     focal = config.focal_executor
+    account = f"exec:{focal}"
     table = assign_adversaries(config)
     table[focal] = strategy
+    leak = protocol.ORCH_LEAK in config.orchestrator_overrides.values()
 
     model = generate_model(prf(master, b"model-seed"), config.model_dims)
     x_vec = _derive_input(master, config.model_dims[0])
     x = encode_vector(x_vec)
-    y_true_b = encode_vector(forward(model, x_vec))
-    wrong_b = [encode_vector(_wrong_output(decode_vector(y_true_b), table[i], i))
-               if table[i].kind in (ALWAYS_FRAUD, COLLUDE, FRAUD_WITH_PROBABILITY)
-               else None
-               for i in range(net.executors)]
+    y_true = forward(model, x_vec)
+    y_true_b = encode_vector(y_true)
+    wrong_b = [encode_vector(_wrong_output(y_true, strat, i)) for i, strat in enumerate(table)]
     pk_user = KeyPair.from_seed(prf(master, b"user-key")).public.raw
 
-    focal_fraud = strategy.kind != HONEST
+    focal_fraud = strategy.adversarial
     focal_out = wrong_b[focal] if focal_fraud else y_true_b
-    base_cost = 0.0 if focal_fraud else net.compute_cost
+    cost = 0.0 if focal_fraud else net.compute_cost
 
     total = 0.0
     total_sq = 0.0
-    challenges = arbitrations = passes = 0
-    R, S, p = net.reward_r, net.slash_s, net.challenge_probability
+    challenges = arbitrations = 0
 
     for t in range(trials):
         sub = prf(master, b"trial" + t.to_bytes(8, "big"))
         reqid = crypto.derive_reqid(pk_user, x, t.to_bytes(8, "big"))
         tau_chal = prf(sub, b"tau-chal")
         s = selection_string(pk_user, x, reqid)
-        if not crypto.sampled(tau_chal, s, p):
-            payoff = R - base_cost
-            passed = True
+        if not crypto.sampled(tau_chal, s, net.challenge_probability):
+            deltas = payout(net, reqid, focal)
         else:
             challenges += 1
-            j = crypto.bucket(tau_chal, s, net.executors)
-            if j == focal:
-                j = (j + 1) % net.executors
-            v_strat = table[j]
-            if v_strat.kind == HONEST or v_strat.kind == UNRESPONSIVE:
-                y_j = y_true_b  # a reassigned validator is drawn honestly whp
-            elif v_strat.kind == FRAUD_WITH_PROBABILITY:
-                decide = crypto.sampled(
-                    prf(master, b"fraud-decision" + j.to_bytes(8, "big")),
-                    reqid, v_strat.fraud_probability)
-                y_j = wrong_b[j] if decide else y_true_b
-            else:
+            attempt = 1
+            j = draw_validator(tau_chal, s, focal, net.executors)
+            while table[j].kind == UNRESPONSIVE:
+                if attempt > MAX_ATTEMPTS:
+                    raise protocol.ProtocolError("no responsive validator found")
+                attempt += 1
+                j = draw_validator(tau_chal, selection_string(pk_user, x, reqid, attempt),
+                                   focal, net.executors)
+            if leak and table[j].adversarial:
+                y_j = focal_out
+            elif _lies(master, table[j], j, reqid):
                 y_j = wrong_b[j]
+            else:
+                y_j = y_true_b
             if y_j == focal_out:
-                payoff = R - base_cost
-                passed = True
+                deltas = payout(net, reqid, focal, j)
             else:
                 arbitrations += 1
-                passed = False
-                if focal_out == y_true_b:
-                    # validator slashed; focal rewarded plus redistribution
-                    payoff = R + (S if y_j != y_true_b else 0) - base_cost
-                else:
-                    payoff = -S - base_cost
+                deltas = payout(net, reqid, focal, j, (not focal_fraud, y_j == y_true_b))
+        payoff = sum(d.amount for d in deltas if d.account == account) - cost
         total += payoff
         total_sq += payoff * payoff
-        if focal_fraud and passed:
-            passes += 1
 
     mean = total / trials
     var = max(0.0, total_sq / trials - mean * mean)
@@ -691,4 +680,5 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
     return StrategyEstimate(
         strategy=strategy.kind, trials=trials, mean=mean, stderr=stderr,
         challenges=challenges, arbitrations=arbitrations,
-        fraud_assertions=trials if focal_fraud else 0, fraud_passes=passes)
+        fraud_assertions=trials if focal_fraud else 0,
+        fraud_passes=trials - arbitrations if focal_fraud else 0)

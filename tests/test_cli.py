@@ -32,6 +32,18 @@ def small_scenario(tmp_path):
     })
 
 
+@pytest.fixture
+def silent_scenario(tmp_path):
+    # no executor ever answers, so neither an asserter nor a validator is found
+    return write_json(tmp_path / "silent.json", {
+        "network": {"executors": 4, "fault_bound": 1, "challenge_probability": 1.0},
+        "master_seed": "17" * 32,
+        "requests": 1,
+        "executor_overrides": {str(i): "unresponsive" for i in range(4)},
+        "sweep_trials": 1,
+    })
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -106,6 +118,11 @@ class TestSimulate:
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == 2 and "invalid scenario" in err
 
+    def test_protocol_error_exits_3(self, silent_scenario, tmp_path, capsys):
+        code, _, err = run_cli(["simulate", "--scenario", silent_scenario,
+                                "--out", str(tmp_path / "o")], capsys)
+        assert code == 3 and "no responsive asserter" in err
+
 
 class TestSweep:
     def make_scenario(self, tmp_path):
@@ -163,6 +180,13 @@ class TestSweep:
         assert all(isinstance(row["min_challenge_probability"], (float, str))
                    for row in rows)
 
+    def test_protocol_error_exits_3(self, silent_scenario, capsys):
+        # the focal asserter answers, but no validator does
+        code, _, err = run_cli(
+            ["sweep", "--scenario", silent_scenario, "--axis", "p",
+             "--from", "1.0", "--to", "1.0", "--steps", "1"], capsys)
+        assert code == 3 and "no responsive validator" in err
+
 
 class TestReplay:
     def test_golden_scenarios_pass(self, capsys):
@@ -187,6 +211,11 @@ class TestReplay:
         code, _, _ = run_cli(
             ["replay", "--scenario", path, "--hash", hashes["all_honest"]], capsys)
         assert code == 1
+
+    def test_protocol_error_exits_3(self, silent_scenario, capsys):
+        code, _, err = run_cli(
+            ["replay", "--scenario", silent_scenario, "--hash", "00" * 32], capsys)
+        assert code == 3 and "no responsive asserter" in err
 
 
 class TestLogging:

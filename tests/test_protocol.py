@@ -1,6 +1,8 @@
 """Role state-machine tests: request acceptance, selection, quorum rules,
 challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
+from dataclasses import replace
+
 import pytest
 
 from posp import crypto, protocol
@@ -28,7 +30,6 @@ from posp.protocol import (
     batch_digest,
     selection_string,
     user_submit,
-    validator_execute,
 )
 
 SEED = bytes([11] * 32)
@@ -87,7 +88,7 @@ class World:
         tau = prf(SEED, b"tau-chal")
         assert self.committee.challenge_decision(reqid, tau, 2)
         j = self.committee.select_validator(reqid, tau)
-        resp = validator_execute(
+        resp = asserter_execute(
             self.committee.task_messages(reqid), self.executors[j],
             self.committee.orch_pks, self.net.quorum, lambda _x: y)
         assert resp is not None
@@ -316,6 +317,20 @@ class TestArbitration:
         with pytest.raises(BelowQuorumError):
             w.arbitration.arbitrate(requests)
 
+    def test_divergent_request_first_does_not_block_quorum(self):
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.validate_output(reqid, w.y_true)
+        w.committee.compare_and_route(reqid)
+        honest = w.committee.arbitration_requests(reqid)
+        # a Byzantine orchestrator validly signs a request over an altered x
+        bogus = replace(honest[0], x=honest[0].x + b"!")
+        bogus = replace(bogus, signature=w.orchestrators[0].vote(
+            crypto.sha256(protocol.encode_fields(*bogus.tuple_fields()))))
+        outcome = w.arbitration.arbitrate([bogus] + honest[1:])
+        assert not outcome.asserter_honest and outcome.validator_honest
+
     def test_tampered_evidence_rejected(self):
         w = World(p=1.0)
         reqid = w.submit()
@@ -351,7 +366,7 @@ class TestTimeouts:
         penalty = [d for d in w.committee.pending_deltas[reqid]
                    if d.reason is Reason.TIMEOUT_PENALTY]
         assert len(penalty) == 1 and penalty[0].amount == -w.net.timeout_penalty
-        w.committee.reselect_asserter(reqid, tau, 2)
+        w.committee.select_asserter(reqid, tau, 2)
         assert lc.phase is Phase.ASSIGNED
         # the attempt-suffixed string redraws independently of attempt 1
         redrawn = crypto.bucket(

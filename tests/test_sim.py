@@ -201,15 +201,11 @@ class TestLiveness:
 
 
 class TestLeakAttack:
-    def test_requires_leakers(self):
-        with pytest.raises(ValueError):
-            sim.leak_attack(config())
-
     def test_honest_asserter_free_rider_matches(self):
         cfg = config(p=1.0, requests=60,
                      executor_overrides={1: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)},
                      orchestrator_overrides={0: protocol.ORCH_LEAK})
-        result = sim.leak_attack(cfg)
+        result = sim.run(cfg)
         # every honest assertion settles as matched even when the free-riding
         # Byzantine node validates: it copies the correct leaked result
         honest_asserted = [lc for lc in result.lifecycles.values() if lc.asserter != 1]
@@ -223,7 +219,7 @@ class TestLeakAttack:
                      executor_overrides={1: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD),
                                          2: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)},
                      orchestrator_overrides={0: protocol.ORCH_LEAK})
-        result = sim.leak_attack(cfg)
+        result = sim.run(cfg)
         free_ridden = [lc for lc in result.lifecycles.values()
                        if lc.asserter in (1, 2) and lc.validator in (1, 2)]
         assert free_ridden
@@ -234,7 +230,7 @@ class TestLeakAttack:
         base = config(p=1.0, requests=40)
         leaky = replace(base, orchestrator_overrides={0: protocol.ORCH_LEAK})
         assert sim.run(base).metrics.trace_hash == \
-            sim.leak_attack(leaky).metrics.trace_hash
+            sim.run(leaky).metrics.trace_hash
 
 
 def scaled_params(p):
@@ -280,3 +276,82 @@ class TestEstimateStrategyPayoff:
         exact = econ.brute_force_expected_payoff(
             params, econ.CollusionModel(0.1), econ.FRAUD)
         assert abs(est.mean - exact) < 3 * est.stderr + 1e-9
+
+    def test_unresponsive_validator_is_redrawn(self):
+        # p=1: every request is challenged, and only node 3 can answer it
+        cfg = config(executors=4, p=1.0, executor_overrides={
+            1: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
+            2: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
+            3: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)})
+        est = sim.estimate_strategy_payoff(cfg, sim.HONEST, trials=300)
+        net = cfg.network
+        assert est.mean == net.reward_r + net.slash_s - net.compute_cost == 1502.0
+        assert est.stderr == 0.0 and est.arbitrations == 300
+
+    def test_leaked_result_lets_fraud_pass(self):
+        cfg = config(p=1.0, executor_overrides={
+            i: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD) for i in range(1, 8)},
+            orchestrator_overrides={0: protocol.ORCH_LEAK})
+        est = sim.estimate_strategy_payoff(cfg, sim.ALWAYS_FRAUD, trials=300)
+        assert est.mean == cfg.network.reward_r == 12.0
+        assert est.empirical_cheat_pass_rate == 1.0
+
+
+# StrategyEstimate.to_dict() as recorded when the estimator still derived
+# the payouts and draws itself; the shared protocol rules reproduce it bit
+# for bit wherever no validator is unresponsive and no orchestrator leaks.
+PINNED_ESTIMATES = [
+    (0.5, "honest", {"mean": 2.375, "stderr": 0.37495312206994624,
+                     "challenges": 13, "arbitrations": 1,
+                     "fraud_assertions": 0, "fraud_passes": 0}),
+    (0.5, "always-fraud", {"mean": 7.086, "stderr": 1.3606818698726018,
+                           "challenges": 13, "arbitrations": 13,
+                           "fraud_assertions": 4000, "fraud_passes": 3987}),
+    (0.5, "collude", {"mean": 7.464, "stderr": 1.3074647895832607,
+                      "challenges": 13, "arbitrations": 12,
+                      "fraud_assertions": 4000, "fraud_passes": 3988}),
+    (2.0, "honest", {"mean": 2.375, "stderr": 0.37495312206994624,
+                     "challenges": 42, "arbitrations": 1,
+                     "fraud_assertions": 0, "fraud_passes": 0}),
+    (2.0, "always-fraud", {"mean": -3.876, "stderr": 2.4368250154658213,
+                           "challenges": 42, "arbitrations": 42,
+                           "fraud_assertions": 4000, "fraud_passes": 3958}),
+    (2.0, "collude", {"mean": -3.498, "stderr": 2.4079445589547945,
+                      "challenges": 42, "arbitrations": 41,
+                      "fraud_assertions": 4000, "fraud_passes": 3959}),
+    (50.0, "honest", {"mean": 59.0, "stderr": 4.534616852612798,
+                      "challenges": 1487, "arbitrations": 152,
+                      "fraud_assertions": 0, "fraud_passes": 0}),
+    (50.0, "collude", {"mean": -492.63, "stderr": 11.273299462668415,
+                       "challenges": 1487, "arbitrations": 1335,
+                       "fraud_assertions": 4000, "fraud_passes": 2665}),
+]
+
+
+class TestPinnedEstimates:
+    @pytest.mark.parametrize("factor,kind,expected", PINNED_ESTIMATES)
+    def test_sweep_scenario(self, factor, kind, expected):
+        # the `posp sweep` scenario, at a multiple of its threshold p*
+        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+        cfg = sim.ScenarioConfig(
+            network=scaled_params(factor * p_star), master_seed=bytes([0x28] * 32),
+            requests=0, byzantine_fraction=0.1,
+            byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
+        strategy = sim.ExecStrategy(kind=kind, group=0 if kind == sim.COLLUDE else None)
+        est = sim.estimate_strategy_payoff(cfg, strategy, trials=4000)
+        assert est.to_dict() == {"strategy": kind, "trials": 4000, **expected}
+
+    @pytest.mark.parametrize("kind,expected", [
+        ("honest", {"mean": 146.75, "stderr": 9.90384868371887,
+                    "challenges": 1023, "arbitrations": 193,
+                    "fraud_assertions": 0, "fraud_passes": 0}),
+        ("always-fraud", {"mean": -761.388, "stderr": 16.900202032165176,
+                          "challenges": 1023, "arbitrations": 1023,
+                          "fraud_assertions": 2000, "fraud_passes": 977}),
+    ])
+    def test_fraud_with_probability_validators(self, kind, expected):
+        cfg = config(p=0.5, requests=0, byzantine_fraction=0.5,
+                     byzantine_strategy=sim.ExecStrategy(
+                         kind=sim.FRAUD_WITH_PROBABILITY, fraud_probability=0.5))
+        est = sim.estimate_strategy_payoff(cfg, kind, trials=2000)
+        assert est.to_dict() == {"strategy": kind, "trials": 2000, **expected}
