@@ -164,16 +164,19 @@ def cmd_sweep(args) -> int:
         for value in values:
             scn = _apply_axis(config, args.axis, value)
             net = scn.network
-            params = econ.EconomicParams.single_validator(
-                C=net.compute_cost, S=net.slash_s, R=net.reward_r,
-                r=scn.byzantine_fraction or 0.0,
-                p=net.challenge_probability, B=net.payment_b)
             honest = sim.estimate_strategy_payoff(scn, sim.HONEST, scn.sweep_trials)
             fraud = sim.estimate_strategy_payoff(scn, sim.ALWAYS_FRAUD, scn.sweep_trials)
+            # the adversarial share actually deployed, overrides included
+            table = sim.assign_adversaries(scn)
+            r = sum(s.adversarial for s in table) / len(table)
+            params = econ.EconomicParams.single_validator(
+                C=net.compute_cost, S=net.slash_s, R=net.reward_r, r=r,
+                p=net.challenge_probability, B=net.payment_b)
             min_p = econ.min_challenge_probability(params)
             rows.append({
                 "axis": args.axis,
                 "value": value,
+                "r": r,
                 "dominance_margin": econ.dominance_margin(params),
                 "min_challenge_probability": "infeasible" if min_p is None else min_p,
                 "honest_mean": honest.mean,

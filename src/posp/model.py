@@ -105,12 +105,16 @@ def _weight_stream(seed: bytes, count: int):
             produced += 1
 
 
+def param_count(dims: Sequence[int]) -> int:
+    """Weights plus biases of a model with these layer sizes."""
+    return sum(n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:]))
+
+
 def generate_model(seed: bytes, dims: Sequence[int]) -> ToyModel:
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("dims must list at least two sizes, all >= 1")
-    count = sum(dims[l] * dims[l + 1] + dims[l + 1] for l in range(len(dims) - 1))
-    stream = _weight_stream(seed, count)
+    stream = _weight_stream(seed, param_count(dims))
     weights = []
     biases = []
     for l in range(len(dims) - 1):

@@ -1,8 +1,13 @@
 """Executable state machines for every protocol role: user submission,
 orchestrator committee (request acceptance, sampling-based selection,
 challenge routing, timeouts), executors, and the arbitration and settlement
-contracts.  BFT agreement is abstracted as authenticated broadcast plus
-collection of 2f+1-signature quorum certificates.
+contracts.  BFT agreement is abstracted as authenticated broadcast with one
+vote shape and one quorum rule: every orchestrator vote is a signature over
+the canonical fields it agrees on (``Orchestrator.vote``), and task
+messages, arbitration requests and batch certificates all count 2f+1
+distinct, in-range, validly signing orchestrators through ``_quorum``.
+Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
+past a cap is rejected, which the CLI reports as exit 2.
 
 All cross-role interaction happens through the immutable message types
 defined here; token amounts on the ledger are integers so conservation can
@@ -12,7 +17,7 @@ be audited exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import crypto
@@ -104,6 +109,11 @@ class LedgerDelta:
         )
 
 
+# Input caps: past them a scenario is rejected (CLI exit 2), not run.
+MAX_EXECUTORS = 4096
+MAX_FAULT_BOUND = 64
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Sizes, timeouts, and on-ledger economic parameters.
@@ -125,10 +135,10 @@ class NetworkConfig:
     timeout_penalty: Optional[int] = None
 
     def __post_init__(self):
-        if self.executors < 2:
-            raise ValueError("need at least 2 executors")
-        if self.fault_bound < 0:
-            raise ValueError("fault_bound must be >= 0")
+        if type(self.executors) is not int or not 2 <= self.executors <= MAX_EXECUTORS:
+            raise ValueError(f"executors must be an integer in [2, {MAX_EXECUTORS}]")
+        if type(self.fault_bound) is not int or not 0 <= self.fault_bound <= MAX_FAULT_BOUND:
+            raise ValueError(f"fault_bound must be an integer in [0, {MAX_FAULT_BOUND}]")
         if not 0.0 <= self.challenge_probability <= 1.0:
             raise ValueError("challenge_probability must be in [0, 1]")
         for name in ("payment_b", "reward_r", "slash_s"):
@@ -199,13 +209,9 @@ class QuorumCertificate:
     votes: tuple[tuple[int, bytes], ...]
 
     def verify(self, orch_pks: Sequence[PublicKey], quorum: int) -> bool:
-        seen = set()
-        for orch_id, sig in self.votes:
-            if orch_id in seen or not 0 <= orch_id < len(orch_pks):
-                continue
-            if orch_pks[orch_id].verify(sig, self.digest):
-                seen.add(orch_id)
-        return len(seen) >= quorum
+        message = (self.digest,)
+        return _quorum(orch_pks, quorum,
+                       ((message, orch_id, sig) for orch_id, sig in self.votes)) is not None
 
 
 @dataclass(frozen=True)
@@ -293,21 +299,16 @@ class Orchestrator:
         if self.behavior not in ORCH_BEHAVIORS:
             raise ValueError(f"unknown orchestrator behavior {self.behavior!r}")
 
-    def sign_task(self, x: bytes, reqid: bytes) -> Optional[bytes]:
+    def vote(self, *fields: bytes) -> Optional[bytes]:
+        """Signature over the canonical fields this orchestrator agrees on;
+        None when it withholds."""
         if self.behavior == ORCH_WITHHOLD:
             return None
         if self.behavior == ORCH_EQUIVOCATE:
             # Conflicting vote: signed over a mutated message, so receivers
             # reject it and it never counts toward a quorum.
-            return self.keypair.sign(x + b"?", reqid)
-        return self.keypair.sign(x, reqid)
-
-    def vote(self, digest: bytes) -> Optional[bytes]:
-        if self.behavior == ORCH_WITHHOLD:
-            return None
-        if self.behavior == ORCH_EQUIVOCATE:
-            return self.keypair.sign(digest + b"?")
-        return self.keypair.sign(digest)
+            fields = (fields[0] + b"?",) + fields[1:]
+        return self.keypair.sign(*fields)
 
 
 @dataclass
@@ -380,27 +381,36 @@ def payout(config: NetworkConfig, reqid: bytes, asserter: int,
     return deltas
 
 
+def _quorum(orch_pks: Sequence[PublicKey], quorum: int,
+            votes: Iterable[tuple[tuple[bytes, ...], int, bytes]],
+            ) -> Optional[tuple[bytes, ...]]:
+    """The one 2f+1 rule: the first message, given as its canonical fields,
+    that ``quorum`` distinct in-range orchestrators signed validly, or None.
+
+    ``votes`` are (fields, orch_id, signature) triples.  A repeated signer is
+    skipped unverified, and verifying stops once a message reaches quorum.
+    """
+    signers: dict[tuple[bytes, ...], set[int]] = {}
+    for fields, orch_id, sig in votes:
+        seen = signers.setdefault(fields, set())
+        if orch_id in seen or not 0 <= orch_id < len(orch_pks):
+            continue
+        if orch_pks[orch_id].verify(sig, *fields):
+            seen.add(orch_id)
+            if len(seen) >= quorum:
+                return fields
+    return None
+
+
 def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
                      orch_pks: Sequence[PublicKey], quorum: int,
-                     compute: Callable[[bytes], Sequence[Fixed]],
-                     ) -> Optional[ExecutorResponse]:
-    """Respond only after 2f+1 valid task messages from distinct orchestrators
-    agree on the same (x, reqid); otherwise keep waiting (returns None).
-
-    ``compute`` is the node's strategy: honest nodes evaluate the model,
-    adversarial ones may substitute a corrupted output.
-    """
-    by_request: dict[tuple[bytes, bytes], set[int]] = {}
-    for msg in task_msgs:
-        if not 0 <= msg.orch_id < len(orch_pks):
-            continue
-        if not orch_pks[msg.orch_id].verify(msg.signature, msg.x, msg.reqid):
-            continue
-        by_request.setdefault((msg.x, msg.reqid), set()).add(msg.orch_id)
-    for (x, reqid), senders in by_request.items():
-        if len(senders) >= quorum:
-            return node.sign_result(x, reqid, compute(x))
-    return None
+                     y: Sequence[Fixed]) -> Optional[ExecutorResponse]:
+    """Respond with the node's output ``y`` only after 2f+1 valid task
+    messages from distinct orchestrators agree on the same (x, reqid);
+    otherwise keep waiting (returns None)."""
+    agreed = _quorum(orch_pks, quorum,
+                     (((m.x, m.reqid), m.orch_id, m.signature) for m in task_msgs))
+    return None if agreed is None else node.sign_result(*agreed, y)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +468,15 @@ class Committee:
         lc.advance(Phase.ASSIGNED)
         return i
 
+    def _votes(self, *fields: bytes) -> list[tuple[int, bytes]]:
+        """(orch_id, signature) for every orchestrator that votes on fields."""
+        return [(orch.orch_id, sig) for orch in self.orchestrators
+                if (sig := orch.vote(*fields)) is not None]
+
     def task_messages(self, reqid: bytes) -> list[TaskMessage]:
-        lc = self.lifecycles[reqid]
-        msgs = []
-        for orch in self.orchestrators:
-            sig = orch.sign_task(lc.x, reqid)
-            if sig is not None:
-                msgs.append(TaskMessage(x=lc.x, reqid=reqid, orch_id=orch.orch_id,
-                                        signature=sig))
-        return msgs
+        x = self.lifecycles[reqid].x
+        return [TaskMessage(x=x, reqid=reqid, orch_id=orch_id, signature=sig)
+                for orch_id, sig in self._votes(x, reqid)]
 
     def accept_asserter_response(self, resp: ExecutorResponse) -> bool:
         lc = self.lifecycles[resp.reqid]
@@ -533,17 +543,11 @@ class Committee:
 
     def arbitration_requests(self, reqid: bytes) -> list[ArbitrationRequest]:
         lc = self.lifecycles[reqid]
-        requests = []
-        for orch in self.orchestrators:
-            req = ArbitrationRequest(
-                x=lc.x, reqid=reqid, asserter=lc.asserter_response,
-                validator=lc.validator_response, orch_id=orch.orch_id, signature=b"")
-            sig = orch.vote(crypto.sha256(encode_fields(*req.tuple_fields())))
-            if sig is not None:
-                requests.append(ArbitrationRequest(
-                    x=req.x, reqid=req.reqid, asserter=req.asserter,
-                    validator=req.validator, orch_id=orch.orch_id, signature=sig))
-        return requests
+        base = ArbitrationRequest(
+            x=lc.x, reqid=reqid, asserter=lc.asserter_response,
+            validator=lc.validator_response, orch_id=-1, signature=b"")
+        return [replace(base, orch_id=orch_id, signature=sig)
+                for orch_id, sig in self._votes(*base.tuple_fields())]
 
     def record_arbitration(self, outcome: ArbitrationOutcome) -> None:
         lc = self.lifecycles[outcome.reqid]
@@ -597,12 +601,7 @@ class Committee:
 
     def certify_batch(self, deltas: Sequence[LedgerDelta]) -> QuorumCertificate:
         digest = batch_digest(deltas)
-        votes = []
-        for orch in self.orchestrators:
-            sig = orch.vote(digest)
-            if sig is not None:
-                votes.append((orch.orch_id, sig))
-        return QuorumCertificate(digest=digest, votes=tuple(votes))
+        return QuorumCertificate(digest=digest, votes=tuple(self._votes(digest)))
 
 
 def batch_digest(deltas: Sequence[LedgerDelta]) -> bytes:
@@ -633,25 +632,13 @@ class ArbitrationContract:
     def arbitrate(self, requests: Sequence[ArbitrationRequest]) -> ArbitrationOutcome:
         """Act on the request that 2f+1 distinct orchestrators signed
         identically, wherever it sits among divergent ones."""
-        groups: dict[tuple[bytes, ...], list[ArbitrationRequest]] = {}
-        for req in requests:
-            groups.setdefault(req.tuple_fields(), []).append(req)
-        most = 0
-        for fields, group in groups.items():
-            digest = crypto.sha256(encode_fields(*fields))
-            voters = set()
-            for req in group:
-                if not 0 <= req.orch_id < len(self.orch_pks) or req.orch_id in voters:
-                    continue
-                if self.orch_pks[req.orch_id].verify(req.signature, digest):
-                    voters.add(req.orch_id)
-            if len(voters) >= self.config.quorum:
-                head = group[0]
-                break
-            most = max(most, len(voters))
-        else:
+        signed = [(req.tuple_fields(), req) for req in requests]
+        agreed = _quorum(self.orch_pks, self.config.quorum,
+                         ((fields, req.orch_id, req.signature) for fields, req in signed))
+        if agreed is None:
             raise BelowQuorumError(
-                f"{most} identical valid requests, need {self.config.quorum}")
+                f"fewer than {self.config.quorum} identical valid requests")
+        head = next(req for fields, req in signed if fields == agreed)
 
         reqid = head.reqid
         if reqid in self.outcomes:

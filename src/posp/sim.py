@@ -17,7 +17,9 @@ from typing import Callable, Optional
 
 from . import crypto, protocol
 from .crypto import KeyPair, encode_fields, prf
-from .model import Fixed, ToyModel, corrupt, decode_vector, encode_vector, forward, generate_model
+from .model import (
+    Fixed, ToyModel, corrupt, decode_vector, encode_vector, forward, generate_model, param_count,
+)
 from .protocol import (
     Committee,
     ArbitrationContract,
@@ -43,6 +45,12 @@ UNRESPONSIVE = "unresponsive"
 STRATEGY_KINDS = (HONEST, ALWAYS_FRAUD, FRAUD_WITH_PROBABILITY, COLLUDE, UNRESPONSIVE)
 
 MAX_ATTEMPTS = 64
+
+# Input caps: past them a scenario is rejected (CLI exit 2), not run.  A run
+# holds about 2.5 KiB per request; the model cap counts the values drawn for
+# the model's weights and biases plus the d0 * (d0 + 1) of the input draw.
+MAX_REQUESTS = 100_000
+MAX_MODEL_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.master_seed) != crypto.SEED_LEN:
             raise ValueError("master_seed must be 32 bytes")
-        if self.requests < 0:
-            raise ValueError("requests must be >= 0")
+        if type(self.requests) is not int or not 0 <= self.requests <= MAX_REQUESTS:
+            raise ValueError(f"requests must be an integer in [0, {MAX_REQUESTS}]")
+        dims = self.model_dims
+        if len(dims) < 2 or any(type(d) is not int or d < 1 for d in dims):
+            raise ValueError("model_dims must list at least two integers >= 1")
+        if param_count(dims) + param_count((dims[0], dims[0])) > MAX_MODEL_VALUES:
+            raise ValueError(f"model_dims draw more than {MAX_MODEL_VALUES} values")
         if self.arrival_spacing < 0:
             raise ValueError("arrival_spacing must be >= 0")
         if self.byzantine_fraction is not None and not 0.0 <= self.byzantine_fraction < 1.0:
@@ -314,6 +327,7 @@ class _Simulation:
         self.x_vec = _derive_input(master, config.model_dims[0])
         self.x = encode_vector(self.x_vec)
         self.y_true = forward(self.model, self.x_vec)
+        self.y_true_b = encode_vector(self.y_true)
 
         self.user_keys = KeyPair.from_seed(prf(master, b"user-key"))
         self.executors = [
@@ -348,7 +362,6 @@ class _Simulation:
         self._trace = hashlib.sha256()
         self._queue: list = []
         self._seq = 0
-        self._wrong_assert: dict[bytes, bool] = {}
 
     # -- event machinery ---------------------------------------------------
 
@@ -365,25 +378,25 @@ class _Simulation:
     # -- node behavior -----------------------------------------------------
 
     def node_output(self, node: int, reqid: bytes,
-                    leaked: Optional[bytes] = None):
-        """(output vector, computed) per the node's strategy; returns None for
-        an unresponsive node."""
+                    leaked: Optional[bytes] = None) -> Optional[tuple[Fixed, ...]]:
+        """The output vector per the node's strategy; None for an
+        unresponsive node."""
         strategy = self.strategies[node]
         if strategy.kind == UNRESPONSIVE:
             return None
         if leaked is not None and strategy.adversarial:
             # free-ride on the leaked asserter result: no computation at all
-            return decode_vector(leaked), False
+            return decode_vector(leaked)
         if _lies(self.config.master_seed, strategy, node, reqid):
-            return _wrong_output(self.y_true, strategy, node), False
+            return _wrong_output(self.y_true, strategy, node)
         self.computations[node] += 1
-        return forward(self.model, self.x_vec), True
+        return forward(self.model, self.x_vec)
 
-    def asserter_output(self, node: int, reqid: bytes):
+    def asserter_output(self, node: int, reqid: bytes) -> Optional[tuple[Fixed, ...]]:
         # a user colluding with the selected asserter gets a free wrong answer:
         # the asserter skips computation entirely
         if self.config.user_colludes_with == node:
-            return _wrong_output(self.y_true, self.strategies[node], node), False
+            return _wrong_output(self.y_true, self.strategies[node], node)
         return self.node_output(node, reqid)
 
     # -- request pipeline --------------------------------------------------
@@ -402,16 +415,14 @@ class _Simulation:
         self.trace("assign", epoch, reqid, asserter.to_bytes(4, "big"),
                    lc.assert_attempt.to_bytes(4, "big"))
 
-        output = self.asserter_output(asserter, reqid)
-        if output is None:
+        y = self.asserter_output(asserter, reqid)
+        if y is None:
             self.schedule(epoch + self.config.network.t_assert,
                           lambda e, r=reqid: self.asserter_timeout(e, r))
             return
-        y, computed = output
-        node = self.executors[asserter]
         resp = protocol.asserter_execute(
-            self.committee.task_messages(reqid), node, self.committee.orch_pks,
-            self.config.network.quorum, lambda _x, out=y: out)
+            self.committee.task_messages(reqid), self.executors[asserter],
+            self.committee.orch_pks, self.config.network.quorum, y)
         if resp is None:
             raise protocol.ProtocolError("asserter failed to collect a task quorum")
         self.schedule(epoch + 1, lambda e, r=resp: self.asserter_response(e, r))
@@ -429,10 +440,6 @@ class _Simulation:
     def asserter_response(self, epoch: int, resp: protocol.ExecutorResponse) -> None:
         if not self.committee.accept_asserter_response(resp):
             raise protocol.ProtocolError("asserter response rejected")
-        wrong = resp.y_bytes != encode_vector(self.y_true)
-        self._wrong_assert[resp.reqid] = wrong
-        if wrong:
-            self.metrics.fraud_assertions += 1
         self.trace("assert", epoch, resp.reqid, crypto.sha256(resp.y_bytes))
         # t_chal is the epoch after the response was accepted, so the beacon
         # value deciding the challenge cannot be known when asserting
@@ -447,24 +454,22 @@ class _Simulation:
             self.conclude(epoch, reqid)
             return
         self.metrics.challenges += 1
-        self.run_validation(epoch, reqid, tau_chal)
+        self.run_validation(epoch, reqid)
 
-    def run_validation(self, epoch: int, reqid: bytes, tau: bytes) -> None:
+    def run_validation(self, epoch: int, reqid: bytes) -> None:
         lc = self.committee.lifecycles[reqid]
-        validator = self.committee.select_validator(reqid, tau)
+        validator = self.committee.select_validator(reqid, self.beacon.tau(epoch))
         self.trace("validator", epoch, reqid, validator.to_bytes(4, "big"),
                    lc.validate_attempt.to_bytes(4, "big"))
         leaked = lc.asserter_response.y_bytes if self.leak_present else None
-        output = self.node_output(validator, reqid, leaked=leaked)
-        if output is None:
+        y = self.node_output(validator, reqid, leaked=leaked)
+        if y is None:
             self.schedule(epoch + self.config.network.t_validate,
                           lambda e, r=reqid: self.validator_timeout(e, r))
             return
-        y, _computed = output
-        node = self.executors[validator]
         resp = protocol.asserter_execute(
-            self.committee.task_messages(reqid), node, self.committee.orch_pks,
-            self.config.network.quorum, lambda _x, out=y: out)
+            self.committee.task_messages(reqid), self.executors[validator],
+            self.committee.orch_pks, self.config.network.quorum, y)
         if resp is None:
             raise protocol.ProtocolError("validator failed to collect a task quorum")
         self.schedule(epoch + 1, lambda e, r=resp: self.validator_response(e, r))
@@ -477,8 +482,7 @@ class _Simulation:
         self.metrics.timeouts += 1
         self.metrics.reassignments += 1
         self.trace("timeout-validator", epoch, reqid, node.to_bytes(4, "big"))
-        self.schedule(epoch + 1,
-                      lambda e, r=reqid: self.run_validation(e, r, self.beacon.tau(e)))
+        self.schedule(epoch + 1, lambda e, r=reqid: self.run_validation(e, r))
 
     def validator_response(self, epoch: int, resp: protocol.ExecutorResponse) -> None:
         if not self.committee.accept_validator_response(resp):
@@ -502,8 +506,8 @@ class _Simulation:
 
     def conclude(self, epoch: int, reqid: bytes) -> None:
         lc = self.committee.lifecycles[reqid]
-        wrong = self._wrong_assert[reqid]
-        if wrong:
+        if lc.asserter_response.y_bytes != self.y_true_b:
+            self.metrics.fraud_assertions += 1
             if lc.phase in (Phase.UNCHALLENGED_DONE, Phase.MATCHED_DONE):
                 self.metrics.undetected_frauds += 1
                 self.metrics.fraud_passes += 1

@@ -118,6 +118,24 @@ class TestSimulate:
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == 2 and "invalid scenario" in err
 
+    @pytest.mark.parametrize("change", [
+        {"model_dims": [4, 20000, 2]},
+        {"model_dims": [4, 1e8, 2]},
+        {"model_dims": [4, 0, 2]},
+        {"model_dims": [4]},
+        {"requests": 100_001},
+        {"requests": 1.5},
+        {"network": {"executors": 4097, "fault_bound": 1, "challenge_probability": 0.5}},
+        {"network": {"executors": 8, "fault_bound": 65, "challenge_probability": 0.5}},
+    ], ids=["model-too-large", "float-dim", "zero-dim", "one-layer", "too-many-requests",
+            "float-requests", "too-many-executors", "fault-bound-too-large"])
+    def test_input_out_of_bounds(self, small_scenario, tmp_path, capsys, change):
+        path = write_json(tmp_path / "s.json",
+                          {**json.loads(Path(small_scenario).read_text()), **change})
+        code, _, err = run_cli(["simulate", "--scenario", path,
+                                "--out", str(tmp_path / "o")], capsys)
+        assert code == 2 and "invalid scenario" in err
+
     def test_protocol_error_exits_3(self, silent_scenario, tmp_path, capsys):
         code, _, err = run_cli(["simulate", "--scenario", silent_scenario,
                                 "--out", str(tmp_path / "o")], capsys)
@@ -179,6 +197,24 @@ class TestSweep:
         assert [row["value"] for row in rows] == [0.0, 0.15, 0.3, 0.45]
         assert all(isinstance(row["min_challenge_probability"], (float, str))
                    for row in rows)
+
+    def test_rows_use_effective_r(self, tmp_path, capsys):
+        # no Byzantine fraction: the two overrides alone make r = 2/8
+        path = write_json(tmp_path / "overrides.json", {
+            "network": {"executors": 8, "fault_bound": 1, "challenge_probability": 0.1},
+            "master_seed": "17" * 32,
+            "requests": 0,
+            "executor_overrides": {"3": "always-fraud", "5": "always-fraud"},
+            "sweep_trials": 10,
+        })
+        code, out, _ = run_cli(["sweep", "--scenario", path, "--axis", "p",
+                                "--from", "0.1", "--to", "0.1", "--steps", "1"], capsys)
+        assert code == 0
+        [row] = json.loads(out)["rows"]
+        assert row["r"] == 0.25
+        params = econ.EconomicParams.single_validator(C=10.0, S=1500, R=12, r=0.25,
+                                                      p=0.1, B=30)
+        assert row["dominance_margin"] == econ.dominance_margin(params)
 
     def test_protocol_error_exits_3(self, silent_scenario, capsys):
         # the focal asserter answers, but no validator does

@@ -79,7 +79,7 @@ class World:
         i = self.committee.select_asserter(reqid, tau, epoch)
         resp = asserter_execute(
             self.committee.task_messages(reqid), self.executors[i],
-            self.committee.orch_pks, self.net.quorum, lambda _x: y)
+            self.committee.orch_pks, self.net.quorum, y)
         assert resp is not None
         assert self.committee.accept_asserter_response(resp)
         return i
@@ -90,7 +90,7 @@ class World:
         j = self.committee.select_validator(reqid, tau)
         resp = asserter_execute(
             self.committee.task_messages(reqid), self.executors[j],
-            self.committee.orch_pks, self.net.quorum, lambda _x: y)
+            self.committee.orch_pks, self.net.quorum, y)
         assert resp is not None
         assert self.committee.accept_validator_response(resp)
         return j
@@ -168,8 +168,7 @@ class TestExecutorQuorum:
         i = w.committee.select_asserter(reqid, tau, 1)
         resp = asserter_execute(
             w.committee.task_messages(reqid), w.executors[i],
-            w.committee.orch_pks, w.net.quorum,
-            lambda _x: forward(w.model, w.x_vec))
+            w.committee.orch_pks, w.net.quorum, forward(w.model, w.x_vec))
         assert resp is not None and resp.y == w.y_true
 
     def test_below_quorum_waits(self):
@@ -179,7 +178,7 @@ class TestExecutorQuorum:
         i = w.committee.select_asserter(reqid, tau, 1)
         msgs = w.committee.task_messages(reqid)[: w.net.quorum - 1]
         resp = asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, lambda _x: w.y_true)
+                                w.net.quorum, w.y_true)
         assert resp is None
 
     def test_forgeries_ignored(self):
@@ -192,8 +191,7 @@ class TestExecutorQuorum:
                                        signature=b"\x00" * 64)
                   for m in msgs[: w.net.fault_bound]]
         resp = asserter_execute(forged + msgs, w.executors[i],
-                                w.committee.orch_pks, w.net.quorum,
-                                lambda _x: w.y_true)
+                                w.committee.orch_pks, w.net.quorum, w.y_true)
         assert resp is not None
 
     def test_duplicate_senders_not_counted(self):
@@ -203,8 +201,87 @@ class TestExecutorQuorum:
         i = w.committee.select_asserter(reqid, tau, 1)
         one = w.committee.task_messages(reqid)[0]
         resp = asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, lambda _x: w.y_true)
+                                w.net.quorum, w.y_true)
         assert resp is None
+
+
+def count_verifies(monkeypatch) -> list:
+    """Patch PublicKey.verify to log each call; returns the log."""
+    calls = []
+    real = crypto.PublicKey.verify
+
+    def verify(self, *args):
+        calls.append(args)
+        return real(self, *args)
+    monkeypatch.setattr(crypto.PublicKey, "verify", verify)
+    return calls
+
+
+# Each case turns the committee's honest (orch_id, signature) votes on one
+# message into a vote set, with the verdict every quorum check must give.
+QUORUM_CASES = {
+    "exact quorum": (lambda v, q: v[:q], True),
+    "one vote short": (lambda v, q: v[:q - 1], False),
+    "duplicate signer": (lambda v, q: v[:q - 1] + v[:1], False),
+    "forged signature": (lambda v, q: v[:q - 1] + [(v[q - 1][0], b"\x00" * 64)], False),
+    # the last orchestrator's valid vote under id -1, which Python indexing
+    # would resolve to that same orchestrator's key
+    "out-of-range id": (lambda v, q: v[:q - 1] + [(-1, v[-1][1])], False),
+}
+
+
+class TestOneQuorumRule:
+    def test_verifying_stops_at_quorum(self, monkeypatch):
+        w = World()
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        msgs = w.committee.task_messages(reqid)
+        assert len(msgs) == w.net.committee_size
+        calls = count_verifies(monkeypatch)
+        assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
+                                w.net.quorum, w.y_true) is not None
+        assert len(calls) == w.net.quorum
+
+    def test_repeated_message_verified_once(self, monkeypatch):
+        w = World()
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        one = w.committee.task_messages(reqid)[0]
+        calls = count_verifies(monkeypatch)
+        assert asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
+                                w.net.quorum, w.y_true) is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", list(QUORUM_CASES))
+    def test_task_arbitration_and_certificate_agree(self, case):
+        pick, expected = QUORUM_CASES[case]
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.validate_output(reqid, w.y_true)
+        assert w.committee.compare_and_route(reqid) == "arbitrate"
+        pks, q = w.committee.orch_pks, w.net.quorum
+
+        tasks = w.committee.task_messages(reqid)
+        votes = pick([(m.orch_id, m.signature) for m in tasks], q)
+        task_ok = asserter_execute(
+            [replace(tasks[0], orch_id=k, signature=sig) for k, sig in votes],
+            w.executors[0], pks, q, w.y_true) is not None
+
+        requests = w.committee.arbitration_requests(reqid)
+        votes = pick([(r.orch_id, r.signature) for r in requests], q)
+        try:
+            w.arbitration.arbitrate(
+                [replace(requests[0], orch_id=k, signature=sig) for k, sig in votes])
+            arbitration_ok = True
+        except BelowQuorumError:
+            arbitration_ok = False
+
+        cert = w.committee.certify_batch(w.committee.pending_deltas[reqid])
+        votes = pick(list(cert.votes), q)
+        cert_ok = QuorumCertificate(digest=cert.digest, votes=tuple(votes)).verify(pks, q)
+
+        assert (task_ok, arbitration_ok, cert_ok) == (expected,) * 3
 
 
 class TestChallengeDecision:
@@ -326,8 +403,7 @@ class TestArbitration:
         honest = w.committee.arbitration_requests(reqid)
         # a Byzantine orchestrator validly signs a request over an altered x
         bogus = replace(honest[0], x=honest[0].x + b"!")
-        bogus = replace(bogus, signature=w.orchestrators[0].vote(
-            crypto.sha256(protocol.encode_fields(*bogus.tuple_fields()))))
+        bogus = replace(bogus, signature=w.orchestrators[0].vote(*bogus.tuple_fields()))
         outcome = w.arbitration.arbitrate([bogus] + honest[1:])
         assert not outcome.asserter_honest and outcome.validator_honest
 

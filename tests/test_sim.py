@@ -2,11 +2,13 @@
 estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from posp import econ, protocol, sim
+from posp import crypto, econ, protocol, sim
 from posp.model import encode_vector
 from posp.protocol import NetworkConfig, Phase
 
@@ -21,6 +23,37 @@ def config(executors=8, fault_bound=1, p=0.0, requests=50, seed=SEED, **kw):
         requests=requests,
         **kw,
     )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class TestOpCounts:
+    """Exact sign, verify and forward counts per golden scenario, so a rise
+    in work per request fails without any timing."""
+
+    @pytest.mark.parametrize("name,signs,verifies,forwards", [
+        ("all_honest", 1889, 1571, 318),
+        ("leak_attack", 2627, 2185, 399),
+        ("mixed_adversaries", 4143, 4149, 435),
+    ])
+    def test_golden_op_counts(self, monkeypatch, name, signs, verifies, forwards):
+        counts = {"sign": 0, "verify": 0, "forward": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(crypto.KeyPair, "sign", counted("sign", crypto.KeyPair.sign))
+        monkeypatch.setattr(crypto.PublicKey, "verify",
+                            counted("verify", crypto.PublicKey.verify))
+        forward = counted("forward", sim.forward)
+        monkeypatch.setattr(sim, "forward", forward)
+        monkeypatch.setattr(protocol, "forward", forward)
+        sim.run(sim.ScenarioConfig.from_dict(
+            json.loads((SCENARIOS / f"{name}.json").read_text())))
+        assert counts == {"sign": signs, "verify": verifies, "forward": forwards}
 
 
 class TestScenarioConfig:
