@@ -5,6 +5,15 @@ The canonical encoding of a message is the concatenation of its fields,
 each prefixed with a 4-byte big-endian length.  Every signature in the
 protocol is produced over this encoding, which removes the ambiguity a
 plain ``a || b || c`` concatenation would leave.
+
+Ed25519 signing (RFC 8032) is deterministic, and a signature this process
+just made with a private key is valid under its public key by construction.
+``KeyPair.sign`` therefore records the exact (public key, encoded message,
+signature) bytes of its recent signatures, at most ``_SIGNED_MAX`` of them
+with the oldest evicted first, and ``PublicKey.verify`` answers True for an
+exact match without redoing the curve arithmetic.  Any other triple
+(forged, tampered, malleated, signed by another key, or evicted) is
+verified for real.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
+from collections import OrderedDict
 from fractions import Fraction
 
 from cryptography.exceptions import InvalidSignature
@@ -20,6 +30,14 @@ from cryptography.hazmat.primitives import serialization
 
 SEED_LEN = 32
 PRF_MAX = 1 << 64
+
+# (public key raw, encoded message, signature) of recent KeyPair.sign calls,
+# oldest first.  A signature that is verified at all is mostly verified
+# within a few signs of being made, so a small bound keeps nearly every hit.
+# Every entry is a valid signature whatever the interleaving of threads, so
+# the memo needs no lock.
+_SIGNED_MAX = 64
+_SIGNED: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
 
 
 def _check_seed(seed: bytes) -> None:
@@ -99,8 +117,13 @@ class PublicKey:
 
     def verify(self, signature: bytes, *fields: bytes) -> bool:
         """Never raises: any tampered bit simply yields False."""
+        message = encode_fields(*fields)
+        # exact bytes only: a bytearray is unhashable, and a bytes subclass
+        # could redefine equality
+        if type(signature) is bytes and (self.raw, message, signature) in _SIGNED:
+            return True
         try:
-            self._pk.verify(signature, encode_fields(*fields))
+            self._pk.verify(signature, message)
             return True
         except InvalidSignature:
             return False
@@ -132,4 +155,9 @@ class KeyPair:
         return cls(ed25519.Ed25519PrivateKey.from_private_bytes(bytes(seed)))
 
     def sign(self, *fields: bytes) -> bytes:
-        return self._sk.sign(encode_fields(*fields))
+        message = encode_fields(*fields)
+        signature = self._sk.sign(message)
+        _SIGNED[self.public.raw, message, signature] = None
+        if len(_SIGNED) > _SIGNED_MAX:
+            _SIGNED.popitem(last=False)
+        return signature

@@ -28,7 +28,7 @@ def _check_raw(raw: int) -> int:
     return raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fixed:
     """Signed 64-bit Q16.16 value (raw / 2^16)."""
 

@@ -88,7 +88,7 @@ class Reason(enum.Enum):
     TIMEOUT_PENALTY = "TimeoutPenalty"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerDelta:
     account: str
     amount: int
@@ -166,7 +166,7 @@ class NetworkConfig:
 # Messages
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedRequest:
     x: bytes
     nonce: bytes
@@ -178,7 +178,7 @@ class SignedRequest:
         return crypto.derive_reqid(self.pk_user, self.x, self.nonce)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskMessage:
     """Orchestrator instruction to an executor, signed over (x, reqid)."""
 
@@ -188,7 +188,7 @@ class TaskMessage:
     signature: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutorResponse:
     x: bytes
     reqid: bytes
@@ -224,15 +224,12 @@ class ArbitrationRequest:
     signature: bytes
 
     def tuple_fields(self) -> tuple[bytes, ...]:
-        return (
-            b"arbitration",
-            self.x,
-            self.reqid,
-            self.asserter.y_bytes,
-            self.asserter.signature,
-            self.validator.y_bytes,
-            self.validator.signature,
-        )
+        """Every field arbitration reads, so a vote covers the whole request
+        and an altered copy can never join the honest quorum's group."""
+        return (b"arbitration", self.x, self.reqid) + tuple(
+            part for resp in (self.asserter, self.validator)
+            for part in (str(resp.node_index).encode(), resp.x, resp.reqid,
+                         resp.y_bytes, resp.signature))
 
 
 @dataclass(frozen=True)
@@ -244,7 +241,7 @@ class ArbitrationOutcome:
     deltas: tuple[LedgerDelta, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestLifecycle:
     """Per-request record; phase changes are checked against the declared
     transition graph so every simulated trace is a valid path."""

@@ -4,6 +4,8 @@ hash oracle before the build and frozen here.
 """
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, strategies as st
 
 from posp import crypto
@@ -139,6 +141,83 @@ class TestSignatures:
         pk = crypto.PublicKey.from_bytes(kp.public.raw)
         sig = kp.sign(b"m")
         assert pk.verify(sig, b"m")
+
+
+# order of the Ed25519 base point; S + L is the classic malleated scalar
+ED25519_L = 2**252 + 27742317777372353535851937790883648493
+
+
+def raw_verify(pk_raw: bytes, signature: bytes, *fields: bytes) -> bool:
+    """Ed25519 verification with no memo in front of it."""
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(pk_raw).verify(
+            signature, crypto.encode_fields(*fields))
+        return True
+    except InvalidSignature:
+        return False
+
+
+class TestSignMemo:
+    """``PublicKey.verify`` answers exact (key, message, signature) triples
+    that ``KeyPair.sign`` made from its memo; everything else is verified for
+    real."""
+
+    FIELDS = (b"x", b"reqid", b"y")
+    KP = crypto.KeyPair.from_seed(bytes([1] * 32))
+    OTHER = crypto.KeyPair.from_seed(bytes([2] * 32))
+
+    def test_signature_made_outside_sign_verifies(self):
+        sk = ed25519.Ed25519PrivateKey.from_private_bytes(bytes([7] * 32))
+        sig = sk.sign(crypto.encode_fields(*self.FIELDS))
+        pk = crypto.PublicKey(sk.public_key())
+        assert (pk.raw, crypto.encode_fields(*self.FIELDS), sig) not in crypto._SIGNED
+        assert pk.verify(sig, *self.FIELDS)
+
+    def test_mismatches_rejected_right_after_sign(self):
+        sig = self.KP.sign(*self.FIELDS)
+        s = int.from_bytes(sig[32:], "little")
+        malleated = sig[:32] + (s + ED25519_L).to_bytes(32, "little")
+        flipped = sig[:-1] + bytes([sig[-1] ^ 0x01])
+        pk = self.KP.public
+        assert not self.OTHER.public.verify(sig, *self.FIELDS)
+        assert not pk.verify(sig, b"x", b"reqid", b"z")
+        assert not pk.verify(flipped, *self.FIELDS)
+        assert not pk.verify(malleated, *self.FIELDS)
+        # an equivocating orchestrator's vote mutates the first field
+        assert not pk.verify(sig, b"x?", b"reqid", b"y")
+        assert pk.verify(sig, *self.FIELDS)
+
+    def test_non_bytes_signature_checked_for_real(self):
+        sig = self.KP.sign(*self.FIELDS)
+        assert self.KP.public.verify(bytearray(sig), *self.FIELDS)
+        assert not self.KP.public.verify(bytearray(sig[:-1] + bytes([sig[-1] ^ 1])), *self.FIELDS)
+
+    @given(
+        fields=st.lists(st.binary(max_size=8), min_size=1, max_size=3),
+        other_key=st.booleans(),
+        field_edit=st.none() | st.tuples(st.integers(min_value=0), st.binary(max_size=8)),
+        sig_edit=st.none() | st.tuples(st.integers(min_value=0, max_value=63),
+                                       st.integers(min_value=1, max_value=255)),
+    )
+    def test_matches_raw_verify(self, fields, other_key, field_edit, sig_edit):
+        sig = self.KP.sign(*fields)
+        if field_edit is not None:
+            i, value = field_edit
+            fields[i % len(fields)] = value
+        if sig_edit is not None:
+            i, mask = sig_edit
+            sig = sig[:i] + bytes([sig[i] ^ mask]) + sig[i + 1:]
+        pk = self.OTHER.public if other_key else self.KP.public
+        assert pk.verify(sig, *fields) == raw_verify(pk.raw, sig, *fields)
+
+    def test_memo_is_bounded(self):
+        first = self.KP.sign(b"first")
+        for i in range(10 * crypto._SIGNED_MAX):
+            self.KP.sign(i.to_bytes(4, "big"))
+        assert len(crypto._SIGNED) <= crypto._SIGNED_MAX
+        # evicted, so checked for real, and still valid
+        assert (self.KP.public.raw, crypto.encode_fields(b"first"), first) not in crypto._SIGNED
+        assert self.KP.public.verify(first, b"first")
 
 
 class TestUniformity:

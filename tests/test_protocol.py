@@ -407,6 +407,26 @@ class TestArbitration:
         outcome = w.arbitration.arbitrate([bogus] + honest[1:])
         assert not outcome.asserter_honest and outcome.validator_honest
 
+    @pytest.mark.parametrize("role", ["asserter", "validator"])
+    @pytest.mark.parametrize("field", ["node_index", "x", "reqid"])
+    def test_altered_evidence_first_does_not_block_quorum(self, role, field):
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.validate_output(reqid, w.y_true)
+        w.committee.compare_and_route(reqid)
+        honest = w.committee.arbitration_requests(reqid)
+        # a Byzantine orchestrator validly signs a request whose evidence
+        # response has one field altered, so its evidence signature fails
+        resp = getattr(honest[0], role)
+        value = getattr(resp, field)
+        value = (value + 1) % w.net.executors if field == "node_index" else value + b"!"
+        evidence = replace(resp, **{field: value})
+        bogus = replace(honest[0], **{role: evidence})
+        bogus = replace(bogus, signature=w.orchestrators[0].vote(*bogus.tuple_fields()))
+        outcome = w.arbitration.arbitrate([bogus] + honest[1:])
+        assert not outcome.asserter_honest and outcome.validator_honest
+
     def test_tampered_evidence_rejected(self):
         w = World(p=1.0)
         reqid = w.submit()

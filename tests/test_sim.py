@@ -3,10 +3,12 @@ estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
 import json
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posp import crypto, econ, protocol, sim
 from posp.model import encode_vector
@@ -29,8 +31,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestOpCounts:
-    """Exact sign, verify and forward counts per golden scenario, so a rise
-    in work per request fails without any timing."""
+    """Exact sign, verify and forward counts per golden scenario, and the
+    real Ed25519 verifies among them, so a rise in work per request fails
+    without any timing."""
 
     @pytest.mark.parametrize("name,signs,verifies,forwards", [
         ("all_honest", 1889, 1571, 318),
@@ -54,6 +57,95 @@ class TestOpCounts:
         sim.run(sim.ScenarioConfig.from_dict(
             json.loads((SCENARIOS / f"{name}.json").read_text())))
         assert counts == {"sign": signs, "verify": verifies, "forward": forwards}
+
+    @pytest.mark.parametrize("name,real_verifies", [
+        ("all_honest", 291),
+        ("leak_attack", 421),
+        ("mixed_adversaries", 1016),
+    ])
+    def test_golden_real_verifies(self, monkeypatch, name, real_verifies):
+        """Verifies that run the Ed25519 check: those the sign memo cannot
+        answer.  The memo starts empty, so earlier tests do not count."""
+        real = 0
+
+        class CountingKey:
+            def __init__(self, key):
+                self.key = key
+
+            def public_bytes(self, *args, **kwargs):
+                return self.key.public_bytes(*args, **kwargs)
+
+            def verify(self, signature, message):
+                nonlocal real
+                real += 1
+                return self.key.verify(signature, message)
+
+        init = crypto.PublicKey.__init__
+        monkeypatch.setattr(crypto.PublicKey, "__init__",
+                            lambda pk, key: init(pk, CountingKey(key)))
+        monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
+        sim.run(sim.ScenarioConfig.from_dict(
+            json.loads((SCENARIOS / f"{name}.json").read_text())))
+        assert real == real_verifies
+
+
+@st.composite
+def small_scenarios(draw):
+    """Random small runs: any executor and orchestrator mix the protocol must
+    stay live under.  At most (executors - 2) // 2 executors are
+    unresponsive, so the 64-attempt redraws practically never run out."""
+    executors = draw(st.integers(min_value=2, max_value=8))
+    fault_bound = draw(st.integers(min_value=0, max_value=2))
+    kinds = st.sampled_from([sim.HONEST, sim.ALWAYS_FRAUD, sim.FRAUD_WITH_PROBABILITY,
+                             sim.COLLUDE, sim.UNRESPONSIVE])
+    overrides = {}
+    unresponsive_left = (executors - 2) // 2
+    for i in range(executors):
+        kind = draw(kinds)
+        if kind == sim.UNRESPONSIVE:
+            if unresponsive_left == 0:
+                kind = sim.HONEST
+            else:
+                unresponsive_left -= 1
+        overrides[i] = sim.ExecStrategy(
+            kind=kind, fraud_probability=0.5,
+            group=draw(st.integers(0, 1)) if kind == sim.COLLUDE else None)
+    byzantine = draw(st.lists(
+        st.sampled_from([protocol.ORCH_WITHHOLD, protocol.ORCH_EQUIVOCATE,
+                         protocol.ORCH_LEAK]), max_size=fault_bound))
+    return sim.ScenarioConfig(
+        network=NetworkConfig(
+            executors=executors, fault_bound=fault_bound,
+            challenge_probability=draw(st.sampled_from([0.0, 0.3, 1.0]))),
+        master_seed=draw(st.binary(min_size=32, max_size=32)),
+        requests=draw(st.integers(min_value=1, max_value=20)),
+        arrival_spacing=draw(st.integers(min_value=0, max_value=2)),
+        model_dims=(2, 3, 2),
+        executor_overrides=overrides,
+        orchestrator_overrides=dict(enumerate(byzantine)),
+        user_colludes_with=draw(st.none() | st.integers(0, executors - 1)),
+    )
+
+
+class TestRunInvariants:
+    """Run-level invariants over random small scenarios, with every
+    signature passing through the sign memo."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_scenarios())
+    def test_invariants(self, cfg):
+        result = sim.run(cfg)
+        net = cfg.network
+        assert sum(result.ledger.values()) == (
+            net.payment_b * cfg.requests + net.executors * net.slash_s)
+        assert len(result.lifecycles) == cfg.requests
+        for reqid, lc in result.lifecycles.items():
+            assert lc.history[0] is Phase.SUBMITTED and lc.concluded
+            for a, b in zip(lc.history, lc.history[1:]):
+                assert b in protocol.PHASE_TRANSITIONS[a]
+            assert sum(d.amount for d in result.committee.pending_deltas[reqid]) == 0
+        m = result.metrics
+        assert m.challenges == m.matched_challenges + m.arbitrations
 
 
 class TestScenarioConfig:
