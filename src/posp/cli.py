@@ -164,8 +164,8 @@ def cmd_sweep(args) -> int:
         for value in values:
             scn = _apply_axis(config, args.axis, value)
             net = scn.network
-            honest = sim.estimate_strategy_payoff(scn, sim.HONEST, scn.sweep_trials)
-            fraud = sim.estimate_strategy_payoff(scn, sim.ALWAYS_FRAUD, scn.sweep_trials)
+            honest, fraud = sim.estimate_strategy_payoff(
+                scn, (sim.HONEST, sim.ALWAYS_FRAUD), scn.sweep_trials)
             # the adversarial share actually deployed, overrides included
             table = sim.assign_adversaries(scn)
             r = sum(s.adversarial for s in table) / len(table)

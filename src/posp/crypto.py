@@ -59,7 +59,7 @@ def encode_fields(*fields: bytes) -> bytes:
 def prf(seed: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 keyed by a 32-byte seed; deterministic and bit-exact."""
     _check_seed(seed)
-    return _hmac.new(bytes(seed), data, hashlib.sha256).digest()
+    return _hmac.digest(seed, data, "sha256")
 
 
 def _prf_u64(seed: bytes, data: bytes) -> int:
@@ -115,17 +115,24 @@ class PublicKey:
     def from_bytes(cls, raw: bytes) -> "PublicKey":
         return cls(ed25519.Ed25519PublicKey.from_public_bytes(raw))
 
-    def verify(self, signature: bytes, *fields: bytes) -> bool:
-        """Never raises: any tampered bit simply yields False."""
-        message = encode_fields(*fields)
+    def signed_here(self, signature: bytes, message: bytes) -> bool:
+        """Memo-only probe: True when ``KeyPair.sign`` recently made exactly
+        this signature over this encoded message with this key.  False
+        proves nothing; it never runs the Ed25519 check."""
         # exact bytes only: a bytearray is unhashable, and a bytes subclass
         # could redefine equality
-        if type(signature) is bytes and (self.raw, message, signature) in _SIGNED:
+        return type(signature) is bytes and (self.raw, message, signature) in _SIGNED
+
+    def verify(self, signature: bytes, *fields: bytes) -> bool:
+        """Never raises: any tampered bit, or a signature that is not
+        bytes-like at all, simply yields False."""
+        message = encode_fields(*fields)
+        if self.signed_here(signature, message):
             return True
         try:
             self._pk.verify(signature, message)
             return True
-        except InvalidSignature:
+        except (InvalidSignature, TypeError):
             return False
 
     def __eq__(self, other) -> bool:

@@ -90,19 +90,22 @@ class ToyModel:
         return self.dims[-1]
 
 
-def _weight_stream(seed: bytes, count: int):
-    """PRF counter stream mapped to Fixed in [-1, 1)."""
-    produced = 0
-    block_index = 0
-    while produced < count:
+def _weight_stream(seed: bytes, count: int, start: int = 0):
+    """PRF counter stream mapped to Fixed in [-1, 1): its values start to
+    start + count - 1, eight to a PRF block."""
+    produced = start
+    end = start + count
+    block_index, first = divmod(start, 8)
+    while produced < end:
         block = crypto.prf(seed, b"model-weights" + block_index.to_bytes(8, "big"))
         block_index += 1
-        for off in range(0, 32, 4):
-            if produced == count:
+        for off in range(4 * first, 32, 4):
+            if produced == end:
                 break
             u = int.from_bytes(block[off : off + 4], "big")
             yield Fixed((u % (1 << (FRAC_BITS + 1))) - ONE)
             produced += 1
+        first = 0
 
 
 def param_count(dims: Sequence[int]) -> int:

@@ -381,18 +381,39 @@ def payout(config: NetworkConfig, reqid: bytes, asserter: int,
 def _quorum(orch_pks: Sequence[PublicKey], quorum: int,
             votes: Iterable[tuple[tuple[bytes, ...], int, bytes]],
             ) -> Optional[tuple[bytes, ...]]:
-    """The one 2f+1 rule: the first message, given as its canonical fields,
-    that ``quorum`` distinct in-range orchestrators signed validly, or None.
+    """The one 2f+1 rule: a message, given as its canonical fields, that
+    ``quorum`` distinct in-range orchestrators signed validly, or None.
 
-    ``votes`` are (fields, orch_id, signature) triples.  A repeated signer is
-    skipped unverified, and verifying stops once a message reaches quorum.
+    ``votes`` are (fields, orch_id, signature) triples.  Votes that
+    ``KeyPair.sign`` made in this process are counted first, from the sign
+    memo alone (``PublicKey.signed_here``).  Only if no message reaches
+    quorum on them are the other votes verified for real, in order, until
+    one does.  So a message that reaches quorum on memo hits is the one
+    returned, even if another message comes first in ``votes``.  Two
+    messages can both reach quorum only if an honest orchestrator signed
+    both, since any two quorums of the 3f+1 share an honest member.  A
+    signer that has already counted for a message is skipped unverified.
     """
-    signers: dict[tuple[bytes, ...], set[int]] = {}
-    for fields, orch_id, sig in votes:
-        seen = signers.setdefault(fields, set())
-        if orch_id in seen or not 0 <= orch_id < len(orch_pks):
+    counted: dict[tuple[bytes, ...], tuple[bytes, set[int]]] = {}
+    unproven = []
+    for vote in votes:
+        fields, orch_id, sig = vote
+        if not 0 <= orch_id < len(orch_pks):
             continue
-        if orch_pks[orch_id].verify(sig, *fields):
+        if fields not in counted:
+            counted[fields] = (encode_fields(*fields), set())
+        message, seen = counted[fields]
+        if orch_id in seen:
+            continue
+        if orch_pks[orch_id].signed_here(sig, message):
+            seen.add(orch_id)
+            if len(seen) >= quorum:
+                return fields
+        else:
+            unproven.append(vote)
+    for fields, orch_id, sig in unproven:
+        seen = counted[fields][1]
+        if orch_id not in seen and orch_pks[orch_id].verify(sig, *fields):
             seen.add(orch_id)
             if len(seen) >= quorum:
                 return fields

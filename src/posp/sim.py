@@ -18,7 +18,8 @@ from typing import Callable, Optional
 from . import crypto, protocol
 from .crypto import KeyPair, encode_fields, prf
 from .model import (
-    Fixed, ToyModel, corrupt, decode_vector, encode_vector, forward, generate_model, param_count,
+    Fixed, ToyModel, _weight_stream, corrupt, decode_vector, encode_vector, forward,
+    generate_model, param_count,
 )
 from .protocol import (
     Committee,
@@ -48,7 +49,9 @@ MAX_ATTEMPTS = 64
 
 # Input caps: past them a scenario is rejected (CLI exit 2), not run.  A run
 # holds about 2.5 KiB per request; the model cap counts the values drawn for
-# the model's weights and biases plus the d0 * (d0 + 1) of the input draw.
+# the model's weights and biases plus d0 * (d0 + 1) for the input.  The input
+# is the biases of a d0 x d0 model; only those d0 values are drawn, but the
+# term counts the whole model so that the set of accepted scenarios is fixed.
 MAX_REQUESTS = 100_000
 MAX_MODEL_VALUES = 1 << 16
 
@@ -554,9 +557,11 @@ class _Simulation:
 
 
 def _derive_input(master_seed: bytes, dim: int) -> tuple[Fixed, ...]:
+    """The biases of a (dim, dim) model generated from the input seed: the
+    dim stream values after its dim * dim weights, drawn without the
+    weights."""
     seed = prf(master_seed, b"input-seed")
-    stream = generate_model(seed, (dim, dim)).biases[0]
-    return tuple(stream)
+    return tuple(_weight_stream(seed, dim, start=dim * dim))
 
 
 def run(config: ScenarioConfig) -> SimResult:
@@ -600,10 +605,39 @@ class StrategyEstimate:
         }
 
 
-def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
-                             ) -> StrategyEstimate:
+@dataclass(slots=True)
+class _Tally:
+    """One focal strategy's output and running payoff sums."""
+
+    strategy: ExecStrategy
+    output: bytes
+    cost: float
+    unchallenged: float
+    total: float = 0.0
+    total_sq: float = 0.0
+    arbitrations: int = 0
+
+    def add(self, payoff: float) -> None:
+        self.total += payoff
+        self.total_sq += payoff * payoff
+
+    def estimate(self, trials: int, challenges: int) -> StrategyEstimate:
+        mean = self.total / trials
+        var = max(0.0, self.total_sq / trials - mean * mean)
+        fraud = self.strategy.adversarial
+        return StrategyEstimate(
+            strategy=self.strategy.kind, trials=trials, mean=mean,
+            stderr=(var / trials) ** 0.5, challenges=challenges,
+            arbitrations=self.arbitrations,
+            fraud_assertions=trials if fraud else 0,
+            fraud_passes=trials - self.arbitrations if fraud else 0)
+
+
+def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
+                             ) -> list[StrategyEstimate]:
     """Mean and standard error of the focal node's per-request payoff when it
-    asserts under the given strategy.
+    asserts under each of ``strategies``: one estimate per strategy, in the
+    order given.
 
     Each trial is one request asserted by the focal node, driven by an
     independent sub-seed PRF(master, trial-index).  The challenge and
@@ -612,14 +646,23 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
     are the protocol's own rules; only the signature plumbing is elided,
     since it cannot change any payoff.  The payoff is the sum of the focal
     account's ledger deltas minus its compute cost.  ``user_colludes_with``
-    plays no part: ``strategy`` already fixes what the focal asserter
+    plays no part: each strategy already fixes what the focal asserter
     returns.
+
+    The validator is never the focal node, so a trial's draws (request id,
+    challenge, validator and the validator's fraud decision) do not depend on
+    the focal strategy.  They are made once per trial and shared; the focal
+    output, a leaked copy of it, the verdict and the payoff are per strategy.
+    Each estimate is exactly what a call with that strategy alone gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(strategy, str):
-        strategy = ExecStrategy(kind=strategy)
-    if strategy.kind not in (HONEST, ALWAYS_FRAUD, COLLUDE):
+    if isinstance(strategies, (str, ExecStrategy)):
+        raise TypeError("strategies must be a sequence of focal strategies")
+    strategies = [ExecStrategy(kind=s) if isinstance(s, str) else s for s in strategies]
+    if not strategies:
+        raise ValueError("at least one focal strategy is required")
+    if any(s.kind not in (HONEST, ALWAYS_FRAUD, COLLUDE) for s in strategies):
         raise ValueError("focal strategy must be honest or a fraud variant")
 
     net = config.network
@@ -627,7 +670,6 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
     focal = config.focal_executor
     account = f"exec:{focal}"
     table = assign_adversaries(config)
-    table[focal] = strategy
     leak = protocol.ORCH_LEAK in config.orchestrator_overrides.values()
 
     model = generate_model(prf(master, b"model-seed"), config.model_dims)
@@ -638,51 +680,48 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategy, trials: int,
     wrong_b = [encode_vector(_wrong_output(y_true, strat, i)) for i, strat in enumerate(table)]
     pk_user = KeyPair.from_seed(prf(master, b"user-key")).public.raw
 
-    focal_fraud = strategy.adversarial
-    focal_out = wrong_b[focal] if focal_fraud else y_true_b
-    cost = 0.0 if focal_fraud else net.compute_cost
+    def focal_payoff(deltas, cost: float) -> float:
+        return sum(d.amount for d in deltas if d.account == account) - cost
 
-    total = 0.0
-    total_sq = 0.0
-    challenges = arbitrations = 0
+    tallies = []
+    for strategy in strategies:
+        fraud = strategy.adversarial
+        cost = 0.0 if fraud else net.compute_cost
+        output = encode_vector(_wrong_output(y_true, strategy, focal)) if fraud else y_true_b
+        # an unchallenged request pays the same whatever its id
+        tallies.append(_Tally(strategy, output, cost,
+                              focal_payoff(payout(net, b"", focal), cost)))
 
+    challenges = 0
     for t in range(trials):
         sub = prf(master, b"trial" + t.to_bytes(8, "big"))
         reqid = crypto.derive_reqid(pk_user, x, t.to_bytes(8, "big"))
         tau_chal = prf(sub, b"tau-chal")
         s = selection_string(pk_user, x, reqid)
         if not crypto.sampled(tau_chal, s, net.challenge_probability):
-            deltas = payout(net, reqid, focal)
-        else:
-            challenges += 1
-            attempt = 1
-            j = draw_validator(tau_chal, s, focal, net.executors)
-            while table[j].kind == UNRESPONSIVE:
-                if attempt > MAX_ATTEMPTS:
-                    raise protocol.ProtocolError("no responsive validator found")
-                attempt += 1
-                j = draw_validator(tau_chal, selection_string(pk_user, x, reqid, attempt),
-                                   focal, net.executors)
-            if leak and table[j].adversarial:
-                y_j = focal_out
-            elif _lies(master, table[j], j, reqid):
-                y_j = wrong_b[j]
-            else:
-                y_j = y_true_b
-            if y_j == focal_out:
+            for tally in tallies:
+                tally.add(tally.unchallenged)
+            continue
+        challenges += 1
+        attempt = 1
+        j = draw_validator(tau_chal, s, focal, net.executors)
+        while table[j].kind == UNRESPONSIVE:
+            if attempt > MAX_ATTEMPTS:
+                raise protocol.ProtocolError("no responsive validator found")
+            attempt += 1
+            j = draw_validator(tau_chal, selection_string(pk_user, x, reqid, attempt),
+                               focal, net.executors)
+        # a free-riding validator copies whatever the focal node asserted
+        copied = leak and table[j].adversarial
+        y_j = None if copied else (
+            wrong_b[j] if _lies(master, table[j], j, reqid) else y_true_b)
+        for tally in tallies:
+            if copied or y_j == tally.output:
                 deltas = payout(net, reqid, focal, j)
             else:
-                arbitrations += 1
-                deltas = payout(net, reqid, focal, j, (not focal_fraud, y_j == y_true_b))
-        payoff = sum(d.amount for d in deltas if d.account == account) - cost
-        total += payoff
-        total_sq += payoff * payoff
+                tally.arbitrations += 1
+                deltas = payout(net, reqid, focal, j,
+                                (not tally.strategy.adversarial, y_j == y_true_b))
+            tally.add(focal_payoff(deltas, tally.cost))
 
-    mean = total / trials
-    var = max(0.0, total_sq / trials - mean * mean)
-    stderr = (var / trials) ** 0.5
-    return StrategyEstimate(
-        strategy=strategy.kind, trials=trials, mean=mean, stderr=stderr,
-        challenges=challenges, arbitrations=arbitrations,
-        fraud_assertions=trials if focal_fraud else 0,
-        fraud_passes=trials - arbitrations if focal_fraud else 0)
+    return [tally.estimate(trials, challenges) for tally in tallies]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from posp import cli, econ
+from posp import cli, econ, sim
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -215,6 +215,24 @@ class TestSweep:
         params = econ.EconomicParams.single_validator(C=10.0, S=1500, R=12, r=0.25,
                                                       p=0.1, B=30)
         assert row["dominance_margin"] == econ.dominance_margin(params)
+
+    def test_one_estimator_pass_per_row(self, small_scenario, monkeypatch, capsys):
+        calls = []
+        estimate = sim.estimate_strategy_payoff
+
+        def counted(scn, strategies, trials):
+            calls.append(tuple(strategies))
+            return estimate(scn, strategies, trials)
+        monkeypatch.setattr(sim, "estimate_strategy_payoff", counted)
+        code, out, _ = run_cli(["sweep", "--scenario", small_scenario, "--axis", "p",
+                                "--from", "0.1", "--to", "0.5", "--steps", "3"], capsys)
+        assert code == 0
+        assert calls == [(sim.HONEST, sim.ALWAYS_FRAUD)] * 3
+        row = json.loads(out)["rows"][-1]
+        scn = cli._apply_axis(cli._load_scenario(small_scenario), "p", row["value"])
+        [honest] = estimate(scn, [sim.HONEST], scn.sweep_trials)
+        [fraud] = estimate(scn, [sim.ALWAYS_FRAUD], scn.sweep_trials)
+        assert (row["honest_mean"], row["fraud_mean"]) == (honest.mean, fraud.mean)
 
     def test_protocol_error_exits_3(self, silent_scenario, capsys):
         # the focal asserter answers, but no validator does

@@ -3,6 +3,9 @@ ids, and signatures.  Golden values were computed with an independent HMAC /
 hash oracle before the build and frozen here.
 """
 
+import hashlib
+import hmac
+
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -42,6 +45,14 @@ class TestPrf:
     def test_rejects_short_seed(self):
         with pytest.raises(ValueError):
             crypto.prf(b"short", b"data")
+
+    @given(seed=st.binary(min_size=32, max_size=32), data=st.binary(max_size=80),
+           mutable=st.booleans())
+    def test_matches_hmac_object(self, seed, data, mutable):
+        expected = hmac.new(seed, data, hashlib.sha256).digest()
+        if mutable:
+            seed, data = bytearray(seed), bytearray(data)
+        assert crypto.prf(seed, data) == expected
 
 
 class TestBucket:
@@ -186,6 +197,25 @@ class TestSignMemo:
         # an equivocating orchestrator's vote mutates the first field
         assert not pk.verify(sig, b"x?", b"reqid", b"y")
         assert pk.verify(sig, *self.FIELDS)
+
+    @pytest.mark.parametrize("signature", [None, "sig", 0, 1.5, [0] * 64])
+    def test_non_bytes_like_signature_is_false(self, signature):
+        self.KP.sign(*self.FIELDS)
+        assert self.KP.public.verify(signature, *self.FIELDS) is False
+
+    def test_probe_answers_from_the_memo_only(self):
+        message = crypto.encode_fields(*self.FIELDS)
+        sig = self.KP.sign(*self.FIELDS)
+        assert self.KP.public.signed_here(sig, message)
+        assert not self.OTHER.public.signed_here(sig, message)
+        assert not self.KP.public.signed_here(sig, message + b"?")
+        assert not self.KP.public.signed_here(bytearray(sig), message)
+        # valid, but not made by KeyPair.sign: the probe cannot tell
+        sk = ed25519.Ed25519PrivateKey.from_private_bytes(bytes([7] * 32))
+        outside = sk.sign(message)
+        pk = crypto.PublicKey(sk.public_key())
+        assert not pk.signed_here(outside, message)
+        assert pk.verify(outside, *self.FIELDS)
 
     def test_non_bytes_signature_checked_for_real(self):
         sig = self.KP.sign(*self.FIELDS)

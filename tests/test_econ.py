@@ -265,7 +265,7 @@ def params_with_rho(draw):
 
 
 class TestProperties:
-    @settings(max_examples=200, deadline=None,
+    @settings(max_examples=200,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(params_with_rho())
     def test_positive_margin_makes_fraud_dominated(self, case):
@@ -276,7 +276,7 @@ class TestProperties:
         honest = econ.brute_force_expected_payoff(params, model, econ.HONEST)
         assert fraud < honest + 1e-9
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.floats(min_value=0.0, max_value=5.0),
         st.floats(min_value=0.1, max_value=500.0),
@@ -292,7 +292,7 @@ class TestProperties:
         else:
             assert general == pytest.approx(special, rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(params_strategy())
     def test_margin_zero_at_min_p(self, params):
         from dataclasses import replace
@@ -303,7 +303,7 @@ class TestProperties:
         scale = max(1.0, params.S + params.U1 + params.U2 + params.R_A + params.C)
         assert abs(econ.dominance_margin(at_boundary)) <= 1e-12 * scale
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(params_with_rho())
     def test_fraud_bound_monotone_in_rho(self, case):
         params, rho = case
@@ -315,7 +315,7 @@ class TestProperties:
         hi_val = econ.fraud_payoff_upper_bound(params, model_hi)
         assert hi_val >= lo_val - 1e-9
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         st.floats(min_value=0.01, max_value=5.0),
         st.floats(min_value=0.1, max_value=500.0),

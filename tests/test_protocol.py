@@ -1,6 +1,7 @@
 """Role state-machine tests: request acceptance, selection, quorum rules,
 challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -205,15 +206,15 @@ class TestExecutorQuorum:
         assert resp is None
 
 
-def count_verifies(monkeypatch) -> list:
-    """Patch PublicKey.verify to log each call; returns the log."""
-    calls = []
-    real = crypto.PublicKey.verify
-
-    def verify(self, *args):
-        calls.append(args)
-        return real(self, *args)
-    monkeypatch.setattr(crypto.PublicKey, "verify", verify)
+def count_checks(monkeypatch) -> dict:
+    """Patch the sign-memo probe and PublicKey.verify to log each call;
+    returns the two logs.  A verify's own probe is logged as a probe."""
+    calls = {"signed_here": [], "verify": []}
+    for name, log in calls.items():
+        def check(self, *args, real=getattr(crypto.PublicKey, name), log=log):
+            log.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(crypto.PublicKey, name, check)
     return calls
 
 
@@ -237,20 +238,42 @@ class TestOneQuorumRule:
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
         msgs = w.committee.task_messages(reqid)
         assert len(msgs) == w.net.committee_size
-        calls = count_verifies(monkeypatch)
+        calls = count_checks(monkeypatch)
         assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
                                 w.net.quorum, w.y_true) is not None
-        assert len(calls) == w.net.quorum
+        # just signed, so the memo proves a quorum without any real verify
+        assert (len(calls["signed_here"]), len(calls["verify"])) == (w.net.quorum, 0)
+
+    def test_real_verifying_stops_at_quorum(self, monkeypatch):
+        w = World()
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        msgs = w.committee.task_messages(reqid)
+        monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
+        calls = count_checks(monkeypatch)
+        assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
+                                w.net.quorum, w.y_true) is not None
+        assert len(calls["verify"]) == w.net.quorum
+
+    def test_equivocating_vote_not_verified_once_memo_reaches_quorum(self, monkeypatch):
+        w = World(behaviors={0: protocol.ORCH_EQUIVOCATE})
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        msgs = w.committee.task_messages(reqid)
+        calls = count_checks(monkeypatch)
+        assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
+                                w.net.quorum, w.y_true) is not None
+        assert calls["verify"] == []
 
     def test_repeated_message_verified_once(self, monkeypatch):
         w = World()
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
         one = w.committee.task_messages(reqid)[0]
-        calls = count_verifies(monkeypatch)
+        calls = count_checks(monkeypatch)
         assert asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
                                 w.net.quorum, w.y_true) is None
-        assert len(calls) == 1
+        assert (len(calls["signed_here"]), len(calls["verify"])) == (1, 0)
 
     @pytest.mark.parametrize("case", list(QUORUM_CASES))
     def test_task_arbitration_and_certificate_agree(self, case):

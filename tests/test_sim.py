@@ -8,10 +8,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posp import crypto, econ, protocol, sim
-from posp.model import encode_vector
+from posp.model import encode_vector, generate_model
 from posp.protocol import NetworkConfig, Phase
 
 SEED = bytes([42] * 32)
@@ -31,17 +31,25 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestOpCounts:
-    """Exact sign, verify and forward counts per golden scenario, and the
-    real Ed25519 verifies among them, so a rise in work per request fails
-    without any timing."""
+    """Exact sign, signature-check, verify and forward counts per golden
+    scenario, and the real Ed25519 verifies among them, so a rise in work
+    per request fails without any timing.
 
-    @pytest.mark.parametrize("name,signs,verifies,forwards", [
+    Every signature check starts with a sign-memo probe: ``_quorum`` probes
+    each vote it looks at, and each ``PublicKey.verify`` probes first.  So
+    checks are counted as probes, and verifies as calls to ``verify``."""
+
+    # verifies: the quorum votes the memo cannot prove, and the user and
+    # executor signatures
+    VERIFY_CALLS = {"all_honest": 617, "leak_attack": 847, "mixed_adversaries": 1023}
+
+    @pytest.mark.parametrize("name,signs,checks,forwards", [
         ("all_honest", 1889, 1571, 318),
         ("leak_attack", 2627, 2185, 399),
         ("mixed_adversaries", 4143, 4149, 435),
     ])
-    def test_golden_op_counts(self, monkeypatch, name, signs, verifies, forwards):
-        counts = {"sign": 0, "verify": 0, "forward": 0}
+    def test_golden_op_counts(self, monkeypatch, name, signs, checks, forwards):
+        counts = {"sign": 0, "verify": 0, "probe": 0, "forward": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -51,17 +59,20 @@ class TestOpCounts:
         monkeypatch.setattr(crypto.KeyPair, "sign", counted("sign", crypto.KeyPair.sign))
         monkeypatch.setattr(crypto.PublicKey, "verify",
                             counted("verify", crypto.PublicKey.verify))
+        monkeypatch.setattr(crypto.PublicKey, "signed_here",
+                            counted("probe", crypto.PublicKey.signed_here))
         forward = counted("forward", sim.forward)
         monkeypatch.setattr(sim, "forward", forward)
         monkeypatch.setattr(protocol, "forward", forward)
         sim.run(sim.ScenarioConfig.from_dict(
             json.loads((SCENARIOS / f"{name}.json").read_text())))
-        assert counts == {"sign": signs, "verify": verifies, "forward": forwards}
+        assert counts == {"sign": signs, "verify": self.VERIFY_CALLS[name], "probe": checks,
+                          "forward": forwards}
 
     @pytest.mark.parametrize("name,real_verifies", [
         ("all_honest", 291),
         ("leak_attack", 421),
-        ("mixed_adversaries", 1016),
+        ("mixed_adversaries", 495),
     ])
     def test_golden_real_verifies(self, monkeypatch, name, real_verifies):
         """Verifies that run the Ed25519 check: those the sign memo cannot
@@ -131,7 +142,7 @@ class TestRunInvariants:
     """Run-level invariants over random small scenarios, with every
     signature passing through the sign memo."""
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(small_scenarios())
     def test_invariants(self, cfg):
         result = sim.run(cfg)
@@ -367,24 +378,24 @@ def scaled_params(p):
 class TestEstimateStrategyPayoff:
     def test_honest_p_zero_exact(self):
         cfg = config(p=0.0)
-        est = sim.estimate_strategy_payoff(cfg, sim.HONEST, trials=500)
+        [est] = sim.estimate_strategy_payoff(cfg, [sim.HONEST], trials=500)
         net = cfg.network
         assert est.mean == pytest.approx(net.reward_r - net.compute_cost)
         assert est.stderr == 0.0
 
     def test_fraud_always_caught(self):
         cfg = config(p=1.0)
-        est = sim.estimate_strategy_payoff(cfg, sim.ALWAYS_FRAUD, trials=500)
+        [est] = sim.estimate_strategy_payoff(cfg, [sim.ALWAYS_FRAUD], trials=500)
         assert est.mean == pytest.approx(-cfg.network.slash_s)
         assert est.empirical_cheat_pass_rate == 0.0
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
-            sim.estimate_strategy_payoff(config(), sim.HONEST, trials=0)
+            sim.estimate_strategy_payoff(config(), [sim.HONEST], trials=0)
 
     def test_rejects_unresponsive_focal(self):
         with pytest.raises(ValueError):
-            sim.estimate_strategy_payoff(config(), sim.UNRESPONSIVE, trials=10)
+            sim.estimate_strategy_payoff(config(), [sim.UNRESPONSIVE], trials=10)
 
     def test_fraud_mean_tracks_enumeration_oracle(self):
         # colluding-fraction scenario at slightly-above-threshold p
@@ -394,8 +405,8 @@ class TestEstimateStrategyPayoff:
             network=scaled_params(p), master_seed=SEED, requests=0,
             byzantine_fraction=0.1,
             byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
-        est = sim.estimate_strategy_payoff(
-            cfg, sim.ExecStrategy(kind=sim.COLLUDE, group=0), trials=40_000)
+        [est] = sim.estimate_strategy_payoff(
+            cfg, [sim.ExecStrategy(kind=sim.COLLUDE, group=0)], trials=40_000)
         params = econ.EconomicParams.single_validator(
             C=10.0, S=1500.0, R=12.0, r=0.1, p=p)
         exact = econ.brute_force_expected_payoff(
@@ -408,7 +419,7 @@ class TestEstimateStrategyPayoff:
             1: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
             2: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
             3: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)})
-        est = sim.estimate_strategy_payoff(cfg, sim.HONEST, trials=300)
+        [est] = sim.estimate_strategy_payoff(cfg, [sim.HONEST], trials=300)
         net = cfg.network
         assert est.mean == net.reward_r + net.slash_s - net.compute_cost == 1502.0
         assert est.stderr == 0.0 and est.arbitrations == 300
@@ -417,9 +428,78 @@ class TestEstimateStrategyPayoff:
         cfg = config(p=1.0, executor_overrides={
             i: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD) for i in range(1, 8)},
             orchestrator_overrides={0: protocol.ORCH_LEAK})
-        est = sim.estimate_strategy_payoff(cfg, sim.ALWAYS_FRAUD, trials=300)
+        [est] = sim.estimate_strategy_payoff(cfg, [sim.ALWAYS_FRAUD], trials=300)
         assert est.mean == cfg.network.reward_r == 12.0
         assert est.empirical_cheat_pass_rate == 1.0
+
+    @pytest.mark.parametrize("one", [sim.HONEST, sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)])
+    def test_rejects_a_single_strategy(self, one):
+        # a string would otherwise be iterated character by character
+        with pytest.raises(TypeError):
+            sim.estimate_strategy_payoff(config(), one, trials=10)
+
+
+@st.composite
+def estimator_cases(draw):
+    """A random small scenario with a random focal node, and a trial count."""
+    cfg = draw(small_scenarios())
+    focal = draw(st.integers(0, cfg.network.executors - 1))
+    return replace(cfg, focal_executor=focal), draw(st.integers(1, 60))
+
+
+def estimate_or_error(cfg, strategies, trials):
+    try:
+        return [e.to_dict() for e in sim.estimate_strategy_payoff(cfg, strategies, trials)]
+    except protocol.ProtocolError as exc:
+        return [repr(exc)] * len(strategies)
+
+
+class TestEstimateOnePass:
+    """One pass over the trials scores several focal strategies, each
+    exactly as a call with that strategy alone would."""
+
+    FOCALS = (sim.HONEST, sim.ALWAYS_FRAUD, sim.ExecStrategy(kind=sim.COLLUDE, group=0))
+
+    @settings(max_examples=60)
+    @given(estimator_cases())
+    @example((config(executors=4, p=1.0, orchestrator_overrides={0: protocol.ORCH_LEAK},
+                     executor_overrides={1: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
+                                         2: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                                             fraud_probability=0.5),
+                                         3: sim.ExecStrategy(kind=sim.COLLUDE, group=0)}),
+              200))
+    @example((config(executors=6, p=0.5, byzantine_fraction=0.5,
+                     byzantine_strategy=sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                                         fraud_probability=0.3)),
+              200))
+    def test_matches_one_strategy_calls(self, case):
+        cfg, trials = case
+        one_pass = estimate_or_error(cfg, self.FOCALS, trials)
+        assert one_pass == [d for s in self.FOCALS for d in estimate_or_error(cfg, [s], trials)]
+
+    def test_sweep_row_work_is_exact(self, monkeypatch):
+        """PRF and payout calls of one honest/fraud estimate on the `posp
+        sweep` scenario: three PRFs per trial, one per challenge and 63 to
+        set up; one payout per strategy for all the unchallenged trials
+        together, and one per strategy per challenge."""
+        counts = {"prf": 0, "payout": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        prf = counted("prf", crypto.prf)
+        monkeypatch.setattr(crypto, "prf", prf)
+        monkeypatch.setattr(sim, "prf", prf)
+        monkeypatch.setattr(sim, "payout", counted("payout", sim.payout))
+        cfg = sim.ScenarioConfig(
+            network=scaled_params(0.01), master_seed=bytes([0x28] * 32), requests=0,
+            byzantine_fraction=0.1,
+            byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
+        honest, fraud = sim.estimate_strategy_payoff(cfg, (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
+        assert honest.challenges == fraud.challenges == 12
+        assert counts == {"prf": 3 * 2000 + 12 + 63, "payout": 2 + 2 * 12}
 
 
 # StrategyEstimate.to_dict() as recorded when the estimator still derived
@@ -463,7 +543,7 @@ class TestPinnedEstimates:
             requests=0, byzantine_fraction=0.1,
             byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
         strategy = sim.ExecStrategy(kind=kind, group=0 if kind == sim.COLLUDE else None)
-        est = sim.estimate_strategy_payoff(cfg, strategy, trials=4000)
+        [est] = sim.estimate_strategy_payoff(cfg, [strategy], trials=4000)
         assert est.to_dict() == {"strategy": kind, "trials": 4000, **expected}
 
     @pytest.mark.parametrize("kind,expected", [
@@ -478,5 +558,23 @@ class TestPinnedEstimates:
         cfg = config(p=0.5, requests=0, byzantine_fraction=0.5,
                      byzantine_strategy=sim.ExecStrategy(
                          kind=sim.FRAUD_WITH_PROBABILITY, fraud_probability=0.5))
-        est = sim.estimate_strategy_payoff(cfg, kind, trials=2000)
+        [est] = sim.estimate_strategy_payoff(cfg, [kind], trials=2000)
         assert est.to_dict() == {"strategy": kind, "trials": 2000, **expected}
+
+
+class TestDeriveInput:
+    def test_matches_the_biases_of_a_whole_model(self):
+        seed = crypto.prf(SEED, b"input-seed")
+        for dim in range(1, 41):
+            whole = generate_model(seed, (dim, dim)).biases[0]
+            assert sim._derive_input(SEED, dim) == whole
+
+    def test_draws_only_the_blocks_it_uses(self, monkeypatch):
+        calls = []
+        prf = crypto.prf
+        monkeypatch.setattr(crypto, "prf", lambda *args: calls.append(args) or prf(*args))
+        for dim in (1, 8, 40):
+            calls.clear()
+            sim._derive_input(SEED, dim)
+            start = dim * dim
+            assert len(calls) == (start + dim - 1) // 8 - start // 8 + 1
