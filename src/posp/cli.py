@@ -76,9 +76,11 @@ def cmd_analyze(args) -> int:
     holds, violations = econ.check_stake_assumptions(params)
     matrix = econ.validator_payoff_matrix(params)
     min_p = econ.min_challenge_probability(params)
-    single_p = None
+    single_p = None  # the shorthand bound applies only to single-validator records
     if params.n == 1 and params.R_A == params.R_V == params.U1 and params.U2 == 2 * params.R_A:
         single_p = econ.single_validator_min_p(params.C, params.S, params.R_A, params.r)
+        if single_p is None:
+            single_p = "infeasible"
     fraud_proof = None
     if params.R_C + params.C > 0 and params.S + params.R_A > 0:
         fraud_proof = econ.fraud_proof_undetected_fraud_probability(
@@ -100,8 +102,7 @@ def cmd_analyze(args) -> int:
         },
         "dominance_margin": margin,
         "min_challenge_probability": "infeasible" if min_p is None else min_p,
-        "single_validator_min_p": ("infeasible" if single_p is None else single_p)
-                                  if single_p is not None or params.n == 1 else None,
+        "single_validator_min_p": single_p,
         "fraud_proof_undetected_fraud_probability": fraud_proof,
         "cheat_pass_probability": econ.cheat_pass_probability(params.p, params.r),
         "equilibrium_holds": equilibrium,

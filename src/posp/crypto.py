@@ -152,10 +152,6 @@ class KeyPair:
         self.public = PublicKey(sk.public_key())
 
     @classmethod
-    def generate(cls) -> "KeyPair":
-        return cls(ed25519.Ed25519PrivateKey.generate())
-
-    @classmethod
     def from_seed(cls, seed: bytes) -> "KeyPair":
         """Deterministic key derivation; used to make simulations replayable."""
         _check_seed(seed)

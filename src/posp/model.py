@@ -85,10 +85,6 @@ class ToyModel:
     def input_dim(self) -> int:
         return self.dims[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.dims[-1]
-
 
 def _weight_stream(seed: bytes, count: int, start: int = 0):
     """PRF counter stream mapped to Fixed in [-1, 1): its values start to

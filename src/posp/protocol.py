@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import crypto
 from .crypto import KeyPair, PublicKey, encode_fields
-from .model import Fixed, ToyModel, encode_vector, forward
+from .model import Fixed, ToyModel, decode_vector, encode_vector, forward
 
 
 class ProtocolError(Exception):
@@ -190,15 +190,14 @@ class TaskMessage:
 
 @dataclass(frozen=True, slots=True)
 class ExecutorResponse:
+    """An executor's output as the bytes it signed over (x, reqid, y_bytes);
+    every comparison, hash and verdict reads these bytes."""
+
     x: bytes
     reqid: bytes
     node_index: int
-    y: tuple[Fixed, ...]
+    y_bytes: bytes
     signature: bytes
-
-    @property
-    def y_bytes(self) -> bytes:
-        return encode_vector(self.y)
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,6 @@ class RequestLifecycle:
     pk_user: bytes
     x: bytes
     phase: Phase = Phase.SUBMITTED
-    t_req: Optional[int] = None
-    t_chal: Optional[int] = None
     asserter: Optional[int] = None
     validator: Optional[int] = None
     asserter_response: Optional[ExecutorResponse] = None
@@ -317,10 +314,10 @@ class ExecutorNode:
     def account(self) -> str:
         return f"exec:{self.index}"
 
-    def sign_result(self, x: bytes, reqid: bytes, y: Sequence[Fixed]) -> ExecutorResponse:
-        sig = self.keypair.sign(x, reqid, encode_vector(y))
+    def sign_result(self, x: bytes, reqid: bytes, y_bytes: bytes) -> ExecutorResponse:
+        sig = self.keypair.sign(x, reqid, y_bytes)
         return ExecutorResponse(x=x, reqid=reqid, node_index=self.index,
-                                y=tuple(y), signature=sig)
+                                y_bytes=y_bytes, signature=sig)
 
 
 def user_submit(x: bytes, nonce: bytes, user_keys: KeyPair) -> SignedRequest:
@@ -422,13 +419,13 @@ def _quorum(orch_pks: Sequence[PublicKey], quorum: int,
 
 def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
                      orch_pks: Sequence[PublicKey], quorum: int,
-                     y: Sequence[Fixed]) -> Optional[ExecutorResponse]:
-    """Respond with the node's output ``y`` only after 2f+1 valid task
-    messages from distinct orchestrators agree on the same (x, reqid);
-    otherwise keep waiting (returns None)."""
+                     y_bytes: bytes) -> Optional[ExecutorResponse]:
+    """Respond with the node's encoded output ``y_bytes`` only after 2f+1
+    valid task messages from distinct orchestrators agree on the same
+    (x, reqid); otherwise keep waiting (returns None)."""
     agreed = _quorum(orch_pks, quorum,
                      (((m.x, m.reqid), m.orch_id, m.signature) for m in task_msgs))
-    return None if agreed is None else node.sign_result(*agreed, y)
+    return None if agreed is None else node.sign_result(*agreed, y_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +470,7 @@ class Committee:
         ]
         return reqid
 
-    def select_asserter(self, reqid: bytes, tau: bytes, epoch: int) -> int:
+    def select_asserter(self, reqid: bytes, tau: bytes) -> int:
         """Draw the asserter for a Submitted request, or redraw with the
         attempt suffix after an asserter timeout left it Reassigned."""
         lc = self.lifecycles[reqid]
@@ -481,7 +478,6 @@ class Committee:
             tau, selection_string(lc.pk_user, lc.x, reqid, lc.assert_attempt),
             self.config.executors,
         )
-        lc.t_req = epoch
         lc.asserter = i
         lc.advance(Phase.ASSIGNED)
         return i
@@ -507,13 +503,12 @@ class Committee:
         lc.advance(Phase.ASSERTED)
         return True
 
-    def challenge_decision(self, reqid: bytes, tau_chal: bytes, epoch: int) -> bool:
+    def challenge_decision(self, reqid: bytes, tau_chal: bytes) -> bool:
         """Drawn strictly after the asserter response was accepted; on a
         non-challenge, records the asserter reward and concludes."""
         lc = self.lifecycles[reqid]
         if lc.phase is not Phase.ASSERTED:
             raise ProtocolError("challenge decision requires an accepted response")
-        lc.t_chal = epoch
         challenged = crypto.sampled(
             tau_chal, selection_string(lc.pk_user, lc.x, reqid),
             self.config.challenge_probability,
@@ -633,18 +628,16 @@ def batch_digest(deltas: Sequence[LedgerDelta]) -> bytes:
 class ArbitrationContract:
     """Recomputes the function on-contract and slashes whoever diverges.
 
-    Verdicts are byte-exact: a party is honest iff its output equals the
-    recomputed truth.  Outcomes are recorded immutably.
+    Verdicts are byte-exact: a party is honest iff its signed output bytes
+    equal the encoded recomputed truth.  Outcomes are recorded immutably.
     """
 
     def __init__(self, config: NetworkConfig, orch_pks: Sequence[PublicKey],
-                 executor_pks: Sequence[PublicKey], model: ToyModel,
-                 decode_input: Callable[[bytes], Sequence[Fixed]]):
+                 executor_pks: Sequence[PublicKey], model: ToyModel):
         self.config = config
         self.orch_pks = list(orch_pks)
         self.executor_pks = list(executor_pks)
         self.model = model
-        self.decode_input = decode_input
         self.outcomes: dict[bytes, ArbitrationOutcome] = {}
 
     def arbitrate(self, requests: Sequence[ArbitrationRequest]) -> ArbitrationOutcome:
@@ -667,7 +660,7 @@ class ArbitrationContract:
                 raise InvalidSignatureError(
                     f"evidence signature of node {resp.node_index} invalid")
 
-        y_true = forward(self.model, self.decode_input(head.x))
+        y_true = forward(self.model, decode_vector(head.x))
         truth = encode_vector(y_true)
         asserter_honest = head.asserter.y_bytes == truth
         validator_honest = head.validator.y_bytes == truth

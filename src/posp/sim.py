@@ -18,8 +18,8 @@ from typing import Callable, Optional
 from . import crypto, protocol
 from .crypto import KeyPair, encode_fields, prf
 from .model import (
-    Fixed, ToyModel, _weight_stream, corrupt, decode_vector, encode_vector, forward,
-    generate_model, param_count,
+    Fixed, ToyModel, _weight_stream, corrupt, encode_vector, forward, generate_model,
+    param_count,
 )
 from .protocol import (
     Committee,
@@ -316,14 +316,23 @@ def _lies(master_seed: bytes, strategy: ExecStrategy, node: int, reqid: bytes) -
     return strategy.adversarial
 
 
-class _Simulation:
-    """One run's mutable state; see run() for the public entry point."""
+def _derive_input(master_seed: bytes, dim: int) -> tuple[Fixed, ...]:
+    """The biases of a (dim, dim) model generated from the input seed: the
+    dim stream values after its dim * dim weights, drawn without the
+    weights."""
+    seed = prf(master_seed, b"input-seed")
+    return tuple(_weight_stream(seed, dim, start=dim * dim))
+
+
+class _World:
+    """What a scenario fixes before any request, derived once for the
+    simulator and the estimator alike: the strategy table, the model, the
+    input, the true output, each node's encoded wrong output, the user key
+    and whether an orchestrator leaks."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        net = config.network
         master = config.master_seed
-
         self.strategies = assign_adversaries(config)
         self.model = generate_model(prf(master, b"model-seed"), config.model_dims)
         # fixed input for every request; nonces make request ids unique
@@ -331,8 +340,24 @@ class _Simulation:
         self.x = encode_vector(self.x_vec)
         self.y_true = forward(self.model, self.x_vec)
         self.y_true_b = encode_vector(self.y_true)
-
+        # only adversarial nodes and the user's colluder ever return one
+        self.wrong = [self.wrong_output(strategy, i)
+                      if strategy.adversarial or i == config.user_colludes_with else None
+                      for i, strategy in enumerate(self.strategies)]
         self.user_keys = KeyPair.from_seed(prf(master, b"user-key"))
+        self.leak = protocol.ORCH_LEAK in config.orchestrator_overrides.values()
+
+    def wrong_output(self, strategy: ExecStrategy, node: int) -> bytes:
+        return encode_vector(_wrong_output(self.y_true, strategy, node))
+
+
+class _Simulation(_World):
+    """One run's mutable state; see run() for the public entry point."""
+
+    def __init__(self, config: ScenarioConfig):
+        super().__init__(config)
+        net = config.network
+        master = config.master_seed
         self.executors = [
             ExecutorNode(i, KeyPair.from_seed(prf(master, b"exec-key" + i.to_bytes(8, "big"))))
             for i in range(net.executors)
@@ -342,7 +367,6 @@ class _Simulation:
                          config.orchestrator_overrides.get(k, protocol.ORCH_HONEST))
             for k in range(net.committee_size)
         ]
-        self.leak_present = any(o.behavior == protocol.ORCH_LEAK for o in self.orchestrators)
 
         self.committee = Committee(
             net, self.orchestrators,
@@ -351,8 +375,7 @@ class _Simulation:
         )
         self.arbitration = ArbitrationContract(
             net, self.committee.orch_pks,
-            [e.keypair.public for e in self.executors],
-            self.model, decode_vector)
+            [e.keypair.public for e in self.executors], self.model)
         initial = {"user": net.payment_b * config.requests}
         for e in self.executors:
             initial[e.account] = net.slash_s
@@ -381,25 +404,25 @@ class _Simulation:
     # -- node behavior -----------------------------------------------------
 
     def node_output(self, node: int, reqid: bytes,
-                    leaked: Optional[bytes] = None) -> Optional[tuple[Fixed, ...]]:
-        """The output vector per the node's strategy; None for an
+                    leaked: Optional[bytes] = None) -> Optional[bytes]:
+        """The encoded output per the node's strategy; None for an
         unresponsive node."""
         strategy = self.strategies[node]
         if strategy.kind == UNRESPONSIVE:
             return None
         if leaked is not None and strategy.adversarial:
             # free-ride on the leaked asserter result: no computation at all
-            return decode_vector(leaked)
+            return leaked
         if _lies(self.config.master_seed, strategy, node, reqid):
-            return _wrong_output(self.y_true, strategy, node)
+            return self.wrong[node]
         self.computations[node] += 1
-        return forward(self.model, self.x_vec)
+        return encode_vector(forward(self.model, self.x_vec))
 
-    def asserter_output(self, node: int, reqid: bytes) -> Optional[tuple[Fixed, ...]]:
+    def asserter_output(self, node: int, reqid: bytes) -> Optional[bytes]:
         # a user colluding with the selected asserter gets a free wrong answer:
         # the asserter skips computation entirely
         if self.config.user_colludes_with == node:
-            return _wrong_output(self.y_true, self.strategies[node], node)
+            return self.wrong[node]
         return self.node_output(node, reqid)
 
     # -- request pipeline --------------------------------------------------
@@ -414,7 +437,7 @@ class _Simulation:
 
     def assign(self, epoch: int, reqid: bytes) -> None:
         lc = self.committee.lifecycles[reqid]
-        asserter = self.committee.select_asserter(reqid, self.beacon.tau(epoch), epoch)
+        asserter = self.committee.select_asserter(reqid, self.beacon.tau(epoch))
         self.trace("assign", epoch, reqid, asserter.to_bytes(4, "big"),
                    lc.assert_attempt.to_bytes(4, "big"))
 
@@ -444,13 +467,14 @@ class _Simulation:
         if not self.committee.accept_asserter_response(resp):
             raise protocol.ProtocolError("asserter response rejected")
         self.trace("assert", epoch, resp.reqid, crypto.sha256(resp.y_bytes))
-        # t_chal is the epoch after the response was accepted, so the beacon
-        # value deciding the challenge cannot be known when asserting
+        # the challenge is decided in the epoch after the response was
+        # accepted, so the beacon value deciding it cannot be known when
+        # asserting
         self.schedule(epoch + 1, lambda e, r=resp.reqid: self.challenge(e, r))
 
     def challenge(self, epoch: int, reqid: bytes) -> None:
         tau_chal = self.beacon.tau(epoch)
-        challenged = self.committee.challenge_decision(reqid, tau_chal, epoch)
+        challenged = self.committee.challenge_decision(reqid, tau_chal)
         self.metrics.challenge_decisions += 1
         self.trace("challenge", epoch, reqid, bytes([challenged]))
         if not challenged:
@@ -464,7 +488,7 @@ class _Simulation:
         validator = self.committee.select_validator(reqid, self.beacon.tau(epoch))
         self.trace("validator", epoch, reqid, validator.to_bytes(4, "big"),
                    lc.validate_attempt.to_bytes(4, "big"))
-        leaked = lc.asserter_response.y_bytes if self.leak_present else None
+        leaked = lc.asserter_response.y_bytes if self.leak else None
         y = self.node_output(validator, reqid, leaked=leaked)
         if y is None:
             self.schedule(epoch + self.config.network.t_validate,
@@ -554,14 +578,6 @@ class _Simulation:
             model=self.model,
             y_true=self.y_true,
         )
-
-
-def _derive_input(master_seed: bytes, dim: int) -> tuple[Fixed, ...]:
-    """The biases of a (dim, dim) model generated from the input seed: the
-    dim stream values after its dim * dim weights, drawn without the
-    weights."""
-    seed = prf(master_seed, b"input-seed")
-    return tuple(_weight_stream(seed, dim, start=dim * dim))
 
 
 def run(config: ScenarioConfig) -> SimResult:
@@ -665,20 +681,14 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
     if any(s.kind not in (HONEST, ALWAYS_FRAUD, COLLUDE) for s in strategies):
         raise ValueError("focal strategy must be honest or a fraud variant")
 
+    world = _World(config)
     net = config.network
     master = config.master_seed
     focal = config.focal_executor
     account = f"exec:{focal}"
-    table = assign_adversaries(config)
-    leak = protocol.ORCH_LEAK in config.orchestrator_overrides.values()
-
-    model = generate_model(prf(master, b"model-seed"), config.model_dims)
-    x_vec = _derive_input(master, config.model_dims[0])
-    x = encode_vector(x_vec)
-    y_true = forward(model, x_vec)
-    y_true_b = encode_vector(y_true)
-    wrong_b = [encode_vector(_wrong_output(y_true, strat, i)) for i, strat in enumerate(table)]
-    pk_user = KeyPair.from_seed(prf(master, b"user-key")).public.raw
+    table, leak, wrong_b = world.strategies, world.leak, world.wrong
+    x, y_true_b = world.x, world.y_true_b
+    pk_user = world.user_keys.public.raw
 
     def focal_payoff(deltas, cost: float) -> float:
         return sum(d.amount for d in deltas if d.account == account) - cost
@@ -687,7 +697,7 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
     for strategy in strategies:
         fraud = strategy.adversarial
         cost = 0.0 if fraud else net.compute_cost
-        output = encode_vector(_wrong_output(y_true, strategy, focal)) if fraud else y_true_b
+        output = world.wrong_output(strategy, focal) if fraud else y_true_b
         # an unchallenged request pays the same whatever its id
         tallies.append(_Tally(strategy, output, cost,
                               focal_payoff(payout(net, b"", focal), cost)))

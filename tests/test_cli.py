@@ -80,6 +80,16 @@ class TestAnalyze:
         assert code == 1
         assert json.loads(out)["min_challenge_probability"] == "infeasible"
 
+    def test_single_validator_bound_null_when_not_applicable(self, tmp_path, capsys):
+        # n = 1, but U2 != 2 R_A: a full record the shorthand bound does not cover
+        path = write_json(tmp_path / "n1.json",
+                          {"B": 30, "R_A": 12, "R_V": 10, "S": 1500, "C": 10,
+                           "p": 0.01, "r": 0.1, "n": 1, "U1": 12, "U2": 24})
+        _code, out, _ = run_cli(["analyze", "--params", path], capsys)
+        report = json.loads(out)
+        assert report["min_challenge_probability"] == pytest.approx(0.00736, abs=5e-6)
+        assert report["single_validator_min_p"] is None
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

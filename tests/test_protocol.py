@@ -8,7 +8,7 @@ import pytest
 
 from posp import crypto, protocol
 from posp.crypto import KeyPair, prf
-from posp.model import Fixed, corrupt, decode_vector, encode_vector, forward, generate_model
+from posp.model import Fixed, corrupt, encode_vector, forward, generate_model
 from posp.protocol import (
     AlreadySettledError,
     ArbitrationContract,
@@ -62,10 +62,10 @@ class World:
         self.x_vec = (Fixed.from_float(0.5), Fixed.from_float(-1.0), Fixed.from_int(2))
         self.x = encode_vector(self.x_vec)
         self.y_true = forward(self.model, self.x_vec)
+        self.y_true_b = encode_vector(self.y_true)
         self.arbitration = ArbitrationContract(
             self.net, self.committee.orch_pks,
-            [e.keypair.public for e in self.executors],
-            self.model, decode_vector)
+            [e.keypair.public for e in self.executors], self.model)
         self.settlement = SettlementContract(
             self.net, self.committee.orch_pks,
             {"user": 10 * self.net.payment_b,
@@ -77,21 +77,21 @@ class World:
 
     def assert_output(self, reqid, y, epoch=1):
         tau = prf(SEED, b"tau" + epoch.to_bytes(4, "big"))
-        i = self.committee.select_asserter(reqid, tau, epoch)
+        i = self.committee.select_asserter(reqid, tau)
         resp = asserter_execute(
             self.committee.task_messages(reqid), self.executors[i],
-            self.committee.orch_pks, self.net.quorum, y)
+            self.committee.orch_pks, self.net.quorum, encode_vector(y))
         assert resp is not None
         assert self.committee.accept_asserter_response(resp)
         return i
 
     def validate_output(self, reqid, y):
         tau = prf(SEED, b"tau-chal")
-        assert self.committee.challenge_decision(reqid, tau, 2)
+        assert self.committee.challenge_decision(reqid, tau)
         j = self.committee.select_validator(reqid, tau)
         resp = asserter_execute(
             self.committee.task_messages(reqid), self.executors[j],
-            self.committee.orch_pks, self.net.quorum, y)
+            self.committee.orch_pks, self.net.quorum, encode_vector(y))
         assert resp is not None
         assert self.committee.accept_validator_response(resp)
         return j
@@ -137,8 +137,8 @@ class TestSelection:
         w1, w2 = World(), World()
         r1, r2 = w1.submit(), w2.submit()
         tau = prf(SEED, b"tau")
-        assert w1.committee.select_asserter(r1, tau, 1) == \
-            w2.committee.select_asserter(r2, tau, 1)
+        assert w1.committee.select_asserter(r1, tau) == \
+            w2.committee.select_asserter(r2, tau)
 
     def test_selection_string_attempt_suffix(self):
         base = selection_string(b"pk", b"x", b"rid")
@@ -166,43 +166,43 @@ class TestExecutorQuorum:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau, 1)
+        i = w.committee.select_asserter(reqid, tau)
         resp = asserter_execute(
             w.committee.task_messages(reqid), w.executors[i],
-            w.committee.orch_pks, w.net.quorum, forward(w.model, w.x_vec))
-        assert resp is not None and resp.y == w.y_true
+            w.committee.orch_pks, w.net.quorum, encode_vector(forward(w.model, w.x_vec)))
+        assert resp is not None and resp.y_bytes == w.y_true_b
 
     def test_below_quorum_waits(self):
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau, 1)
+        i = w.committee.select_asserter(reqid, tau)
         msgs = w.committee.task_messages(reqid)[: w.net.quorum - 1]
         resp = asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true)
+                                w.net.quorum, w.y_true_b)
         assert resp is None
 
     def test_forgeries_ignored(self):
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau, 1)
+        i = w.committee.select_asserter(reqid, tau)
         msgs = w.committee.task_messages(reqid)
         forged = [protocol.TaskMessage(x=m.x, reqid=m.reqid, orch_id=m.orch_id,
                                        signature=b"\x00" * 64)
                   for m in msgs[: w.net.fault_bound]]
         resp = asserter_execute(forged + msgs, w.executors[i],
-                                w.committee.orch_pks, w.net.quorum, w.y_true)
+                                w.committee.orch_pks, w.net.quorum, w.y_true_b)
         assert resp is not None
 
     def test_duplicate_senders_not_counted(self):
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau, 1)
+        i = w.committee.select_asserter(reqid, tau)
         one = w.committee.task_messages(reqid)[0]
         resp = asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true)
+                                w.net.quorum, w.y_true_b)
         assert resp is None
 
 
@@ -235,44 +235,44 @@ class TestOneQuorumRule:
     def test_verifying_stops_at_quorum(self, monkeypatch):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         msgs = w.committee.task_messages(reqid)
         assert len(msgs) == w.net.committee_size
         calls = count_checks(monkeypatch)
         assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true) is not None
+                                w.net.quorum, w.y_true_b) is not None
         # just signed, so the memo proves a quorum without any real verify
         assert (len(calls["signed_here"]), len(calls["verify"])) == (w.net.quorum, 0)
 
     def test_real_verifying_stops_at_quorum(self, monkeypatch):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         msgs = w.committee.task_messages(reqid)
         monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
         calls = count_checks(monkeypatch)
         assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true) is not None
+                                w.net.quorum, w.y_true_b) is not None
         assert len(calls["verify"]) == w.net.quorum
 
     def test_equivocating_vote_not_verified_once_memo_reaches_quorum(self, monkeypatch):
         w = World(behaviors={0: protocol.ORCH_EQUIVOCATE})
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         msgs = w.committee.task_messages(reqid)
         calls = count_checks(monkeypatch)
         assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true) is not None
+                                w.net.quorum, w.y_true_b) is not None
         assert calls["verify"] == []
 
     def test_repeated_message_verified_once(self, monkeypatch):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         one = w.committee.task_messages(reqid)[0]
         calls = count_checks(monkeypatch)
         assert asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true) is None
+                                w.net.quorum, w.y_true_b) is None
         assert (len(calls["signed_here"]), len(calls["verify"])) == (1, 0)
 
     @pytest.mark.parametrize("case", list(QUORUM_CASES))
@@ -289,7 +289,7 @@ class TestOneQuorumRule:
         votes = pick([(m.orch_id, m.signature) for m in tasks], q)
         task_ok = asserter_execute(
             [replace(tasks[0], orch_id=k, signature=sig) for k, sig in votes],
-            w.executors[0], pks, q, w.y_true) is not None
+            w.executors[0], pks, q, w.y_true_b) is not None
 
         requests = w.committee.arbitration_requests(reqid)
         votes = pick([(r.orch_id, r.signature) for r in requests], q)
@@ -312,7 +312,7 @@ class TestChallengeDecision:
         w = World(p=0.0)
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
-        assert not w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        assert not w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         lc = w.committee.lifecycles[reqid]
         assert lc.phase is Phase.UNCHALLENGED_DONE
         reward = [d for d in w.committee.pending_deltas[reqid]
@@ -323,14 +323,14 @@ class TestChallengeDecision:
         w = World(p=1.0)
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
-        assert w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        assert w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         assert w.committee.lifecycles[reqid].phase is Phase.CHALLENGED
 
     def test_requires_asserted_phase(self):
         w = World(p=1.0)
         reqid = w.submit()
         with pytest.raises(ProtocolError):
-            w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+            w.committee.challenge_decision(reqid, prf(SEED, b"t"))
 
 
 class TestCompareAndRoute:
@@ -460,10 +460,26 @@ class TestArbitration:
         forged_asserter = protocol.ExecutorResponse(
             x=lc.asserter_response.x, reqid=reqid,
             node_index=lc.asserter_response.node_index,
-            y=lc.asserter_response.y, signature=b"\x00" * 64)
+            y_bytes=lc.asserter_response.y_bytes, signature=b"\x00" * 64)
         lc.asserter_response = forged_asserter
         with pytest.raises(InvalidSignatureError):
             w.arbitration.arbitrate(w.committee.arbitration_requests(reqid))
+
+    def test_malformed_output_bytes_slashed(self):
+        # signed output bytes that are no vector encoding are still evidence:
+        # accepted, routed to arbitration and judged unequal to the truth
+        w = World(p=1.0)
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        resp = asserter_execute(w.committee.task_messages(reqid), w.executors[i],
+                                w.committee.orch_pks, w.net.quorum, b"\x00" * 7)
+        assert w.committee.accept_asserter_response(resp)
+        w.validate_output(reqid, w.y_true)
+        assert w.committee.compare_and_route(reqid) == "arbitrate"
+        outcome = w.arbitration.arbitrate(w.committee.arbitration_requests(reqid))
+        assert not outcome.asserter_honest and outcome.validator_honest
+        slash = [d for d in outcome.deltas if d.reason is Reason.SLASH]
+        assert [(d.account, d.amount) for d in slash] == [(f"exec:{i}", -w.net.slash_s)]
 
     def test_outcome_recorded_immutably(self):
         w = World(p=1.0)
@@ -477,7 +493,7 @@ class TestTimeouts:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        first = w.committee.select_asserter(reqid, tau, 1)
+        first = w.committee.select_asserter(reqid, tau)
         node = w.committee.handle_timeout(reqid, "asserter")
         assert node == first
         lc = w.committee.lifecycles[reqid]
@@ -485,7 +501,7 @@ class TestTimeouts:
         penalty = [d for d in w.committee.pending_deltas[reqid]
                    if d.reason is Reason.TIMEOUT_PENALTY]
         assert len(penalty) == 1 and penalty[0].amount == -w.net.timeout_penalty
-        w.committee.select_asserter(reqid, tau, 2)
+        w.committee.select_asserter(reqid, tau)
         assert lc.phase is Phase.ASSIGNED
         # the attempt-suffixed string redraws independently of attempt 1
         redrawn = crypto.bucket(
@@ -497,7 +513,7 @@ class TestTimeouts:
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
         tau = prf(SEED, b"tau-chal")
-        assert w.committee.challenge_decision(reqid, tau, 2)
+        assert w.committee.challenge_decision(reqid, tau)
         silent = w.committee.select_validator(reqid, tau)
         node = w.committee.handle_timeout(reqid, "validator")
         assert node == silent
@@ -507,7 +523,7 @@ class TestTimeouts:
     def test_zero_penalty_config(self):
         w = World(timeout_penalty=0)
         reqid = w.submit()
-        w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         w.committee.handle_timeout(reqid, "asserter")
         assert not any(d.reason is Reason.TIMEOUT_PENALTY
                        for d in w.committee.pending_deltas[reqid])
@@ -515,7 +531,7 @@ class TestTimeouts:
     def test_unknown_role_rejected(self):
         w = World()
         reqid = w.submit()
-        w.committee.select_asserter(reqid, prf(SEED, b"tau"), 1)
+        w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         with pytest.raises(ValueError):
             w.committee.handle_timeout(reqid, "user")
 
@@ -567,7 +583,7 @@ class TestSettlement:
         w = World(p=0.0)
         reqid = w.submit()
         i = w.assert_output(reqid, w.y_true)
-        assert not w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        assert not w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         before = dict(w.settlement.balances)
         settle_concluded(w)
         assert w.settlement.balances["user"] == before["user"] - w.net.payment_b
@@ -588,7 +604,7 @@ class TestSettlement:
         w = World(p=0.0)
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
-        w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         deltas, cert = settle_concluded(w)
         with pytest.raises(AlreadySettledError):
             w.settlement.settle(deltas, cert)
@@ -597,7 +613,7 @@ class TestSettlement:
         w = World(p=0.0)
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
-        w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         deltas = w.committee.concluded_deltas()
         cert = w.committee.certify_batch(deltas)
         with pytest.raises(InvalidSignatureError):
@@ -607,7 +623,7 @@ class TestSettlement:
         w = World(p=0.0)
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
-        w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         deltas = w.committee.concluded_deltas()
         cert = w.committee.certify_batch(deltas)
         weak = QuorumCertificate(digest=cert.digest, votes=cert.votes[: w.net.quorum - 1])
@@ -654,7 +670,7 @@ class TestWithholdingOrchestrators:
         w = World(p=0.0, behaviors={1: protocol.ORCH_EQUIVOCATE})
         reqid = w.submit()
         w.assert_output(reqid, w.y_true)
-        w.committee.challenge_decision(reqid, prf(SEED, b"t"), 2)
+        w.committee.challenge_decision(reqid, prf(SEED, b"t"))
         deltas = w.committee.concluded_deltas()
         cert = w.committee.certify_batch(deltas)
         # the equivocator's vote is present but invalid; 2f+1 honest votes carry
