@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -28,17 +29,24 @@ EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
 
 
+_LOG_LEVELS = {"events": logging.DEBUG, "summary": logging.INFO}
+_LOG_HANDLER = "posp-cli"
+
+
 def _setup_logging() -> None:
-    level = os.environ.get("POSP_LOG", "off").lower()
+    """Set the `posp` logger from POSP_LOG.  Each call replaces the handler
+    an earlier call added, so repeated in-process `main` calls print every
+    line once, to the current stderr."""
     logger = logging.getLogger("posp")
-    if level == "events":
-        logger.setLevel(logging.DEBUG)
-    elif level == "summary":
-        logger.setLevel(logging.INFO)
-    else:
+    for handler in [h for h in logger.handlers if h.get_name() == _LOG_HANDLER]:
+        logger.removeHandler(handler)
+    level = _LOG_LEVELS.get(os.environ.get("POSP_LOG", "off").lower())
+    if level is None:
         logger.setLevel(logging.WARNING)
         return
+    logger.setLevel(level)
     handler = logging.StreamHandler(sys.stderr)
+    handler.set_name(_LOG_HANDLER)
     handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     logger.addHandler(handler)
 
@@ -121,16 +129,23 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    result = sim.run(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(_dump(result.metrics.to_dict()) + "\n")
-    (out / "ledger.json").write_text(_dump(result.ledger) + "\n")
+    try:
+        # made before the run, so an unusable path fails before any work
+        out.mkdir(parents=True, exist_ok=True)
+        result = sim.run(config)
+        (out / "report.json").write_text(_dump(result.metrics.to_dict()) + "\n")
+        (out / "ledger.json").write_text(_dump(result.ledger) + "\n")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(result.metrics.trace_hash)
     return EXIT_OK
 
 
 SWEEP_AXES = ("p", "r", "S")
+# A sweep lists all its axis values before the first row runs.
+MAX_SWEEP_STEPS = 10_000
 
 
 def _apply_axis(config: sim.ScenarioConfig, axis: str, value: float) -> sim.ScenarioConfig:
@@ -143,22 +158,27 @@ def _apply_axis(config: sim.ScenarioConfig, axis: str, value: float) -> sim.Scen
     raise ValueError(f"unknown axis {axis!r}")
 
 
+def _axis_values(start: float, stop: float, steps: int) -> list[float]:
+    if not 0 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"steps must be in [0, {MAX_SWEEP_STEPS}]")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("--from and --to must be finite")
+    if steps < 2:
+        return [start] * steps
+    span = stop - start
+    values = [start + i * span / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("the axis values overflow")
+    return values
+
+
 def cmd_sweep(args) -> int:
     try:
         config = _load_scenario(args.scenario)
-        if args.steps < 0:
-            raise ValueError("steps must be >= 0")
+        values = _axis_values(args.start, args.stop, args.steps)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    if args.steps == 0:
-        values = []
-    elif args.steps == 1:
-        values = [args.start]
-    else:
-        span = args.stop - args.start
-        values = [args.start + i * span / (args.steps - 1) for i in range(args.steps)]
 
     rows = []
     try:

@@ -17,6 +17,7 @@ be audited exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -112,6 +113,14 @@ class LedgerDelta:
 # Input caps: past them a scenario is rejected (CLI exit 2), not run.
 MAX_EXECUTORS = 4096
 MAX_FAULT_BOUND = 64
+# A wait is encoded in an 8-byte epoch field; sim.MAX_ARRIVAL_SPACING shows
+# the largest epoch a run can reach.
+MAX_TIMEOUT_EPOCHS = 1 << 32
+# Every ledger delta is encoded in 16 bytes.  A request's deltas are at most
+# B, R, S or a timeout penalty (<= S) each, and its burn is at most
+# B + 2S + one penalty per timeout; the simulator allows 64 timeouts per
+# role, so the burn is below 2^96 * 131 < 2^104.
+MAX_AMOUNT = 1 << 96
 
 
 @dataclass(frozen=True)
@@ -141,17 +150,21 @@ class NetworkConfig:
             raise ValueError(f"fault_bound must be an integer in [0, {MAX_FAULT_BOUND}]")
         if not 0.0 <= self.challenge_probability <= 1.0:
             raise ValueError("challenge_probability must be in [0, 1]")
-        for name in ("payment_b", "reward_r", "slash_s"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
+        for name, low, high in (("payment_b", 0, MAX_AMOUNT), ("reward_r", 0, MAX_AMOUNT),
+                                ("slash_s", 0, MAX_AMOUNT), ("t_assert", 1, MAX_TIMEOUT_EPOCHS),
+                                ("t_validate", 1, MAX_TIMEOUT_EPOCHS)):
+            value = getattr(self, name)
+            if type(value) is not int or not low <= value <= high:
+                raise ValueError(f"{name} must be an integer in [{low}, {high}]")
         if not 2 * self.reward_r < self.payment_b:
             raise ValueError("reward must satisfy 2R < B")
-        if self.t_assert < 1 or self.t_validate < 1:
-            raise ValueError("timeouts must be >= 1 epoch")
         if self.timeout_penalty is None:
             object.__setattr__(self, "timeout_penalty", self.slash_s // 10)
-        if not 0 <= self.timeout_penalty <= self.slash_s:
-            raise ValueError("timeout_penalty must be in [0, slash_s]")
+        if type(self.timeout_penalty) is not int or not 0 <= self.timeout_penalty <= self.slash_s:
+            raise ValueError("timeout_penalty must be an integer in [0, slash_s]")
+        if (type(self.compute_cost) not in (int, float)
+                or not 0 <= self.compute_cost < math.inf):
+            raise ValueError("compute_cost must be a finite number >= 0")
 
     @property
     def committee_size(self) -> int:

@@ -3,6 +3,10 @@ protocol: virtual epochs, a trusted per-epoch beacon oracle, adversary
 strategy injection for executors/orchestrators/users, and metrics/ledger
 collection that ties empirical payoffs back to the closed-form predictions.
 
+Each request is one generator (`_Simulation.request`) that runs the protocol
+path in order, from submission to conclusion; it yields the number of epochs
+it waits, and an epoch-ordered heap steps every request's generator.
+
 Everything is a pure function of the scenario's master seed: two runs of the
 same scenario produce byte-identical trace hashes.
 """
@@ -13,7 +17,7 @@ import hashlib
 import heapq
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Generator, Optional
 
 from . import crypto, protocol
 from .crypto import KeyPair, encode_fields, prf
@@ -54,6 +58,13 @@ MAX_ATTEMPTS = 64
 # term counts the whole model so that the set of accepted scenarios is fixed.
 MAX_REQUESTS = 100_000
 MAX_MODEL_VALUES = 1 << 16
+# Epochs are encoded in 8 bytes.  The last request arrives by epoch
+# 1 + (MAX_REQUESTS - 1) * MAX_ARRIVAL_SPACING < 2^49; it then waits one epoch
+# for each of assign, assert, challenge, validate and arbitrate, and each role
+# waits through at most MAX_ATTEMPTS + 1 timeouts of up to
+# protocol.MAX_TIMEOUT_EPOCHS + 1 epochs, 2 * 65 * (2^32 + 1) < 2^40 in all;
+# settlement comes one epoch after the last event.  So every epoch is < 2^50.
+MAX_ARRIVAL_SPACING = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -121,8 +132,9 @@ class ScenarioConfig:
             raise ValueError("model_dims must list at least two integers >= 1")
         if param_count(dims) + param_count((dims[0], dims[0])) > MAX_MODEL_VALUES:
             raise ValueError(f"model_dims draw more than {MAX_MODEL_VALUES} values")
-        if self.arrival_spacing < 0:
-            raise ValueError("arrival_spacing must be >= 0")
+        if (type(self.arrival_spacing) is not int
+                or not 0 <= self.arrival_spacing <= MAX_ARRIVAL_SPACING):
+            raise ValueError(f"arrival_spacing must be an integer in [0, {MAX_ARRIVAL_SPACING}]")
         if self.byzantine_fraction is not None and not 0.0 <= self.byzantine_fraction < 1.0:
             raise ValueError("byzantine_fraction must be in [0, 1)")
         for idx in self.executor_overrides:
@@ -391,8 +403,8 @@ class _Simulation(_World):
 
     # -- event machinery ---------------------------------------------------
 
-    def schedule(self, epoch: int, fn: Callable[[int], None]) -> None:
-        heapq.heappush(self._queue, (epoch, self._seq, fn))
+    def schedule(self, epoch: int, step: Generator[int, int, None]) -> None:
+        heapq.heappush(self._queue, (epoch, self._seq, step))
         self._seq += 1
 
     def trace(self, tag: str, epoch: int, *payload: bytes) -> None:
@@ -418,122 +430,93 @@ class _Simulation(_World):
         self.computations[node] += 1
         return encode_vector(forward(self.model, self.x_vec))
 
-    def asserter_output(self, node: int, reqid: bytes) -> Optional[bytes]:
-        # a user colluding with the selected asserter gets a free wrong answer:
-        # the asserter skips computation entirely
-        if self.config.user_colludes_with == node:
-            return self.wrong[node]
-        return self.node_output(node, reqid)
-
     # -- request pipeline --------------------------------------------------
 
-    def submit(self, epoch: int, request_index: int) -> None:
-        nonce = request_index.to_bytes(8, "big")
-        req = user_submit(self.x, nonce, self.user_keys)
-        reqid = self.committee.accept_request(req)
-        self.trace("accept", epoch, reqid)
-        self.metrics.requests += 1
-        self.schedule(epoch + 1, lambda e, r=reqid: self.assign(e, r))
-
-    def assign(self, epoch: int, reqid: bytes) -> None:
-        lc = self.committee.lifecycles[reqid]
-        asserter = self.committee.select_asserter(reqid, self.beacon.tau(epoch))
-        self.trace("assign", epoch, reqid, asserter.to_bytes(4, "big"),
-                   lc.assert_attempt.to_bytes(4, "big"))
-
-        y = self.asserter_output(asserter, reqid)
-        if y is None:
-            self.schedule(epoch + self.config.network.t_assert,
-                          lambda e, r=reqid: self.asserter_timeout(e, r))
-            return
+    def execute(self, reqid: bytes, node: int, y: bytes,
+                role: str) -> protocol.ExecutorResponse:
         resp = protocol.asserter_execute(
-            self.committee.task_messages(reqid), self.executors[asserter],
+            self.committee.task_messages(reqid), self.executors[node],
             self.committee.orch_pks, self.config.network.quorum, y)
         if resp is None:
-            raise protocol.ProtocolError("asserter failed to collect a task quorum")
-        self.schedule(epoch + 1, lambda e, r=resp: self.asserter_response(e, r))
+            raise protocol.ProtocolError(f"{role} failed to collect a task quorum")
+        return resp
 
-    def asserter_timeout(self, epoch: int, reqid: bytes) -> None:
-        lc = self.committee.lifecycles[reqid]
-        if lc.assert_attempt > MAX_ATTEMPTS:
-            raise protocol.ProtocolError("no responsive asserter found")
-        node = self.committee.handle_timeout(reqid, "asserter")
+    def timeout(self, epoch: int, reqid: bytes, role: str, attempt: int) -> None:
+        if attempt > MAX_ATTEMPTS:
+            raise protocol.ProtocolError(f"no responsive {role} found")
+        node = self.committee.handle_timeout(reqid, role)
         self.metrics.timeouts += 1
         self.metrics.reassignments += 1
-        self.trace("timeout-asserter", epoch, reqid, node.to_bytes(4, "big"))
-        self.schedule(epoch + 1, lambda e, r=reqid: self.assign(e, r))
+        self.trace(f"timeout-{role}", epoch, reqid, node.to_bytes(4, "big"))
 
-    def asserter_response(self, epoch: int, resp: protocol.ExecutorResponse) -> None:
-        if not self.committee.accept_asserter_response(resp):
+    def request(self, index: int) -> Generator[int, int, None]:
+        """One request from submission to conclusion, in protocol order.
+        Each ``yield n`` waits n epochs and resumes with the epoch it wakes
+        in; the first waits from epoch 0 to the request's arrival."""
+        committee = self.committee
+        epoch = yield 1 + index * self.config.arrival_spacing
+        reqid = committee.accept_request(
+            user_submit(self.x, index.to_bytes(8, "big"), self.user_keys))
+        self.trace("accept", epoch, reqid)
+        self.metrics.requests += 1
+        lc = committee.lifecycles[reqid]
+        epoch = yield 1
+
+        while True:
+            asserter = committee.select_asserter(reqid, self.beacon.tau(epoch))
+            self.trace("assign", epoch, reqid, asserter.to_bytes(4, "big"),
+                       lc.assert_attempt.to_bytes(4, "big"))
+            # a user colluding with the selected asserter gets a free wrong
+            # answer: the asserter skips computation entirely
+            y = (self.wrong[asserter] if asserter == self.config.user_colludes_with
+                 else self.node_output(asserter, reqid))
+            if y is not None:
+                break
+            epoch = yield self.config.network.t_assert
+            self.timeout(epoch, reqid, "asserter", lc.assert_attempt)
+            epoch = yield 1
+        resp = self.execute(reqid, asserter, y, "asserter")
+        epoch = yield 1
+        if not committee.accept_asserter_response(resp):
             raise protocol.ProtocolError("asserter response rejected")
-        self.trace("assert", epoch, resp.reqid, crypto.sha256(resp.y_bytes))
+        self.trace("assert", epoch, reqid, crypto.sha256(resp.y_bytes))
+
         # the challenge is decided in the epoch after the response was
         # accepted, so the beacon value deciding it cannot be known when
         # asserting
-        self.schedule(epoch + 1, lambda e, r=resp.reqid: self.challenge(e, r))
-
-    def challenge(self, epoch: int, reqid: bytes) -> None:
-        tau_chal = self.beacon.tau(epoch)
-        challenged = self.committee.challenge_decision(reqid, tau_chal)
+        epoch = yield 1
+        challenged = committee.challenge_decision(reqid, self.beacon.tau(epoch))
         self.metrics.challenge_decisions += 1
         self.trace("challenge", epoch, reqid, bytes([challenged]))
-        if not challenged:
-            self.conclude(epoch, reqid)
-            return
-        self.metrics.challenges += 1
-        self.run_validation(epoch, reqid)
+        if challenged:
+            self.metrics.challenges += 1
+            leaked = resp.y_bytes if self.leak else None
+            while True:
+                validator = committee.select_validator(reqid, self.beacon.tau(epoch))
+                self.trace("validator", epoch, reqid, validator.to_bytes(4, "big"),
+                           lc.validate_attempt.to_bytes(4, "big"))
+                y = self.node_output(validator, reqid, leaked)
+                if y is not None:
+                    break
+                epoch = yield self.config.network.t_validate
+                self.timeout(epoch, reqid, "validator", lc.validate_attempt)
+                epoch = yield 1
+            check = self.execute(reqid, validator, y, "validator")
+            epoch = yield 1
+            if not committee.accept_validator_response(check):
+                raise protocol.ProtocolError("validator response rejected")
+            self.trace("validate", epoch, reqid, crypto.sha256(check.y_bytes))
+            if committee.compare_and_route(reqid) == "matched":
+                self.metrics.matched_challenges += 1
+            else:
+                epoch = yield 1
+                outcome = self.arbitration.arbitrate(committee.arbitration_requests(reqid))
+                committee.record_arbitration(outcome)
+                self.metrics.arbitrations += 1
+                self.trace("arbitrate", epoch, reqid,
+                           bytes([outcome.asserter_honest]), bytes([outcome.validator_honest]))
 
-    def run_validation(self, epoch: int, reqid: bytes) -> None:
-        lc = self.committee.lifecycles[reqid]
-        validator = self.committee.select_validator(reqid, self.beacon.tau(epoch))
-        self.trace("validator", epoch, reqid, validator.to_bytes(4, "big"),
-                   lc.validate_attempt.to_bytes(4, "big"))
-        leaked = lc.asserter_response.y_bytes if self.leak else None
-        y = self.node_output(validator, reqid, leaked=leaked)
-        if y is None:
-            self.schedule(epoch + self.config.network.t_validate,
-                          lambda e, r=reqid: self.validator_timeout(e, r))
-            return
-        resp = protocol.asserter_execute(
-            self.committee.task_messages(reqid), self.executors[validator],
-            self.committee.orch_pks, self.config.network.quorum, y)
-        if resp is None:
-            raise protocol.ProtocolError("validator failed to collect a task quorum")
-        self.schedule(epoch + 1, lambda e, r=resp: self.validator_response(e, r))
-
-    def validator_timeout(self, epoch: int, reqid: bytes) -> None:
-        lc = self.committee.lifecycles[reqid]
-        if lc.validate_attempt > MAX_ATTEMPTS:
-            raise protocol.ProtocolError("no responsive validator found")
-        node = self.committee.handle_timeout(reqid, "validator")
-        self.metrics.timeouts += 1
-        self.metrics.reassignments += 1
-        self.trace("timeout-validator", epoch, reqid, node.to_bytes(4, "big"))
-        self.schedule(epoch + 1, lambda e, r=reqid: self.run_validation(e, r))
-
-    def validator_response(self, epoch: int, resp: protocol.ExecutorResponse) -> None:
-        if not self.committee.accept_validator_response(resp):
-            raise protocol.ProtocolError("validator response rejected")
-        self.trace("validate", epoch, resp.reqid, crypto.sha256(resp.y_bytes))
-        route = self.committee.compare_and_route(resp.reqid)
-        if route == "matched":
-            self.metrics.matched_challenges += 1
-            self.conclude(epoch, resp.reqid)
-        else:
-            self.schedule(epoch + 1, lambda e, r=resp.reqid: self.arbitrate(e, r))
-
-    def arbitrate(self, epoch: int, reqid: bytes) -> None:
-        requests = self.committee.arbitration_requests(reqid)
-        outcome = self.arbitration.arbitrate(requests)
-        self.committee.record_arbitration(outcome)
-        self.metrics.arbitrations += 1
-        self.trace("arbitrate", epoch, reqid,
-                   bytes([outcome.asserter_honest]), bytes([outcome.validator_honest]))
-        self.conclude(epoch, reqid)
-
-    def conclude(self, epoch: int, reqid: bytes) -> None:
-        lc = self.committee.lifecycles[reqid]
-        if lc.asserter_response.y_bytes != self.y_true_b:
+        if resp.y_bytes != self.y_true_b:
             self.metrics.fraud_assertions += 1
             if lc.phase in (Phase.UNCHALLENGED_DONE, Phase.MATCHED_DONE):
                 self.metrics.undetected_frauds += 1
@@ -546,13 +529,16 @@ class _Simulation(_World):
 
     def run(self) -> SimResult:
         for k in range(self.config.requests):
-            self.schedule(1 + k * self.config.arrival_spacing,
-                          lambda e, i=k: self.submit(e, i))
+            step = self.request(k)
+            self.schedule(next(step), step)  # from epoch 0 to its arrival
         last_epoch = 0
         while self._queue:
-            epoch, _seq, fn = heapq.heappop(self._queue)
+            epoch, _seq, step = heapq.heappop(self._queue)
             self.beacon.current_epoch = max(self.beacon.current_epoch, epoch)
-            fn(epoch)
+            try:
+                self.schedule(epoch + step.send(epoch), step)
+            except StopIteration:
+                pass  # the request concluded
             last_epoch = epoch
 
         deltas = self.committee.concluded_deltas()

@@ -1,11 +1,12 @@
 """Command-line surface tests driven through cli.main with temp files."""
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
-from posp import cli, econ, sim
+from posp import cli, econ, protocol, sim
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -21,10 +22,13 @@ def baseline_params(tmp_path):
                       {"C": 1, "S": 150, "R": 1.2, "r": 0.1, "R_C": 100, "p": 0.01})
 
 
+NETWORK = {"executors": 8, "fault_bound": 1, "challenge_probability": 0.5}
+
+
 @pytest.fixture
 def small_scenario(tmp_path):
     return write_json(tmp_path / "scenario.json", {
-        "network": {"executors": 8, "fault_bound": 1, "challenge_probability": 0.5},
+        "network": NETWORK,
         "master_seed": "17" * 32,
         "requests": 40,
         "byzantine_fraction": 0.25,
@@ -137,8 +141,20 @@ class TestSimulate:
         {"requests": 1.5},
         {"network": {"executors": 4097, "fault_bound": 1, "challenge_probability": 0.5}},
         {"network": {"executors": 8, "fault_bound": 65, "challenge_probability": 0.5}},
+        {"arrival_spacing": 1.5},
+        {"arrival_spacing": 10**18},
+        {"network": {**NETWORK, "t_assert": 2.5}},
+        {"network": {**NETWORK, "t_validate": 2.5}},
+        {"network": {**NETWORK, "t_assert": 10**20}},
+        {"network": {**NETWORK, "timeout_penalty": 1.5}},
+        {"network": {**NETWORK, "payment_b": 10**40}},
+        {"network": {**NETWORK, "compute_cost": "x"}},
+        {"network": {**NETWORK, "compute_cost": float("inf")}},
     ], ids=["model-too-large", "float-dim", "zero-dim", "one-layer", "too-many-requests",
-            "float-requests", "too-many-executors", "fault-bound-too-large"])
+            "float-requests", "too-many-executors", "fault-bound-too-large",
+            "float-arrival-spacing", "arrival-spacing-too-large", "float-t-assert",
+            "float-t-validate", "t-assert-too-large", "float-timeout-penalty",
+            "payment-too-large", "str-compute-cost", "infinite-compute-cost"])
     def test_input_out_of_bounds(self, small_scenario, tmp_path, capsys, change):
         path = write_json(tmp_path / "s.json",
                           {**json.loads(Path(small_scenario).read_text()), **change})
@@ -150,6 +166,38 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--scenario", silent_scenario,
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == 3 and "no responsive asserter" in err
+
+    def test_scenario_at_the_caps_runs(self, tmp_path, capsys):
+        # the longest waits a scenario may ask for, with timeouts on both roles
+        path = write_json(tmp_path / "caps.json", {
+            "network": {"executors": 4, "fault_bound": 0, "challenge_probability": 1.0,
+                        "t_assert": protocol.MAX_TIMEOUT_EPOCHS,
+                        "t_validate": protocol.MAX_TIMEOUT_EPOCHS,
+                        "payment_b": protocol.MAX_AMOUNT, "reward_r": 1,
+                        "slash_s": protocol.MAX_AMOUNT,
+                        "timeout_penalty": protocol.MAX_AMOUNT},
+            "master_seed": "17" * 32,
+            "requests": 3,
+            "arrival_spacing": sim.MAX_ARRIVAL_SPACING,
+            "executor_overrides": {"1": "unresponsive", "2": "always-fraud"},
+        })
+        out_dir = tmp_path / "o"
+        code, _, _ = run_cli(["simulate", "--scenario", path, "--out", str(out_dir)], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["timeouts"] > 0 and report["arbitrations"] > 0
+
+    def test_out_is_a_file_exits_2_before_the_run(self, small_scenario, tmp_path,
+                                                  monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def no_run(config):
+            raise AssertionError("ran before checking the output directory")
+        monkeypatch.setattr(sim, "run", no_run)
+        code, _, err = run_cli(["simulate", "--scenario", small_scenario,
+                                "--out", str(taken)], capsys)
+        assert code == 2 and "cannot write output" in err
 
 
 class TestSweep:
@@ -244,6 +292,20 @@ class TestSweep:
         [fraud] = estimate(scn, [sim.ALWAYS_FRAUD], scn.sweep_trials)
         assert (row["honest_mean"], row["fraud_mean"]) == (honest.mean, fraud.mean)
 
+    @pytest.mark.parametrize("bounds", [
+        ("inf", "inf", "1"),
+        ("0.1", "nan", "3"),
+        ("1e300", "1e308", "3"),
+        ("0.1", "0.2", str(cli.MAX_SWEEP_STEPS + 1)),
+        ("0.1", "0.2", "-1"),
+    ], ids=["infinite", "nan", "overflowing-span", "too-many-steps", "negative-steps"])
+    def test_bad_axis_exits_2(self, small_scenario, capsys, bounds):
+        start, stop, steps = bounds
+        code, out, err = run_cli(["sweep", "--scenario", small_scenario, "--axis", "S",
+                                  f"--from={start}", f"--to={stop}", f"--steps={steps}"],
+                                 capsys)
+        assert code == 2 and "invalid sweep" in err and out == ""
+
     def test_protocol_error_exits_3(self, silent_scenario, capsys):
         # the focal asserter answers, but no validator does
         code, _, err = run_cli(
@@ -293,3 +355,14 @@ class TestLogging:
             ["simulate", "--scenario", small_scenario, "--out", str(out_b)], capsys)
         assert code == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_repeated_calls_keep_one_handler(self, baseline_params, capsys, monkeypatch):
+        monkeypatch.setenv("POSP_LOG", "summary")
+        for _ in range(3):
+            run_cli(["analyze", "--params", baseline_params], capsys)
+        logging.getLogger("posp.sim").info("one line")
+        assert capsys.readouterr().err.count("one line") == 1
+        monkeypatch.delenv("POSP_LOG")
+        cli._setup_logging()
+        logging.getLogger("posp.sim").warning("no handler")
+        assert "posp.sim WARNING" not in capsys.readouterr().err

@@ -321,6 +321,44 @@ class TestRun:
         assert abs(rate - 0.25) < 3 * (0.25 * 0.75 / 2000) ** 0.5
 
 
+TRACE_TAGS = {"accept", "assign", "timeout-asserter", "assert", "challenge", "validator",
+              "timeout-validator", "validate", "arbitrate", "conclude", "settle"}
+
+
+class TestTracePaths:
+    """Every simulator path, pinned by its trace hash: a fraudulent, an
+    unresponsive and a sometimes-fraudulent executor, a leaking orchestrator
+    and a colluding user make runs that trace every tag.  The hashes were
+    recorded before the request pipeline became one generator per request,
+    so the event order of every path is what it was."""
+
+    @pytest.mark.parametrize("spacing,requests,expected", [
+        (0, 24, "d932e4e7d6c3fb2a7d35bfb956ee7597bc0cc7dd3c08281e98707f5222f20ec4"),
+        (1, 32, "002c39a7a6cd696452b3f27d9d262c4eb742be7b5ccaca31a0c3d9fe6831ccf5"),
+        (2, 24, "8f3075adb7b392fd9d0cf2dd039f95d906117f549e0ae939e1dc5d709b45e8fe"),
+    ])
+    def test_every_tag_traced(self, monkeypatch, spacing, requests, expected):
+        tags = set()
+        trace = sim._Simulation.trace
+
+        def recorded(self, tag, epoch, *payload):
+            tags.add(tag)
+            trace(self, tag, epoch, *payload)
+        monkeypatch.setattr(sim._Simulation, "trace", recorded)
+        cfg = config(p=0.5, requests=requests, seed=bytes([7] * 32),
+                     arrival_spacing=spacing,
+                     executor_overrides={
+                         1: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD),
+                         2: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
+                         3: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                             fraud_probability=0.5)},
+                     orchestrator_overrides={0: protocol.ORCH_LEAK},
+                     user_colludes_with=4)
+        result = sim.run(cfg)
+        assert tags == TRACE_TAGS
+        assert result.metrics.trace_hash == expected
+
+
 class TestLiveness:
     def test_withholding_orchestrator(self):
         cfg = config(p=1.0, requests=50,
