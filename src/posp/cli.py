@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from . import econ, sim
 from .protocol import ProtocolError
@@ -148,13 +149,18 @@ SWEEP_AXES = ("p", "r", "S")
 MAX_SWEEP_STEPS = 10_000
 
 
-def _apply_axis(config: sim.ScenarioConfig, axis: str, value: float) -> sim.ScenarioConfig:
+def _apply_axis(config: sim.ScenarioConfig, axis: str, value: float,
+                penalty: Optional[int] = None) -> sim.ScenarioConfig:
+    """The scenario at one axis value.  ``penalty`` is the timeout penalty
+    the scenario file sets; None derives it from each row's S, as loading a
+    scenario with that S would."""
     if axis == "p":
         return replace(config, network=replace(config.network, challenge_probability=value))
     if axis == "r":
         return replace(config, byzantine_fraction=value)
     if axis == "S":
-        return replace(config, network=replace(config.network, slash_s=int(round(value))))
+        return replace(config, network=replace(config.network, slash_s=int(round(value)),
+                                               timeout_penalty=penalty))
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -174,7 +180,9 @@ def _axis_values(start: float, stop: float, steps: int) -> list[float]:
 
 def cmd_sweep(args) -> int:
     try:
-        config = _load_scenario(args.scenario)
+        data = _load_json(args.scenario)
+        config = sim.ScenarioConfig.from_dict(data)
+        penalty = data["network"].get("timeout_penalty")
         values = _axis_values(args.start, args.stop, args.steps)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
@@ -183,7 +191,7 @@ def cmd_sweep(args) -> int:
     rows = []
     try:
         for value in values:
-            scn = _apply_axis(config, args.axis, value)
+            scn = _apply_axis(config, args.axis, value, penalty)
             net = scn.network
             honest, fraud = sim.estimate_strategy_payoff(
                 scn, (sim.HONEST, sim.ALWAYS_FRAUD), scn.sweep_trials)

@@ -1,5 +1,6 @@
 """Bit-exact deterministic primitives: PRF, bucket/Bernoulli sampling,
-request-id derivation, and Ed25519 signatures over a canonical encoding.
+request-id derivation, Merkle inclusion proofs, and Ed25519 signatures over
+a canonical encoding.
 
 The canonical encoding of a message is the concatenation of its fields,
 each prefixed with a 4-byte big-endian length.  Every signature in the
@@ -10,10 +11,15 @@ Ed25519 signing (RFC 8032) is deterministic, and a signature this process
 just made with a private key is valid under its public key by construction.
 ``KeyPair.sign`` therefore records the exact (public key, encoded message,
 signature) bytes of its recent signatures, at most ``_SIGNED_MAX`` of them
-with the oldest evicted first, and ``PublicKey.verify`` answers True for an
-exact match without redoing the curve arithmetic.  Any other triple
-(forged, tampered, malleated, signed by another key, or evicted) is
-verified for real.
+with the least recently made or matched evicted first, and
+``PublicKey.verify`` answers True for an exact match without redoing the
+curve arithmetic.  Any other triple (forged, tampered, malleated, signed by
+another key, or evicted) is verified for real.
+
+A Merkle tree commits to many messages under one 32-byte root, so one
+signature over the root covers them all (Merkle 1987).  Leaves and interior
+nodes are hashed with distinct prefixes, as in RFC 9162 section 2.1, so no
+leaf can pass for an interior node.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import hashlib
 import hmac as _hmac
 from collections import OrderedDict
 from fractions import Fraction
+from typing import Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -32,10 +39,11 @@ SEED_LEN = 32
 PRF_MAX = 1 << 64
 
 # (public key raw, encoded message, signature) of recent KeyPair.sign calls,
-# oldest first.  A signature that is verified at all is mostly verified
-# within a few signs of being made, so a small bound keeps nearly every hit.
-# Every entry is a valid signature whatever the interleaving of threads, so
-# the memo needs no lock.
+# least recently made or matched first.  A signature that is verified at all
+# is mostly verified within a few signs of being made, or again and again
+# (a batch root's votes), so a small bound keeps nearly every hit.  Every
+# entry is a valid signature whatever the interleaving of threads, so the
+# memo needs no lock.
 _SIGNED_MAX = 64
 _SIGNED: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
 
@@ -99,6 +107,61 @@ def derive_reqid(pk_user: bytes, x: bytes, user_nonce: bytes) -> bytes:
     return sha256(encode_fields(pk_user, x, user_nonce))
 
 
+# A path longer than this cannot belong to a tree that fits in memory.
+MERKLE_MAX_DEPTH = 64
+_LEFT, _RIGHT = 0, 1  # the side a path step's sibling sits on
+
+
+def merkle_leaf(*fields: bytes) -> bytes:
+    """Leaf hash of a message given as its canonical fields."""
+    return sha256(b"\x00" + encode_fields(*fields))
+
+
+def _merkle_node(left: bytes, right: bytes) -> bytes:
+    return sha256(b"\x01" + left + right)
+
+
+def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over ``leaves`` (at least one), leaves first
+    and the one-node root level last.  Neighbours pair up; an unpaired last
+    node moves up a level unchanged."""
+    if not leaves:
+        raise ValueError("a Merkle tree needs at least one leaf")
+    levels = [list(leaves)]
+    while len(level := levels[-1]) > 1:
+        levels.append([_merkle_node(*level[k:k + 2]) if k + 1 < len(level) else level[k]
+                       for k in range(0, len(level), 2)])
+    return levels
+
+
+def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> tuple[bytes, ...]:
+    """Inclusion path of leaf ``index``: one step per level where the node
+    has a sibling, each the sibling's side byte followed by its hash."""
+    path = []
+    for level in levels[:-1]:
+        sibling = index ^ 1
+        if sibling < len(level):
+            side = _LEFT if sibling < index else _RIGHT
+            path.append(bytes([side]) + level[sibling])
+        index //= 2
+    return tuple(path)
+
+
+def merkle_proves(root: bytes, leaf: bytes, path: tuple[bytes, ...]) -> bool:
+    """True when ``path`` leads from ``leaf`` to ``root``.  Never raises: a
+    path that is not a tuple of 33-byte steps with a valid side byte, or is
+    deeper than any tree, or a root that is not bytes, simply yields False."""
+    if type(path) is not tuple or len(path) > MERKLE_MAX_DEPTH:
+        return False
+    node = leaf
+    for step in path:
+        if type(step) is not bytes or len(step) != 33 or step[0] not in (_LEFT, _RIGHT):
+            return False
+        node = (_merkle_node(step[1:], node) if step[0] == _LEFT
+                else _merkle_node(node, step[1:]))
+    return type(root) is bytes and node == root
+
+
 class PublicKey:
     """Ed25519 verification key over canonically encoded message fields."""
 
@@ -117,11 +180,18 @@ class PublicKey:
 
     def signed_here(self, signature: bytes, message: bytes) -> bool:
         """Memo-only probe: True when ``KeyPair.sign`` recently made exactly
-        this signature over this encoded message with this key.  False
-        proves nothing; it never runs the Ed25519 check."""
+        this signature over this encoded message with this key; a match
+        becomes the newest memo entry.  False proves nothing; it never runs
+        the Ed25519 check."""
         # exact bytes only: a bytearray is unhashable, and a bytes subclass
         # could redefine equality
-        return type(signature) is bytes and (self.raw, message, signature) in _SIGNED
+        if type(signature) is not bytes:
+            return False
+        try:
+            _SIGNED.move_to_end((self.raw, message, signature))
+        except KeyError:
+            return False
+        return True
 
     def verify(self, signature: bytes, *fields: bytes) -> bool:
         """Never raises: any tampered bit, or a signature that is not

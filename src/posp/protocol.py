@@ -6,6 +6,12 @@ vote shape and one quorum rule: every orchestrator vote is a signature over
 the canonical fields it agrees on (``Orchestrator.vote``), and task
 messages, arbitration requests and batch certificates all count 2f+1
 distinct, in-range, validly signing orchestrators through ``_quorum``.
+Task votes are batched: the orchestrators sign once over the Merkle root of
+every request accepted since the last batch, and each task message carries
+that root, one vote on it, and the request's inclusion path.  Every task
+quorum probes the root's votes, and the sign memo keeps its most recently
+matched entries, so they are proven without a real verify for as long as
+the batch is in use.
 Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
 past a cap is rejected, which the CLI reports as exit 2.
 
@@ -193,12 +199,30 @@ class SignedRequest:
 
 @dataclass(frozen=True, slots=True)
 class TaskMessage:
-    """Orchestrator instruction to an executor, signed over (x, reqid)."""
+    """Orchestrator instruction to an executor: ``path`` proves (x, reqid)
+    a leaf of the batch tree under ``root``, and ``signature`` is the
+    orchestrator's vote on (b"tasks", root)."""
 
     x: bytes
     reqid: bytes
+    root: bytes
+    path: tuple[bytes, ...]
     orch_id: int
     signature: bytes
+
+
+@dataclass(frozen=True)
+class TaskBatch:
+    """One batch of accepted requests: every level of its Merkle tree over
+    the requests' (x, reqid) leaves, and the orchestrators' votes on the
+    root as (orch_id, signature)."""
+
+    levels: list[list[bytes]]
+    votes: list[tuple[int, bytes]]
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,6 +292,8 @@ class RequestLifecycle:
     validator_response: Optional[ExecutorResponse] = None
     assert_attempt: int = 1
     validate_attempt: int = 1
+    batch: Optional[TaskBatch] = None
+    leaf: int = 0  # the request's leaf index in ``batch``
     history: list[Phase] = field(default_factory=list)
 
     def __post_init__(self):
@@ -435,10 +461,27 @@ def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
                      y_bytes: bytes) -> Optional[ExecutorResponse]:
     """Respond with the node's encoded output ``y_bytes`` only after 2f+1
     valid task messages from distinct orchestrators agree on the same
-    (x, reqid); otherwise keep waiting (returns None)."""
-    agreed = _quorum(orch_pks, quorum,
-                     (((m.x, m.reqid), m.orch_id, m.signature) for m in task_msgs))
-    return None if agreed is None else node.sign_result(*agreed, y_bytes)
+    (x, reqid); otherwise keep waiting (returns None).
+
+    A message counts only if its path proves its (x, reqid) under its root,
+    and only for the first (x, reqid) proven under that root.  Its vote is
+    then a vote on (b"tasks", root), and the response is for the (x, reqid)
+    proven under the root that reached quorum."""
+    claims: dict[bytes, tuple[bytes, bytes]] = {}
+    votes = []
+    proven = None
+    for m in task_msgs:
+        # the committee gives every orchestrator's message the same path
+        # objects, so a batch proves its leaf once per call
+        claim = (m.x, m.reqid, m.root, m.path)
+        if claim != proven:
+            if not crypto.merkle_proves(m.root, crypto.merkle_leaf(m.x, m.reqid), m.path):
+                continue
+            proven = claim
+        if claims.setdefault(m.root, (m.x, m.reqid)) == (m.x, m.reqid):
+            votes.append(((b"tasks", m.root), m.orch_id, m.signature))
+    agreed = _quorum(orch_pks, quorum, votes)
+    return None if agreed is None else node.sign_result(*claims[agreed[1]], y_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +507,7 @@ class Committee:
         self.user_pks = dict(user_pks)
         self.lifecycles: dict[bytes, RequestLifecycle] = {}
         self.pending_deltas: dict[bytes, list[LedgerDelta]] = {}
+        self.unbatched: list[bytes] = []  # accepted since the last batch, in order
 
     # -- Basic protocol ----------------------------------------------------
 
@@ -481,6 +525,7 @@ class Committee:
         self.pending_deltas[reqid] = [
             LedgerDelta("user", -self.config.payment_b, Reason.USER_PAYMENT, reqid)
         ]
+        self.unbatched.append(reqid)
         return reqid
 
     def select_asserter(self, reqid: bytes, tau: bytes) -> int:
@@ -501,9 +546,26 @@ class Committee:
                 if (sig := orch.vote(*fields)) is not None]
 
     def task_messages(self, reqid: bytes) -> list[TaskMessage]:
-        x = self.lifecycles[reqid].x
-        return [TaskMessage(x=x, reqid=reqid, orch_id=orch_id, signature=sig)
-                for orch_id, sig in self._votes(x, reqid)]
+        """One message per orchestrator that voted on the request's batch
+        root.  The first call for an unbatched request seals the batch of
+        every request accepted since the last one; later calls reuse it."""
+        lc = self.lifecycles[reqid]
+        if lc.batch is None:
+            self._seal_batch()
+        batch = lc.batch
+        root, path = batch.root, crypto.merkle_path(batch.levels, lc.leaf)
+        return [TaskMessage(x=lc.x, reqid=reqid, root=root, path=path,
+                            orch_id=orch_id, signature=sig)
+                for orch_id, sig in batch.votes]
+
+    def _seal_batch(self) -> None:
+        reqids, self.unbatched = self.unbatched, []
+        lifecycles = [self.lifecycles[reqid] for reqid in reqids]
+        levels = crypto.merkle_levels([crypto.merkle_leaf(lc.x, lc.reqid)
+                                       for lc in lifecycles])
+        batch = TaskBatch(levels=levels, votes=self._votes(b"tasks", levels[-1][0]))
+        for leaf, lc in enumerate(lifecycles):
+            lc.batch, lc.leaf = batch, leaf
 
     def accept_asserter_response(self, resp: ExecutorResponse) -> bool:
         lc = self.lifecycles[resp.reqid]

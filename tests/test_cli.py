@@ -292,6 +292,25 @@ class TestSweep:
         [fraud] = estimate(scn, [sim.ALWAYS_FRAUD], scn.sweep_trials)
         assert (row["honest_mean"], row["fraud_mean"]) == (honest.mean, fraud.mean)
 
+    @pytest.mark.parametrize("penalty,code", [(None, 0), (150, 2)], ids=["derived", "explicit"])
+    def test_s_sweep_below_the_scenario_penalty(self, tmp_path, capsys, penalty, code):
+        # S 1500 gives a derived penalty of 150; rows at S 100 and 200 derive
+        # 10 and 20, while a penalty the file sets must fit every row's S
+        network = {"executors": 8, "fault_bound": 1, "challenge_probability": 0.1,
+                   "slash_s": 1500, "timeout_penalty": penalty}
+        path = write_json(tmp_path / "s.json", {
+            "network": network, "master_seed": "17" * 32, "requests": 0,
+            "sweep_trials": 10})
+        result, out, err = run_cli(["sweep", "--scenario", path, "--axis", "S",
+                                    "--from", "100", "--to", "200", "--steps", "2"], capsys)
+        assert result == code
+        if code == 0:
+            assert [row["value"] for row in json.loads(out)["rows"]] == [100.0, 200.0]
+            row_config = cli._apply_axis(cli._load_scenario(path), "S", 100)
+            assert row_config.network.timeout_penalty == 10
+        else:
+            assert "timeout_penalty must be" in err and out == ""
+
     @pytest.mark.parametrize("bounds", [
         ("inf", "inf", "1"),
         ("0.1", "nan", "3"),

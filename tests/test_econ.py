@@ -306,7 +306,11 @@ class TestProperties:
     @settings(max_examples=200)
     @given(params_with_rho())
     def test_fraud_bound_monotone_in_rho(self, case):
+        # The bound is E[g(i)] over i ~ Bin(n, rho), with g(i) = R_V i/n - S
+        # below n captured validators and g(n) = U2.  The bound rises at every
+        # rho exactly when g rises in i, that is when U2 >= g(n - 1).
         params, rho = case
+        assume(params.U2 >= params.R_V * (params.n - 1) / params.n - params.S)
         step = 0.01
         hi = min(1.0, min(rho + step, params.r))
         model_lo = CollusionModel(rho)
@@ -314,6 +318,14 @@ class TestProperties:
         lo_val = econ.fraud_payoff_upper_bound(params, model_lo)
         hi_val = econ.fraud_payoff_upper_bound(params, model_hi)
         assert hi_val >= lo_val - 1e-9
+
+    def test_fraud_bound_falls_in_rho_when_full_capture_pays_less(self):
+        # U2 = 0 is below g(1) = 1/2 - 1/4: capturing both validators pays
+        # less than capturing one
+        params = EconomicParams(B=3, R_A=1, R_V=1, S=0.25, C=1, p=1, r=0.875, n=2)
+        lo = econ.fraud_payoff_upper_bound(params, CollusionModel(0.75))
+        hi = econ.fraud_payoff_upper_bound(params, CollusionModel(0.76))
+        assert (lo, hi) == (pytest.approx(0.078125), pytest.approx(0.0768))
 
     @settings(max_examples=100)
     @given(

@@ -5,6 +5,7 @@ from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posp import crypto, protocol
 from posp.crypto import KeyPair, prf
@@ -188,9 +189,7 @@ class TestExecutorQuorum:
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
         msgs = w.committee.task_messages(reqid)
-        forged = [protocol.TaskMessage(x=m.x, reqid=m.reqid, orch_id=m.orch_id,
-                                       signature=b"\x00" * 64)
-                  for m in msgs[: w.net.fault_bound]]
+        forged = [replace(m, signature=b"\x00" * 64) for m in msgs[: w.net.fault_bound]]
         resp = asserter_execute(forged + msgs, w.executors[i],
                                 w.committee.orch_pks, w.net.quorum, w.y_true_b)
         assert resp is not None
@@ -305,6 +304,133 @@ class TestOneQuorumRule:
         cert_ok = QuorumCertificate(digest=cert.digest, votes=tuple(votes)).verify(pks, q)
 
         assert (task_ok, arbitration_ok, cert_ok) == (expected,) * 3
+
+
+def flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+class TestTaskBatch:
+    """Task messages carry one batch root, a vote on it and an inclusion
+    path; an executor answers only the (x, reqid) the path proves under a
+    root with 2f+1 valid votes."""
+
+    def batch_of(self, w: World, size: int, tag: str = "n") -> list[bytes]:
+        reqids = [w.submit(f"{tag}{k}".encode()) for k in range(size)]
+        w.committee.select_asserter(reqids[0], prf(SEED, b"tau"))
+        return reqids
+
+    def answer(self, w: World, msgs):
+        return asserter_execute(msgs, w.executors[0], w.committee.orch_pks,
+                                w.net.quorum, w.y_true_b)
+
+    def test_batch_answers_its_request(self):
+        w = World()
+        reqids = self.batch_of(w, 3)
+        for reqid in reqids:
+            resp = self.answer(w, w.committee.task_messages(reqid))
+            assert (resp.x, resp.reqid) == (w.x, reqid)
+
+    def test_one_vote_per_batch(self):
+        w = World()
+        first = self.batch_of(w, 3)
+        w.committee.task_messages(first[1])  # seals the batch
+        later = w.submit(b"later")
+        roots = {reqid: w.committee.task_messages(reqid)[0].root for reqid in first + [later]}
+        # accepted before the first seal: one batch; accepted after: the next
+        assert len({roots[reqid] for reqid in first}) == 1 and roots[later] != roots[first[0]]
+        lcs = [w.committee.lifecycles[reqid] for reqid in first]
+        assert [lc.leaf for lc in lcs] == [0, 1, 2]
+        assert lcs[0].batch is lcs[2].batch
+        assert lcs[0].batch.votes == [(m.orch_id, m.signature)
+                                      for m in w.committee.task_messages(first[1])]
+
+    def test_one_request_batch_proves_itself(self):
+        w = World()
+        (reqid,) = self.batch_of(w, 1)
+        msgs = w.committee.task_messages(reqid)
+        assert msgs[0].path == () and msgs[0].root == crypto.merkle_leaf(w.x, reqid)
+        assert self.answer(w, msgs).reqid == reqid
+
+    @pytest.mark.parametrize("tamper", [
+        "path byte", "root byte", "side flag", "other request's path",
+        "other batch's path", "other batch's root and path"])
+    def test_tampered_messages_get_no_answer(self, tamper):
+        w = World()
+        reqids = self.batch_of(w, 3)
+        msgs = w.committee.task_messages(reqids[0])
+        step = msgs[0].path[0]
+        other_batch = w.committee.task_messages(self.batch_of(w, 5, "other")[4])[0]
+        change = {
+            "path byte": {"path": (flip(step, 1),) + msgs[0].path[1:]},
+            "root byte": {"root": flip(msgs[0].root, 0)},
+            "side flag": {"path": (flip(step, 0),) + msgs[0].path[1:]},
+            "other request's path": {"path": w.committee.task_messages(reqids[1])[0].path},
+            "other batch's path": {"path": other_batch.path},
+            "other batch's root and path": {"root": other_batch.root,
+                                            "path": other_batch.path},
+        }[tamper]
+        assert self.answer(w, [replace(m, **change) for m in msgs]) is None
+
+    @pytest.mark.parametrize("path", [
+        ("step too short",), (b"\x00" * 32,), (b"\x01" * 34,), (b"\x02" + b"\x00" * 32,),
+        (bytearray(33),), (None,), (0,), None, 7, "path", [b"\x00" * 33],
+        (b"\x00" * 33,) * (crypto.MERKLE_MAX_DEPTH + 1)], ids=repr)
+    def test_malformed_path_is_not_proven(self, path):
+        w = World()
+        reqid = self.batch_of(w, 2)[0]
+        msgs = w.committee.task_messages(reqid)
+        assert crypto.merkle_proves(msgs[0].root, crypto.merkle_leaf(w.x, reqid), path) is False
+        assert self.answer(w, [replace(m, path=path) for m in msgs]) is None
+
+    def test_malformed_root_is_not_proven(self):
+        w = World()
+        reqid = self.batch_of(w, 2)[0]
+        m = w.committee.task_messages(reqid)[0]
+        leaf = crypto.merkle_leaf(w.x, reqid)
+        assert crypto.merkle_proves(m.root, leaf, m.path)
+        for root in (None, bytearray(m.root), m.root.hex(), m.root[:-1]):
+            assert crypto.merkle_proves(root, leaf, m.path) is False
+
+    def test_votes_for_two_requests_do_not_add_up(self):
+        # each message is a valid vote with a valid path, but no 2f+1 of
+        # them agree on one (x, reqid)
+        w = World()
+        reqids = self.batch_of(w, 2)
+        first, second = (w.committee.task_messages(reqid) for reqid in reqids)
+        q = w.net.quorum
+        assert self.answer(w, first[:q - 1] + second[q - 1:q]) is None
+        assert self.answer(w, first[:q - 1] + second[q - 1:] + first[q - 1:]).reqid == reqids[0]
+
+    @pytest.mark.parametrize("behavior", [protocol.ORCH_WITHHOLD, protocol.ORCH_EQUIVOCATE])
+    def test_byzantine_orchestrator_leaves_a_quorum(self, behavior):
+        w = World(behaviors={0: behavior})
+        reqid = self.batch_of(w, 3)[1]
+        msgs = w.committee.task_messages(reqid)
+        assert self.answer(w, msgs).reqid == reqid
+        # one honest vote fewer is below 2f+1
+        honest = [m for m in msgs if m.orch_id != 0]
+        assert self.answer(w, [m for m in msgs if m is not honest[0]]) is None
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=70))
+    def test_every_leaf_proves_itself_and_no_other(self, size):
+        leaves = [crypto.merkle_leaf(k.to_bytes(4, "big")) for k in range(size)]
+        levels = crypto.merkle_levels(leaves)
+        root = levels[-1][0]
+        for index in range(size):
+            path = crypto.merkle_path(levels, index)
+            assert [crypto.merkle_proves(root, leaf, path) for leaf in leaves] == \
+                [k == index for k in range(size)]
+
+    def test_probed_memo_entry_outlives_later_signs(self):
+        kp = keypair(300)
+        vote = kp.sign(b"tasks", b"root")
+        message = crypto.encode_fields(b"tasks", b"root")
+        for k in range(10 * crypto._SIGNED_MAX):
+            kp.sign(k.to_bytes(4, "big"))
+            assert kp.public.signed_here(vote, message)
+        assert len(crypto._SIGNED) <= crypto._SIGNED_MAX
 
 
 class TestChallengeDecision:

@@ -28,6 +28,8 @@ def config(executors=8, fault_bound=1, p=0.0, requests=50, seed=SEED, **kw):
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# ids of the golden-scenario tests, so a re-pinned count keeps the test's name
+GOLDEN = ["all_honest", "leak_attack", "mixed_adversaries"]
 
 
 class TestOpCounts:
@@ -37,17 +39,21 @@ class TestOpCounts:
 
     Every signature check starts with a sign-memo probe: ``_quorum`` probes
     each vote it looks at, and each ``PublicKey.verify`` probes first.  So
-    checks are counted as probes, and verifies as calls to ``verify``."""
+    checks are counted as probes, and verifies as calls to ``verify``.
+
+    Each golden scenario accepts all its requests before the first task
+    message, so all of them form one task batch, and each voting
+    orchestrator signs once for all the task messages of the run."""
 
     # verifies: the quorum votes the memo cannot prove, and the user and
     # executor signatures
     VERIFY_CALLS = {"all_honest": 617, "leak_attack": 847, "mixed_adversaries": 1023}
 
     @pytest.mark.parametrize("name,signs,checks,forwards", [
-        ("all_honest", 1889, 1571, 318),
-        ("leak_attack", 2627, 2185, 399),
-        ("mixed_adversaries", 4143, 4149, 435),
-    ])
+        ("all_honest", 625, 1571, 318),
+        ("leak_attack", 859, 2185, 399),
+        ("mixed_adversaries", 1047, 4149, 435),
+    ], ids=GOLDEN)
     def test_golden_op_counts(self, monkeypatch, name, signs, checks, forwards):
         counts = {"sign": 0, "verify": 0, "probe": 0, "forward": 0}
 
@@ -70,10 +76,10 @@ class TestOpCounts:
                           "forward": forwards}
 
     @pytest.mark.parametrize("name,real_verifies", [
-        ("all_honest", 291),
-        ("leak_attack", 421),
-        ("mixed_adversaries", 495),
-    ])
+        ("all_honest", 239),
+        ("leak_attack", 341),
+        ("mixed_adversaries", 432),
+    ], ids=GOLDEN)
     def test_golden_real_verifies(self, monkeypatch, name, real_verifies):
         """Verifies that run the Ed25519 check: those the sign memo cannot
         answer.  The memo starts empty, so earlier tests do not count."""
@@ -98,6 +104,25 @@ class TestOpCounts:
         sim.run(sim.ScenarioConfig.from_dict(
             json.loads((SCENARIOS / f"{name}.json").read_text())))
         assert real == real_verifies
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_one_task_root_vote_per_voting_orchestrator(self, monkeypatch, name):
+        # an equivocating orchestrator votes on b"tasks?", and a withholding
+        # one not at all
+        signers = []
+        sign = crypto.KeyPair.sign
+
+        def recording(kp, *fields):
+            if fields[0] in (b"tasks", b"tasks?"):
+                signers.append(kp.public.raw)
+            return sign(kp, *fields)
+        monkeypatch.setattr(crypto.KeyPair, "sign", recording)
+        config = sim.ScenarioConfig.from_dict(
+            json.loads((SCENARIOS / f"{name}.json").read_text()))
+        sim.run(config)
+        withholding = list(config.orchestrator_overrides.values()).count(protocol.ORCH_WITHHOLD)
+        assert len(signers) == len(set(signers)) == \
+            config.network.committee_size - withholding
 
 
 @st.composite
