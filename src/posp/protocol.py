@@ -464,24 +464,28 @@ def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
     (x, reqid); otherwise keep waiting (returns None).
 
     A message counts only if its path proves its (x, reqid) under its root,
-    and only for the first (x, reqid) proven under that root.  Its vote is
-    then a vote on (b"tasks", root), and the response is for the (x, reqid)
-    proven under the root that reached quorum."""
-    claims: dict[bytes, tuple[bytes, bytes]] = {}
-    votes = []
-    proven = None
+    and its vote is then a vote on (b"tasks", root).  The proven messages
+    are grouped by (root, x, reqid), and the response is for the first
+    group whose root votes reach quorum.  So messages for another request of
+    the same batch, forged or validly signed, cannot keep this request's
+    quorum from counting."""
+    groups: dict[tuple[bytes, bytes, bytes], list] = {}
+    last = None  # the last message whose path proved
     for m in task_msgs:
-        # the committee gives every orchestrator's message the same path
-        # objects, so a batch proves its leaf once per call
-        claim = (m.x, m.reqid, m.root, m.path)
-        if claim != proven:
+        # the committee hands every orchestrator's message the same objects;
+        # a proven root and path are bytes and a tuple of bytes, which cannot
+        # change, so the proof of the last proven message's objects holds
+        if not (last is not None and m.root is last.root and m.path is last.path
+                and m.x is last.x and m.reqid is last.reqid):
             if not crypto.merkle_proves(m.root, crypto.merkle_leaf(m.x, m.reqid), m.path):
                 continue
-            proven = claim
-        if claims.setdefault(m.root, (m.x, m.reqid)) == (m.x, m.reqid):
-            votes.append(((b"tasks", m.root), m.orch_id, m.signature))
-    agreed = _quorum(orch_pks, quorum, votes)
-    return None if agreed is None else node.sign_result(*claims[agreed[1]], y_bytes)
+            last = m
+        groups.setdefault((m.root, m.x, m.reqid), []).append(
+            ((b"tasks", m.root), m.orch_id, m.signature))
+    for (_, x, reqid), votes in groups.items():
+        if _quorum(orch_pks, quorum, votes) is not None:
+            return node.sign_result(x, reqid, y_bytes)
+    return None
 
 
 # ---------------------------------------------------------------------------

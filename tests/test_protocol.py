@@ -386,11 +386,40 @@ class TestTaskBatch:
     def test_malformed_root_is_not_proven(self):
         w = World()
         reqid = self.batch_of(w, 2)[0]
-        m = w.committee.task_messages(reqid)[0]
+        msgs = w.committee.task_messages(reqid)
+        m = msgs[0]
         leaf = crypto.merkle_leaf(w.x, reqid)
         assert crypto.merkle_proves(m.root, leaf, m.path)
         for root in (None, bytearray(m.root), m.root.hex(), m.root[:-1]):
             assert crypto.merkle_proves(root, leaf, m.path) is False
+            bad = [replace(msg, root=root) for msg in msgs]
+            assert self.answer(w, bad) is None
+            # honest messages around a malformed one still answer, never raise
+            assert self.answer(w, msgs + bad[:1]).reqid == reqid
+            assert self.answer(w, bad[:1] + msgs).reqid == reqid
+
+    @pytest.mark.parametrize("signature", ["forged", "valid"])
+    def test_other_requests_message_first_does_not_block(self, signature):
+        # a message for another request of the same batch proves that
+        # request under the shared root; placed first, it must not keep this
+        # request's quorum from counting
+        w = World()
+        reqids = self.batch_of(w, 2)
+        msgs = w.committee.task_messages(reqids[0])
+        other = w.committee.task_messages(reqids[1])[0]
+        if signature == "forged":
+            other = replace(other, signature=b"\x00" * 64)
+        assert self.answer(w, [other] + msgs).reqid == reqids[0]
+
+    @pytest.mark.parametrize("field", ["x", "reqid"])
+    def test_proof_is_reused_only_for_the_same_message(self, field):
+        # messages that share the proven root and path objects but name
+        # another (x, reqid) are proven again, and fail
+        w = World()
+        reqids = self.batch_of(w, 2)
+        msgs = w.committee.task_messages(reqids[0])
+        other = {"x": {"x": b"other input"}, "reqid": {"reqid": reqids[1]}}[field]
+        assert self.answer(w, msgs[:1] + [replace(m, **other) for m in msgs]) is None
 
     def test_votes_for_two_requests_do_not_add_up(self):
         # each message is a valid vote with a valid path, but no 2f+1 of
