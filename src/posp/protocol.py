@@ -1,17 +1,18 @@
 """Executable state machines for every protocol role: user submission,
 orchestrator committee (request acceptance, sampling-based selection,
 challenge routing, timeouts), executors, and the arbitration and settlement
-contracts.  BFT agreement is abstracted as authenticated broadcast with one
-vote shape and one quorum rule: every orchestrator vote is a signature over
-the canonical fields it agrees on (``Orchestrator.vote``), and task
-messages, arbitration requests and batch certificates all count 2f+1
-distinct, in-range, validly signing orchestrators through ``_quorum``.
+contracts.  BFT agreement is the committee collecting votes into the
+message it certifies: a task message, an arbitration request and a batch
+certificate each carry their payload once, with the (orch_id, signature)
+votes on it.  Every vote is a signature over the canonical fields the
+orchestrator agrees on (``Orchestrator.vote``), and ``_quorum`` accepts a
+message that 2f+1 distinct, in-range orchestrators signed validly.
 Task votes are batched: the orchestrators sign once over the Merkle root of
 every request accepted since the last batch, and each task message carries
-that root, one vote on it, and the request's inclusion path.  Every task
-quorum probes the root's votes, and the sign memo keeps its most recently
-matched entries, so they are proven without a real verify for as long as
-the batch is in use.
+that root, its votes, and the request's inclusion path.  Every task quorum
+probes the root's votes, and the sign memo keeps its most recently matched
+entries, so they are proven without a real verify for as long as the batch
+is in use.
 Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
 past a cap is rejected, which the CLI reports as exit 2.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import crypto
 from .crypto import KeyPair, PublicKey, encode_fields
@@ -199,16 +200,15 @@ class SignedRequest:
 
 @dataclass(frozen=True, slots=True)
 class TaskMessage:
-    """Orchestrator instruction to an executor: ``path`` proves (x, reqid)
-    a leaf of the batch tree under ``root``, and ``signature`` is the
-    orchestrator's vote on (b"tasks", root)."""
+    """The committee's instruction to an executor: ``path`` proves (x, reqid)
+    a leaf of the batch tree under ``root``, and ``votes`` are the
+    orchestrators' (orch_id, signature) votes on (b"tasks", root)."""
 
     x: bytes
     reqid: bytes
     root: bytes
     path: tuple[bytes, ...]
-    orch_id: int
-    signature: bytes
+    votes: tuple[tuple[int, bytes], ...]
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ class TaskBatch:
     root as (orch_id, signature)."""
 
     levels: list[list[bytes]]
-    votes: list[tuple[int, bytes]]
+    votes: tuple[tuple[int, bytes], ...]
 
     @property
     def root(self) -> bytes:
@@ -245,23 +245,23 @@ class QuorumCertificate:
     votes: tuple[tuple[int, bytes], ...]
 
     def verify(self, orch_pks: Sequence[PublicKey], quorum: int) -> bool:
-        message = (self.digest,)
-        return _quorum(orch_pks, quorum,
-                       ((message, orch_id, sig) for orch_id, sig in self.votes)) is not None
+        return _quorum(orch_pks, quorum, (self.digest,), self.votes)
 
 
 @dataclass(frozen=True)
 class ArbitrationRequest:
+    """The evidence of a mismatch, with the orchestrators' (orch_id,
+    signature) votes on its ``tuple_fields``."""
+
     x: bytes
     reqid: bytes
     asserter: ExecutorResponse
     validator: ExecutorResponse
-    orch_id: int
-    signature: bytes
+    votes: tuple[tuple[int, bytes], ...] = ()
 
     def tuple_fields(self) -> tuple[bytes, ...]:
-        """Every field arbitration reads, so a vote covers the whole request
-        and an altered copy can never join the honest quorum's group."""
+        """Every field arbitration reads, so the votes cover the whole
+        request and an altered copy loses them."""
         return (b"arbitration", self.x, self.reqid) + tuple(
             part for resp in (self.asserter, self.validator)
             for part in (str(resp.node_index).encode(), resp.x, resp.reqid,
@@ -414,77 +414,47 @@ def payout(config: NetworkConfig, reqid: bytes, asserter: int,
     return deltas
 
 
-def _quorum(orch_pks: Sequence[PublicKey], quorum: int,
-            votes: Iterable[tuple[tuple[bytes, ...], int, bytes]],
-            ) -> Optional[tuple[bytes, ...]]:
-    """The one 2f+1 rule: a message, given as its canonical fields, that
-    ``quorum`` distinct in-range orchestrators signed validly, or None.
+def _quorum(orch_pks: Sequence[PublicKey], quorum: int, fields: tuple[bytes, ...],
+            votes: Sequence[tuple[int, bytes]]) -> bool:
+    """The one 2f+1 rule: whether ``quorum`` distinct in-range orchestrators
+    signed the message given as its canonical ``fields`` validly.
 
-    ``votes`` are (fields, orch_id, signature) triples.  Votes that
-    ``KeyPair.sign`` made in this process are counted first, from the sign
-    memo alone (``PublicKey.signed_here``).  Only if no message reaches
-    quorum on them are the other votes verified for real, in order, until
-    one does.  So a message that reaches quorum on memo hits is the one
-    returned, even if another message comes first in ``votes``.  Two
-    messages can both reach quorum only if an honest orchestrator signed
-    both, since any two quorums of the 3f+1 share an honest member.  A
-    signer that has already counted for a message is skipped unverified.
+    ``votes`` are (orch_id, signature) pairs.  Votes that ``KeyPair.sign``
+    made in this process are counted first, from the sign memo alone
+    (``PublicKey.signed_here``).  Only if they fall short are the other
+    votes verified for real, in order, until the count reaches quorum.  A
+    signer that has already counted is skipped unverified.
     """
-    counted: dict[tuple[bytes, ...], tuple[bytes, set[int]]] = {}
+    message = encode_fields(*fields)
+    seen: set[int] = set()
     unproven = []
-    for vote in votes:
-        fields, orch_id, sig = vote
-        if not 0 <= orch_id < len(orch_pks):
-            continue
-        if fields not in counted:
-            counted[fields] = (encode_fields(*fields), set())
-        message, seen = counted[fields]
-        if orch_id in seen:
+    for orch_id, sig in votes:
+        if not 0 <= orch_id < len(orch_pks) or orch_id in seen:
             continue
         if orch_pks[orch_id].signed_here(sig, message):
             seen.add(orch_id)
             if len(seen) >= quorum:
-                return fields
+                return True
         else:
-            unproven.append(vote)
-    for fields, orch_id, sig in unproven:
-        seen = counted[fields][1]
+            unproven.append((orch_id, sig))
+    for orch_id, sig in unproven:
         if orch_id not in seen and orch_pks[orch_id].verify(sig, *fields):
             seen.add(orch_id)
             if len(seen) >= quorum:
-                return fields
-    return None
+                return True
+    return False
 
 
-def asserter_execute(task_msgs: Iterable[TaskMessage], node: ExecutorNode,
+def asserter_execute(task: TaskMessage, node: ExecutorNode,
                      orch_pks: Sequence[PublicKey], quorum: int,
                      y_bytes: bytes) -> Optional[ExecutorResponse]:
-    """Respond with the node's encoded output ``y_bytes`` only after 2f+1
-    valid task messages from distinct orchestrators agree on the same
-    (x, reqid); otherwise keep waiting (returns None).
-
-    A message counts only if its path proves its (x, reqid) under its root,
-    and its vote is then a vote on (b"tasks", root).  The proven messages
-    are grouped by (root, x, reqid), and the response is for the first
-    group whose root votes reach quorum.  So messages for another request of
-    the same batch, forged or validly signed, cannot keep this request's
-    quorum from counting."""
-    groups: dict[tuple[bytes, bytes, bytes], list] = {}
-    last = None  # the last message whose path proved
-    for m in task_msgs:
-        # the committee hands every orchestrator's message the same objects;
-        # a proven root and path are bytes and a tuple of bytes, which cannot
-        # change, so the proof of the last proven message's objects holds
-        if not (last is not None and m.root is last.root and m.path is last.path
-                and m.x is last.x and m.reqid is last.reqid):
-            if not crypto.merkle_proves(m.root, crypto.merkle_leaf(m.x, m.reqid), m.path):
-                continue
-            last = m
-        groups.setdefault((m.root, m.x, m.reqid), []).append(
-            ((b"tasks", m.root), m.orch_id, m.signature))
-    for (_, x, reqid), votes in groups.items():
-        if _quorum(orch_pks, quorum, votes) is not None:
-            return node.sign_result(x, reqid, y_bytes)
+    """Respond with the node's encoded output ``y_bytes`` only when the
+    task's path proves its (x, reqid) under its root and 2f+1 distinct
+    orchestrators voted validly on (b"tasks", root); otherwise keep waiting
+    (returns None)."""
+    if (crypto.merkle_proves(task.root, crypto.merkle_leaf(task.x, task.reqid), task.path)
+            and _quorum(orch_pks, quorum, (b"tasks", task.root), task.votes)):
+        return node.sign_result(task.x, task.reqid, y_bytes)
     return None
 
 
@@ -544,23 +514,22 @@ class Committee:
         lc.advance(Phase.ASSIGNED)
         return i
 
-    def _votes(self, *fields: bytes) -> list[tuple[int, bytes]]:
+    def _votes(self, *fields: bytes) -> tuple[tuple[int, bytes], ...]:
         """(orch_id, signature) for every orchestrator that votes on fields."""
-        return [(orch.orch_id, sig) for orch in self.orchestrators
-                if (sig := orch.vote(*fields)) is not None]
+        return tuple((orch.orch_id, sig) for orch in self.orchestrators
+                     if (sig := orch.vote(*fields)) is not None)
 
-    def task_messages(self, reqid: bytes) -> list[TaskMessage]:
-        """One message per orchestrator that voted on the request's batch
-        root.  The first call for an unbatched request seals the batch of
-        every request accepted since the last one; later calls reuse it."""
+    def task_message(self, reqid: bytes) -> TaskMessage:
+        """The request's task: its batch root with the votes on it, and its
+        inclusion path.  The first call for an unbatched request seals the
+        batch of every request accepted since the last one; later calls
+        reuse it."""
         lc = self.lifecycles[reqid]
         if lc.batch is None:
             self._seal_batch()
         batch = lc.batch
-        root, path = batch.root, crypto.merkle_path(batch.levels, lc.leaf)
-        return [TaskMessage(x=lc.x, reqid=reqid, root=root, path=path,
-                            orch_id=orch_id, signature=sig)
-                for orch_id, sig in batch.votes]
+        return TaskMessage(x=lc.x, reqid=reqid, root=batch.root,
+                           path=crypto.merkle_path(batch.levels, lc.leaf), votes=batch.votes)
 
     def _seal_batch(self) -> None:
         reqids, self.unbatched = self.unbatched, []
@@ -633,13 +602,11 @@ class Committee:
         lc.advance(Phase.ARBITRATING)
         return "arbitrate"
 
-    def arbitration_requests(self, reqid: bytes) -> list[ArbitrationRequest]:
+    def arbitration_request(self, reqid: bytes) -> ArbitrationRequest:
         lc = self.lifecycles[reqid]
-        base = ArbitrationRequest(
-            x=lc.x, reqid=reqid, asserter=lc.asserter_response,
-            validator=lc.validator_response, orch_id=-1, signature=b"")
-        return [replace(base, orch_id=orch_id, signature=sig)
-                for orch_id, sig in self._votes(*base.tuple_fields())]
+        request = ArbitrationRequest(x=lc.x, reqid=reqid, asserter=lc.asserter_response,
+                                     validator=lc.validator_response)
+        return replace(request, votes=self._votes(*request.tuple_fields()))
 
     def record_arbitration(self, outcome: ArbitrationOutcome) -> None:
         lc = self.lifecycles[outcome.reqid]
@@ -693,7 +660,7 @@ class Committee:
 
     def certify_batch(self, deltas: Sequence[LedgerDelta]) -> QuorumCertificate:
         digest = batch_digest(deltas)
-        return QuorumCertificate(digest=digest, votes=tuple(self._votes(digest)))
+        return QuorumCertificate(digest=digest, votes=self._votes(digest))
 
 
 def batch_digest(deltas: Sequence[LedgerDelta]) -> bytes:
@@ -719,32 +686,28 @@ class ArbitrationContract:
         self.model = model
         self.outcomes: dict[bytes, ArbitrationOutcome] = {}
 
-    def arbitrate(self, requests: Sequence[ArbitrationRequest]) -> ArbitrationOutcome:
-        """Act on the request that 2f+1 distinct orchestrators signed
-        identically, wherever it sits among divergent ones."""
-        signed = [(req.tuple_fields(), req) for req in requests]
-        agreed = _quorum(self.orch_pks, self.config.quorum,
-                         ((fields, req.orch_id, req.signature) for fields, req in signed))
-        if agreed is None:
+    def arbitrate(self, request: ArbitrationRequest) -> ArbitrationOutcome:
+        """Act on a request that 2f+1 distinct orchestrators signed."""
+        if not _quorum(self.orch_pks, self.config.quorum, request.tuple_fields(),
+                       request.votes):
             raise BelowQuorumError(
-                f"fewer than {self.config.quorum} identical valid requests")
-        head = next(req for fields, req in signed if fields == agreed)
+                f"fewer than {self.config.quorum} valid votes on the request")
 
-        reqid = head.reqid
+        reqid = request.reqid
         if reqid in self.outcomes:
             return self.outcomes[reqid]
-        for resp in (head.asserter, head.validator):
+        for resp in (request.asserter, request.validator):
             pk = self.executor_pks[resp.node_index]
             if not pk.verify(resp.signature, resp.x, resp.reqid, resp.y_bytes):
                 raise InvalidSignatureError(
                     f"evidence signature of node {resp.node_index} invalid")
 
-        y_true = forward(self.model, decode_vector(head.x))
+        y_true = forward(self.model, decode_vector(request.x))
         truth = encode_vector(y_true)
-        asserter_honest = head.asserter.y_bytes == truth
-        validator_honest = head.validator.y_bytes == truth
-        deltas = payout(self.config, reqid, head.asserter.node_index,
-                        head.validator.node_index, (asserter_honest, validator_honest))
+        asserter_honest = request.asserter.y_bytes == truth
+        validator_honest = request.validator.y_bytes == truth
+        deltas = payout(self.config, reqid, request.asserter.node_index,
+                        request.validator.node_index, (asserter_honest, validator_honest))
         outcome = ArbitrationOutcome(
             reqid=reqid, y_true=y_true, asserter_honest=asserter_honest,
             validator_honest=validator_honest, deltas=tuple(deltas))

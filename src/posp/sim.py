@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Generator, Optional
 
 from . import crypto, protocol
@@ -65,6 +65,10 @@ MAX_MODEL_VALUES = 1 << 16
 # protocol.MAX_TIMEOUT_EPOCHS + 1 epochs, 2 * 65 * (2^32 + 1) < 2^40 in all;
 # settlement comes one epoch after the last event.  So every epoch is < 2^50.
 MAX_ARRIVAL_SPACING = 1 << 32
+# A collusion group's wrong output is the true output offset by
+# 1,000,000 + group raw Q16.16 units (`_wrong_output`); groups stay far below
+# the signed 64-bit raw range, which a larger one could overflow.
+MAX_GROUP = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,9 @@ class ExecStrategy:
             raise ValueError("fraud_probability must be in [0, 1]")
         if self.kind == COLLUDE and self.group is None:
             raise ValueError("collude strategy requires a group id")
+        if self.group is not None and (type(self.group) is not int
+                                       or not 0 <= self.group < MAX_GROUP):
+            raise ValueError(f"group must be an integer in [0, {MAX_GROUP})")
 
     @property
     def adversarial(self) -> bool:
@@ -140,6 +147,11 @@ class ScenarioConfig:
         for idx in self.executor_overrides:
             if not 0 <= idx < self.network.executors:
                 raise ValueError(f"executor override index {idx} out of range")
+        if self.byzantine_fraction is not None:
+            adversarial = sum(s.adversarial for s in self.executor_overrides.values())
+            if adversarial > self.byzantine_budget:
+                raise ValueError(f"{adversarial} adversarial overrides exceed the budget "
+                                 f"of {self.byzantine_budget}")
         byz_orch = 0
         for idx, behavior in self.orchestrator_overrides.items():
             if not 0 <= idx < self.network.committee_size:
@@ -150,24 +162,22 @@ class ScenarioConfig:
                 byz_orch += 1
         if byz_orch > self.network.fault_bound:
             raise ValueError("Byzantine orchestrators exceed the fault bound f")
-        if not 0 <= self.focal_executor < self.network.executors:
-            raise ValueError("focal_executor out of range")
+        for name in ("focal_executor", "user_colludes_with"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int
+                                      or not 0 <= value < self.network.executors):
+                raise ValueError(f"{name} must be an executor index in "
+                                 f"[0, {self.network.executors})")
+
+    @property
+    def byzantine_budget(self) -> int:
+        """floor(r * N): the most adversarial nodes a Byzantine fraction
+        allows, overrides included."""
+        return int(self.byzantine_fraction * self.network.executors)
 
     def to_dict(self) -> dict:
-        net = self.network
         return {
-            "network": {
-                "executors": net.executors,
-                "fault_bound": net.fault_bound,
-                "challenge_probability": net.challenge_probability,
-                "t_assert": net.t_assert,
-                "t_validate": net.t_validate,
-                "payment_b": net.payment_b,
-                "reward_r": net.reward_r,
-                "slash_s": net.slash_s,
-                "compute_cost": net.compute_cost,
-                "timeout_penalty": net.timeout_penalty,
-            },
+            "network": asdict(self.network),
             "master_seed": self.master_seed.hex(),
             "requests": self.requests,
             "arrival_spacing": self.arrival_spacing,
@@ -238,16 +248,12 @@ def assign_adversaries(config: ScenarioConfig) -> list[ExecStrategy]:
         table[idx] = strat
 
     if config.byzantine_fraction is not None:
-        budget = int(config.byzantine_fraction * n)
         adversarial = sum(1 for s in table if s is not None and s.adversarial)
-        if adversarial > budget:
-            raise ValueError(
-                f"{adversarial} adversarial overrides exceed the budget of {budget}")
         # deterministic order over the unassigned indices
         free = [i for i in range(n) if table[i] is None]
         seed = prf(config.master_seed, b"adversary-assignment")
         free.sort(key=lambda i: crypto.prf(seed, i.to_bytes(8, "big")))
-        for i in free[: budget - adversarial]:
+        for i in free[: config.byzantine_budget - adversarial]:
             table[i] = config.byzantine_strategy
 
     return [s if s is not None else HONEST_STRATEGY for s in table]
@@ -278,23 +284,8 @@ class MetricsReport:
         return self.fraud_passes / self.fraud_assertions if self.fraud_assertions else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "challenges": self.challenges,
-            "challenge_decisions": self.challenge_decisions,
-            "matched_challenges": self.matched_challenges,
-            "arbitrations": self.arbitrations,
-            "undetected_frauds": self.undetected_frauds,
-            "detected_frauds": self.detected_frauds,
-            "fraud_assertions": self.fraud_assertions,
-            "fraud_passes": self.fraud_passes,
-            "timeouts": self.timeouts,
-            "reassignments": self.reassignments,
-            "empirical_challenge_rate": self.empirical_challenge_rate,
-            "empirical_cheat_pass_rate": self.empirical_cheat_pass_rate,
-            "node_payoffs": {k: self.node_payoffs[k] for k in sorted(self.node_payoffs)},
-            "trace_hash": self.trace_hash,
-        }
+        return {**asdict(self), "empirical_challenge_rate": self.empirical_challenge_rate,
+                "empirical_cheat_pass_rate": self.empirical_cheat_pass_rate}
 
 
 @dataclass
@@ -435,7 +426,7 @@ class _Simulation(_World):
     def execute(self, reqid: bytes, node: int, y: bytes,
                 role: str) -> protocol.ExecutorResponse:
         resp = protocol.asserter_execute(
-            self.committee.task_messages(reqid), self.executors[node],
+            self.committee.task_message(reqid), self.executors[node],
             self.committee.orch_pks, self.config.network.quorum, y)
         if resp is None:
             raise protocol.ProtocolError(f"{role} failed to collect a task quorum")
@@ -510,7 +501,7 @@ class _Simulation(_World):
                 self.metrics.matched_challenges += 1
             else:
                 epoch = yield 1
-                outcome = self.arbitration.arbitrate(committee.arbitration_requests(reqid))
+                outcome = self.arbitration.arbitrate(committee.arbitration_request(reqid))
                 committee.record_arbitration(outcome)
                 self.metrics.arbitrations += 1
                 self.trace("arbitrate", epoch, reqid,
@@ -595,16 +586,7 @@ class StrategyEstimate:
         return self.fraud_passes / self.fraud_assertions if self.fraud_assertions else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "challenges": self.challenges,
-            "arbitrations": self.arbitrations,
-            "fraud_assertions": self.fraud_assertions,
-            "fraud_passes": self.fraud_passes,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)

@@ -3,8 +3,11 @@ challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
 from collections import OrderedDict
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, settings, strategies as st
 
 from posp import crypto, protocol
@@ -80,7 +83,7 @@ class World:
         tau = prf(SEED, b"tau" + epoch.to_bytes(4, "big"))
         i = self.committee.select_asserter(reqid, tau)
         resp = asserter_execute(
-            self.committee.task_messages(reqid), self.executors[i],
+            self.committee.task_message(reqid), self.executors[i],
             self.committee.orch_pks, self.net.quorum, encode_vector(y))
         assert resp is not None
         assert self.committee.accept_asserter_response(resp)
@@ -91,7 +94,7 @@ class World:
         assert self.committee.challenge_decision(reqid, tau)
         j = self.committee.select_validator(reqid, tau)
         resp = asserter_execute(
-            self.committee.task_messages(reqid), self.executors[j],
+            self.committee.task_message(reqid), self.executors[j],
             self.committee.orch_pks, self.net.quorum, encode_vector(y))
         assert resp is not None
         assert self.committee.accept_validator_response(resp)
@@ -169,7 +172,7 @@ class TestExecutorQuorum:
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
         resp = asserter_execute(
-            w.committee.task_messages(reqid), w.executors[i],
+            w.committee.task_message(reqid), w.executors[i],
             w.committee.orch_pks, w.net.quorum, encode_vector(forward(w.model, w.x_vec)))
         assert resp is not None and resp.y_bytes == w.y_true_b
 
@@ -178,9 +181,9 @@ class TestExecutorQuorum:
         reqid = w.submit()
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
-        msgs = w.committee.task_messages(reqid)[: w.net.quorum - 1]
-        resp = asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b)
+        task = w.committee.task_message(reqid)
+        resp = asserter_execute(replace(task, votes=task.votes[: w.net.quorum - 1]),
+                                w.executors[i], w.committee.orch_pks, w.net.quorum, w.y_true_b)
         assert resp is None
 
     def test_forgeries_ignored(self):
@@ -188,9 +191,9 @@ class TestExecutorQuorum:
         reqid = w.submit()
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
-        msgs = w.committee.task_messages(reqid)
-        forged = [replace(m, signature=b"\x00" * 64) for m in msgs[: w.net.fault_bound]]
-        resp = asserter_execute(forged + msgs, w.executors[i],
+        task = w.committee.task_message(reqid)
+        forged = tuple((k, b"\x00" * 64) for k, _ in task.votes[: w.net.fault_bound])
+        resp = asserter_execute(replace(task, votes=forged + task.votes), w.executors[i],
                                 w.committee.orch_pks, w.net.quorum, w.y_true_b)
         assert resp is not None
 
@@ -199,9 +202,9 @@ class TestExecutorQuorum:
         reqid = w.submit()
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
-        one = w.committee.task_messages(reqid)[0]
-        resp = asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b)
+        task = w.committee.task_message(reqid)
+        resp = asserter_execute(replace(task, votes=task.votes[:1] * 5), w.executors[i],
+                                w.committee.orch_pks, w.net.quorum, w.y_true_b)
         assert resp is None
 
 
@@ -218,7 +221,8 @@ def count_checks(monkeypatch) -> dict:
 
 
 # Each case turns the committee's honest (orch_id, signature) votes on one
-# message into a vote set, with the verdict every quorum check must give.
+# message into the votes a copy of it carries, with the verdict every quorum
+# check must give.
 QUORUM_CASES = {
     "exact quorum": (lambda v, q: v[:q], True),
     "one vote short": (lambda v, q: v[:q - 1], False),
@@ -230,15 +234,29 @@ QUORUM_CASES = {
 }
 
 
+# The property test's committee, with f = 2, and the message it votes on.
+PROPERTY_KEYS = [keypair(400 + k) for k in range(7)]
+PROPERTY_FIELDS = (b"tasks", b"root")
+
+
+def ed25519_valid(pk: crypto.PublicKey, signature: bytes, message: bytes) -> bool:
+    """The Ed25519 check itself, with no sign memo in the way."""
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(pk.raw).verify(signature, message)
+    except InvalidSignature:
+        return False
+    return True
+
+
 class TestOneQuorumRule:
     def test_verifying_stops_at_quorum(self, monkeypatch):
         w = World()
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        msgs = w.committee.task_messages(reqid)
-        assert len(msgs) == w.net.committee_size
+        task = w.committee.task_message(reqid)
+        assert len(task.votes) == w.net.committee_size
         calls = count_checks(monkeypatch)
-        assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
+        assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
                                 w.net.quorum, w.y_true_b) is not None
         # just signed, so the memo proves a quorum without any real verify
         assert (len(calls["signed_here"]), len(calls["verify"])) == (w.net.quorum, 0)
@@ -247,10 +265,10 @@ class TestOneQuorumRule:
         w = World()
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        msgs = w.committee.task_messages(reqid)
+        task = w.committee.task_message(reqid)
         monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
         calls = count_checks(monkeypatch)
-        assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
+        assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
                                 w.net.quorum, w.y_true_b) is not None
         assert len(calls["verify"]) == w.net.quorum
 
@@ -258,9 +276,9 @@ class TestOneQuorumRule:
         w = World(behaviors={0: protocol.ORCH_EQUIVOCATE})
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        msgs = w.committee.task_messages(reqid)
+        task = w.committee.task_message(reqid)
         calls = count_checks(monkeypatch)
-        assert asserter_execute(msgs, w.executors[i], w.committee.orch_pks,
+        assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
                                 w.net.quorum, w.y_true_b) is not None
         assert calls["verify"] == []
 
@@ -268,10 +286,10 @@ class TestOneQuorumRule:
         w = World()
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        one = w.committee.task_messages(reqid)[0]
+        task = w.committee.task_message(reqid)
         calls = count_checks(monkeypatch)
-        assert asserter_execute([one] * 5, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b) is None
+        assert asserter_execute(replace(task, votes=task.votes[:1] * 5), w.executors[i],
+                                w.committee.orch_pks, w.net.quorum, w.y_true_b) is None
         assert (len(calls["signed_here"]), len(calls["verify"])) == (1, 0)
 
     @pytest.mark.parametrize("case", list(QUORUM_CASES))
@@ -284,26 +302,56 @@ class TestOneQuorumRule:
         assert w.committee.compare_and_route(reqid) == "arbitrate"
         pks, q = w.committee.orch_pks, w.net.quorum
 
-        tasks = w.committee.task_messages(reqid)
-        votes = pick([(m.orch_id, m.signature) for m in tasks], q)
-        task_ok = asserter_execute(
-            [replace(tasks[0], orch_id=k, signature=sig) for k, sig in votes],
-            w.executors[0], pks, q, w.y_true_b) is not None
+        def picked(message):
+            return replace(message, votes=tuple(pick(list(message.votes), q)))
 
-        requests = w.committee.arbitration_requests(reqid)
-        votes = pick([(r.orch_id, r.signature) for r in requests], q)
+        task_ok = asserter_execute(picked(w.committee.task_message(reqid)),
+                                   w.executors[0], pks, q, w.y_true_b) is not None
         try:
-            w.arbitration.arbitrate(
-                [replace(requests[0], orch_id=k, signature=sig) for k, sig in votes])
+            w.arbitration.arbitrate(picked(w.committee.arbitration_request(reqid)))
             arbitration_ok = True
         except BelowQuorumError:
             arbitration_ok = False
-
         cert = w.committee.certify_batch(w.committee.pending_deltas[reqid])
-        votes = pick(list(cert.votes), q)
-        cert_ok = QuorumCertificate(digest=cert.digest, votes=tuple(votes)).verify(pks, q)
+        cert_ok = picked(cert).verify(pks, q)
 
         assert (task_ok, arbitration_ok, cert_ok) == (expected,) * 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["honest", "equivocating", "forged", "duplicate", "out-of-range"]),
+        st.integers(0, len(PROPERTY_KEYS) - 1), st.binary(min_size=64, max_size=64)),
+        max_size=12), st.integers(1, len(PROPERTY_KEYS)))
+    def test_sign_memo_never_changes_a_verdict(self, draws, quorum):
+        n = len(PROPERTY_KEYS)
+        pks = [kp.public for kp in PROPERTY_KEYS]
+        # signed here, so the memo holds them
+        honest = [kp.sign(*PROPERTY_FIELDS) for kp in PROPERTY_KEYS]
+        equivocating = [kp.sign(PROPERTY_FIELDS[0] + b"?", *PROPERTY_FIELDS[1:])
+                        for kp in PROPERTY_KEYS]
+        votes = []
+        for kind, k, noise in draws:
+            if kind == "honest":
+                votes.append((k, honest[k]))
+            elif kind == "equivocating":
+                votes.append((k, equivocating[k]))
+            elif kind == "forged":
+                # random bytes, or another orchestrator's valid vote
+                votes.append((k, noise if noise[0] % 2 else honest[(k + 1) % n]))
+            elif kind == "duplicate":
+                votes.append(votes[k % len(votes)] if votes else (k, honest[k]))
+            else:
+                # k - n is the index Python would resolve to key k
+                votes.append((k - n if k % 2 else n + k, honest[k]))
+        votes = tuple(votes)
+
+        with_memo = protocol._quorum(pks, quorum, PROPERTY_FIELDS, votes)
+        with patch.object(crypto, "_SIGNED", OrderedDict()):
+            without_memo = protocol._quorum(pks, quorum, PROPERTY_FIELDS, votes)
+        message = crypto.encode_fields(*PROPERTY_FIELDS)
+        signers = {orch_id for orch_id, sig in votes
+                   if 0 <= orch_id < n and ed25519_valid(pks[orch_id], sig, message)}
+        assert with_memo == without_memo == (len(signers) >= quorum)
 
 
 def flip(data: bytes, at: int) -> bytes:
@@ -311,46 +359,48 @@ def flip(data: bytes, at: int) -> bytes:
 
 
 class TestTaskBatch:
-    """Task messages carry one batch root, a vote on it and an inclusion
-    path; an executor answers only the (x, reqid) the path proves under a
-    root with 2f+1 valid votes."""
+    """A task message carries one batch root, the votes on it and an
+    inclusion path; an executor answers only the (x, reqid) the path proves
+    under a root with 2f+1 valid votes."""
 
     def batch_of(self, w: World, size: int, tag: str = "n") -> list[bytes]:
         reqids = [w.submit(f"{tag}{k}".encode()) for k in range(size)]
         w.committee.select_asserter(reqids[0], prf(SEED, b"tau"))
         return reqids
 
-    def answer(self, w: World, msgs):
-        return asserter_execute(msgs, w.executors[0], w.committee.orch_pks,
+    def answer(self, w: World, task):
+        return asserter_execute(task, w.executors[0], w.committee.orch_pks,
                                 w.net.quorum, w.y_true_b)
 
     def test_batch_answers_its_request(self):
         w = World()
         reqids = self.batch_of(w, 3)
         for reqid in reqids:
-            resp = self.answer(w, w.committee.task_messages(reqid))
+            resp = self.answer(w, w.committee.task_message(reqid))
             assert (resp.x, resp.reqid) == (w.x, reqid)
 
     def test_one_vote_per_batch(self):
         w = World()
         first = self.batch_of(w, 3)
-        w.committee.task_messages(first[1])  # seals the batch
+        w.committee.task_message(first[1])  # seals the batch
         later = w.submit(b"later")
-        roots = {reqid: w.committee.task_messages(reqid)[0].root for reqid in first + [later]}
+        tasks = {reqid: w.committee.task_message(reqid) for reqid in first + [later]}
+        roots = {reqid: task.root for reqid, task in tasks.items()}
         # accepted before the first seal: one batch; accepted after: the next
         assert len({roots[reqid] for reqid in first}) == 1 and roots[later] != roots[first[0]]
         lcs = [w.committee.lifecycles[reqid] for reqid in first]
         assert [lc.leaf for lc in lcs] == [0, 1, 2]
         assert lcs[0].batch is lcs[2].batch
-        assert lcs[0].batch.votes == [(m.orch_id, m.signature)
-                                      for m in w.committee.task_messages(first[1])]
+        # every task of the batch carries the batch's one votes tuple
+        assert all(tasks[reqid].votes is lcs[0].batch.votes for reqid in first)
+        assert len(lcs[0].batch.votes) == w.net.committee_size
 
     def test_one_request_batch_proves_itself(self):
         w = World()
         (reqid,) = self.batch_of(w, 1)
-        msgs = w.committee.task_messages(reqid)
-        assert msgs[0].path == () and msgs[0].root == crypto.merkle_leaf(w.x, reqid)
-        assert self.answer(w, msgs).reqid == reqid
+        task = w.committee.task_message(reqid)
+        assert task.path == () and task.root == crypto.merkle_leaf(w.x, reqid)
+        assert self.answer(w, task).reqid == reqid
 
     @pytest.mark.parametrize("tamper", [
         "path byte", "root byte", "side flag", "other request's path",
@@ -358,19 +408,33 @@ class TestTaskBatch:
     def test_tampered_messages_get_no_answer(self, tamper):
         w = World()
         reqids = self.batch_of(w, 3)
-        msgs = w.committee.task_messages(reqids[0])
-        step = msgs[0].path[0]
-        other_batch = w.committee.task_messages(self.batch_of(w, 5, "other")[4])[0]
+        task = w.committee.task_message(reqids[0])
+        step = task.path[0]
+        other_batch = w.committee.task_message(self.batch_of(w, 5, "other")[4])
         change = {
-            "path byte": {"path": (flip(step, 1),) + msgs[0].path[1:]},
-            "root byte": {"root": flip(msgs[0].root, 0)},
-            "side flag": {"path": (flip(step, 0),) + msgs[0].path[1:]},
-            "other request's path": {"path": w.committee.task_messages(reqids[1])[0].path},
+            "path byte": {"path": (flip(step, 1),) + task.path[1:]},
+            "root byte": {"root": flip(task.root, 0)},
+            "side flag": {"path": (flip(step, 0),) + task.path[1:]},
+            "other request's path": {"path": w.committee.task_message(reqids[1]).path},
             "other batch's path": {"path": other_batch.path},
+            # the other batch's votes are valid on its root, but its path
+            # proves another request
             "other batch's root and path": {"root": other_batch.root,
-                                            "path": other_batch.path},
+                                            "path": other_batch.path,
+                                            "votes": other_batch.votes},
         }[tamper]
-        assert self.answer(w, [replace(m, **change) for m in msgs]) is None
+        assert self.answer(w, replace(task, **change)) is None
+
+    @pytest.mark.parametrize("field", ["x", "reqid"])
+    def test_task_for_another_request_gets_no_answer(self, field):
+        # the batch's valid root and votes, with this request's path, naming
+        # another request's input or id
+        w = World()
+        reqids = self.batch_of(w, 2)
+        task = w.committee.task_message(reqids[0])
+        other = {"x": {"x": b"other input"}, "reqid": {"reqid": reqids[1]}}[field]
+        assert self.answer(w, replace(task, **other)) is None
+        assert self.answer(w, task).reqid == reqids[0]
 
     @pytest.mark.parametrize("path", [
         ("step too short",), (b"\x00" * 32,), (b"\x01" * 34,), (b"\x02" + b"\x00" * 32,),
@@ -379,67 +443,32 @@ class TestTaskBatch:
     def test_malformed_path_is_not_proven(self, path):
         w = World()
         reqid = self.batch_of(w, 2)[0]
-        msgs = w.committee.task_messages(reqid)
-        assert crypto.merkle_proves(msgs[0].root, crypto.merkle_leaf(w.x, reqid), path) is False
-        assert self.answer(w, [replace(m, path=path) for m in msgs]) is None
+        task = w.committee.task_message(reqid)
+        assert crypto.merkle_proves(task.root, crypto.merkle_leaf(w.x, reqid), path) is False
+        assert self.answer(w, replace(task, path=path)) is None
 
     def test_malformed_root_is_not_proven(self):
         w = World()
         reqid = self.batch_of(w, 2)[0]
-        msgs = w.committee.task_messages(reqid)
-        m = msgs[0]
+        task = w.committee.task_message(reqid)
         leaf = crypto.merkle_leaf(w.x, reqid)
-        assert crypto.merkle_proves(m.root, leaf, m.path)
-        for root in (None, bytearray(m.root), m.root.hex(), m.root[:-1]):
-            assert crypto.merkle_proves(root, leaf, m.path) is False
-            bad = [replace(msg, root=root) for msg in msgs]
-            assert self.answer(w, bad) is None
-            # honest messages around a malformed one still answer, never raise
-            assert self.answer(w, msgs + bad[:1]).reqid == reqid
-            assert self.answer(w, bad[:1] + msgs).reqid == reqid
-
-    @pytest.mark.parametrize("signature", ["forged", "valid"])
-    def test_other_requests_message_first_does_not_block(self, signature):
-        # a message for another request of the same batch proves that
-        # request under the shared root; placed first, it must not keep this
-        # request's quorum from counting
-        w = World()
-        reqids = self.batch_of(w, 2)
-        msgs = w.committee.task_messages(reqids[0])
-        other = w.committee.task_messages(reqids[1])[0]
-        if signature == "forged":
-            other = replace(other, signature=b"\x00" * 64)
-        assert self.answer(w, [other] + msgs).reqid == reqids[0]
-
-    @pytest.mark.parametrize("field", ["x", "reqid"])
-    def test_proof_is_reused_only_for_the_same_message(self, field):
-        # messages that share the proven root and path objects but name
-        # another (x, reqid) are proven again, and fail
-        w = World()
-        reqids = self.batch_of(w, 2)
-        msgs = w.committee.task_messages(reqids[0])
-        other = {"x": {"x": b"other input"}, "reqid": {"reqid": reqids[1]}}[field]
-        assert self.answer(w, msgs[:1] + [replace(m, **other) for m in msgs]) is None
-
-    def test_votes_for_two_requests_do_not_add_up(self):
-        # each message is a valid vote with a valid path, but no 2f+1 of
-        # them agree on one (x, reqid)
-        w = World()
-        reqids = self.batch_of(w, 2)
-        first, second = (w.committee.task_messages(reqid) for reqid in reqids)
-        q = w.net.quorum
-        assert self.answer(w, first[:q - 1] + second[q - 1:q]) is None
-        assert self.answer(w, first[:q - 1] + second[q - 1:] + first[q - 1:]).reqid == reqids[0]
+        assert crypto.merkle_proves(task.root, leaf, task.path)
+        for root in (None, bytearray(task.root), task.root.hex(), task.root[:-1]):
+            assert crypto.merkle_proves(root, leaf, task.path) is False
+            # no answer, and no exception, before or after an honest task
+            assert self.answer(w, replace(task, root=root)) is None
+            assert self.answer(w, task).reqid == reqid
 
     @pytest.mark.parametrize("behavior", [protocol.ORCH_WITHHOLD, protocol.ORCH_EQUIVOCATE])
     def test_byzantine_orchestrator_leaves_a_quorum(self, behavior):
         w = World(behaviors={0: behavior})
         reqid = self.batch_of(w, 3)[1]
-        msgs = w.committee.task_messages(reqid)
-        assert self.answer(w, msgs).reqid == reqid
+        task = w.committee.task_message(reqid)
+        assert self.answer(w, task).reqid == reqid
         # one honest vote fewer is below 2f+1
-        honest = [m for m in msgs if m.orch_id != 0]
-        assert self.answer(w, [m for m in msgs if m is not honest[0]]) is None
+        honest = [vote for vote in task.votes if vote[0] != 0]
+        fewer = tuple(vote for vote in task.votes if vote != honest[0])
+        assert self.answer(w, replace(task, votes=fewer)) is None
 
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=70))
@@ -525,7 +554,7 @@ def run_arbitration(w: World, y_asserter, y_validator):
     w.assert_output(reqid, y_asserter)
     w.validate_output(reqid, y_validator)
     assert w.committee.compare_and_route(reqid) == "arbitrate"
-    outcome = w.arbitration.arbitrate(w.committee.arbitration_requests(reqid))
+    outcome = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
     w.committee.record_arbitration(outcome)
     return reqid, outcome
 
@@ -568,42 +597,42 @@ class TestArbitration:
         w.assert_output(reqid, corrupt(w.y_true, "offset"))
         w.validate_output(reqid, w.y_true)
         w.committee.compare_and_route(reqid)
-        requests = w.committee.arbitration_requests(reqid)[: w.net.quorum - 1]
+        request = w.committee.arbitration_request(reqid)
         with pytest.raises(BelowQuorumError):
-            w.arbitration.arbitrate(requests)
+            w.arbitration.arbitrate(replace(request, votes=request.votes[: w.net.quorum - 1]))
+
+    def arbitrate_altered_first(self, w: World, alter):
+        """Submit a copy of the honest request altered by ``alter`` under the
+        honest votes, then the honest request; the copy must be refused and
+        leave the honest request to arbitrate."""
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.validate_output(reqid, w.y_true)
+        w.committee.compare_and_route(reqid)
+        honest = w.committee.arbitration_request(reqid)
+        bogus = alter(honest)
+        assert bogus.tuple_fields() != honest.tuple_fields()
+        with pytest.raises(BelowQuorumError):
+            w.arbitration.arbitrate(bogus)
+        assert reqid not in w.arbitration.outcomes
+        outcome = w.arbitration.arbitrate(honest)
+        assert not outcome.asserter_honest and outcome.validator_honest
 
     def test_divergent_request_first_does_not_block_quorum(self):
         w = World(p=1.0)
-        reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
-        w.validate_output(reqid, w.y_true)
-        w.committee.compare_and_route(reqid)
-        honest = w.committee.arbitration_requests(reqid)
-        # a Byzantine orchestrator validly signs a request over an altered x
-        bogus = replace(honest[0], x=honest[0].x + b"!")
-        bogus = replace(bogus, signature=w.orchestrators[0].vote(*bogus.tuple_fields()))
-        outcome = w.arbitration.arbitrate([bogus] + honest[1:])
-        assert not outcome.asserter_honest and outcome.validator_honest
+        self.arbitrate_altered_first(w, lambda request: replace(request, x=request.x + b"!"))
 
     @pytest.mark.parametrize("role", ["asserter", "validator"])
-    @pytest.mark.parametrize("field", ["node_index", "x", "reqid"])
+    @pytest.mark.parametrize("field", ["node_index", "x", "reqid", "y_bytes", "signature"])
     def test_altered_evidence_first_does_not_block_quorum(self, role, field):
         w = World(p=1.0)
-        reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
-        w.validate_output(reqid, w.y_true)
-        w.committee.compare_and_route(reqid)
-        honest = w.committee.arbitration_requests(reqid)
-        # a Byzantine orchestrator validly signs a request whose evidence
-        # response has one field altered, so its evidence signature fails
-        resp = getattr(honest[0], role)
-        value = getattr(resp, field)
-        value = (value + 1) % w.net.executors if field == "node_index" else value + b"!"
-        evidence = replace(resp, **{field: value})
-        bogus = replace(honest[0], **{role: evidence})
-        bogus = replace(bogus, signature=w.orchestrators[0].vote(*bogus.tuple_fields()))
-        outcome = w.arbitration.arbitrate([bogus] + honest[1:])
-        assert not outcome.asserter_honest and outcome.validator_honest
+
+        def alter(request):
+            resp = getattr(request, role)
+            value = getattr(resp, field)
+            value = (value + 1) % w.net.executors if field == "node_index" else flip(value, 0)
+            return replace(request, **{role: replace(resp, **{field: value})})
+        self.arbitrate_altered_first(w, alter)
 
     def test_tampered_evidence_rejected(self):
         w = World(p=1.0)
@@ -618,7 +647,7 @@ class TestArbitration:
             y_bytes=lc.asserter_response.y_bytes, signature=b"\x00" * 64)
         lc.asserter_response = forged_asserter
         with pytest.raises(InvalidSignatureError):
-            w.arbitration.arbitrate(w.committee.arbitration_requests(reqid))
+            w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
 
     def test_malformed_output_bytes_slashed(self):
         # signed output bytes that are no vector encoding are still evidence:
@@ -626,12 +655,12 @@ class TestArbitration:
         w = World(p=1.0)
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        resp = asserter_execute(w.committee.task_messages(reqid), w.executors[i],
+        resp = asserter_execute(w.committee.task_message(reqid), w.executors[i],
                                 w.committee.orch_pks, w.net.quorum, b"\x00" * 7)
         assert w.committee.accept_asserter_response(resp)
         w.validate_output(reqid, w.y_true)
         assert w.committee.compare_and_route(reqid) == "arbitrate"
-        outcome = w.arbitration.arbitrate(w.committee.arbitration_requests(reqid))
+        outcome = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
         assert not outcome.asserter_honest and outcome.validator_honest
         slash = [d for d in outcome.deltas if d.reason is Reason.SLASH]
         assert [(d.account, d.amount) for d in slash] == [(f"exec:{i}", -w.net.slash_s)]
@@ -639,7 +668,7 @@ class TestArbitration:
     def test_outcome_recorded_immutably(self):
         w = World(p=1.0)
         reqid, outcome = run_arbitration(w, corrupt(w.y_true, "offset"), w.y_true)
-        again = w.arbitration.arbitrate(w.committee.arbitration_requests(reqid))
+        again = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
         assert again is outcome
 
 

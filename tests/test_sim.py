@@ -243,11 +243,10 @@ class TestAssignAdversaries:
         assert sum(1 for s in table if s.adversarial) == 2
 
     def test_over_budget_rejected(self):
-        cfg = config(executors=10, byzantine_fraction=0.1,
-                     executor_overrides={i: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)
-                                         for i in range(3)})
-        with pytest.raises(ValueError):
-            sim.assign_adversaries(cfg)
+        with pytest.raises(ValueError, match="exceed the budget"):
+            config(executors=10, byzantine_fraction=0.1,
+                   executor_overrides={i: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)
+                                       for i in range(3)})
 
     def test_collusion_group_shares_wrong_output(self):
         strat = sim.ExecStrategy(kind=sim.COLLUDE, group=4)
