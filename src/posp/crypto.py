@@ -17,9 +17,12 @@ curve arithmetic.  Any other triple (forged, tampered, malleated, signed by
 another key, or evicted) is verified for real.
 
 A Merkle tree commits to many messages under one 32-byte root, so one
-signature over the root covers them all (Merkle 1987).  Leaves and interior
-nodes are hashed with distinct prefixes, as in RFC 9162 section 2.1, so no
-leaf can pass for an interior node.
+signature over the root covers them all (Merkle 1987).  The protocol signs
+batch roots only: the orchestrators' task votes and each executor's
+responses.  Leaves and interior nodes are hashed with distinct prefixes, as
+in RFC 9162 section 2.1, so no leaf can pass for an interior node.  An
+inclusion path is one ``bytes`` of 33-byte steps, a side byte and the
+sibling's hash each.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ PRF_MAX = 1 << 64
 
 # (public key raw, encoded message, signature) of recent KeyPair.sign calls,
 # least recently made or matched first.  A signature that is verified at all
-# is mostly verified within a few signs of being made, or again and again
-# (a batch root's votes), so a small bound keeps nearly every hit.  Every
-# entry is a valid signature whatever the interleaving of threads, so the
-# memo needs no lock.
+# is mostly verified within a few signs of being made, or again and again:
+# a task batch root's votes by every task quorum, and an executor's response
+# root, which it signs when the first response of its batch is collected
+# and which is checked right then and for each later response of the batch.
+# So a small bound keeps nearly every hit.  Every entry is a valid signature
+# whatever the interleaving of threads, so the memo needs no lock.
 _SIGNED_MAX = 64
 _SIGNED: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
 
@@ -102,14 +107,28 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def request_prefix(pk_user: bytes, x: bytes) -> bytes:
+    """The encoded (pk_user, x) fields that a request id's preimage and a
+    selection string (``protocol.selection_string``) both begin with.
+    Encodings concatenate, so a caller handling many requests of one user
+    and input encodes the pair once."""
+    return encode_fields(pk_user, x)
+
+
 def derive_reqid(pk_user: bytes, x: bytes, user_nonce: bytes) -> bytes:
     """Request id: SHA-256 over the canonical encoding of (pk, x, nonce)."""
-    return sha256(encode_fields(pk_user, x, user_nonce))
+    return reqid_from_prefix(request_prefix(pk_user, x), user_nonce)
+
+
+def reqid_from_prefix(prefix: bytes, user_nonce: bytes) -> bytes:
+    """``derive_reqid`` from ``request_prefix(pk_user, x)``."""
+    return sha256(prefix + encode_fields(user_nonce))
 
 
 # A path longer than this cannot belong to a tree that fits in memory.
 MERKLE_MAX_DEPTH = 64
 _LEFT, _RIGHT = 0, 1  # the side a path step's sibling sits on
+_STEP = 33  # a path step: the side byte, then the sibling's hash
 
 
 def merkle_leaf(*fields: bytes) -> bytes:
@@ -134,31 +153,37 @@ def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
     return levels
 
 
-def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> tuple[bytes, ...]:
-    """Inclusion path of leaf ``index``: one step per level where the node
-    has a sibling, each the sibling's side byte followed by its hash."""
-    path = []
+def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> bytes:
+    """Inclusion path of leaf ``index``: one 33-byte step per level where
+    the node has a sibling, each the sibling's side byte followed by its
+    hash, concatenated."""
+    path = bytearray()
     for level in levels[:-1]:
         sibling = index ^ 1
         if sibling < len(level):
-            side = _LEFT if sibling < index else _RIGHT
-            path.append(bytes([side]) + level[sibling])
+            path.append(_LEFT if sibling < index else _RIGHT)
+            path += level[sibling]
         index //= 2
-    return tuple(path)
+    return bytes(path)
 
 
-def merkle_proves(root: bytes, leaf: bytes, path: tuple[bytes, ...]) -> bool:
+def merkle_proves(root: bytes, leaf: bytes, path: bytes) -> bool:
     """True when ``path`` leads from ``leaf`` to ``root``.  Never raises: a
-    path that is not a tuple of 33-byte steps with a valid side byte, or is
-    deeper than any tree, or a root that is not bytes, simply yields False."""
-    if type(path) is not tuple or len(path) > MERKLE_MAX_DEPTH:
+    path that is not bytes made of 33-byte steps with a valid side byte, or
+    is deeper than any tree, or a root that is not bytes, simply yields
+    False."""
+    if (type(path) is not bytes or len(path) % _STEP
+            or len(path) > _STEP * MERKLE_MAX_DEPTH):
         return False
     node = leaf
-    for step in path:
-        if type(step) is not bytes or len(step) != 33 or step[0] not in (_LEFT, _RIGHT):
+    for k in range(0, len(path), _STEP):
+        side, sibling = path[k], path[k + 1:k + _STEP]
+        if side == _LEFT:
+            node = _merkle_node(sibling, node)
+        elif side == _RIGHT:
+            node = _merkle_node(node, sibling)
+        else:
             return False
-        node = (_merkle_node(step[1:], node) if step[0] == _LEFT
-                else _merkle_node(node, step[1:]))
     return type(root) is bytes and node == root
 
 

@@ -13,6 +13,12 @@ that root, its votes, and the request's inclusion path.  Every task quorum
 probes the root's votes, and the sign memo keeps its most recently matched
 entries, so they are proven without a real verify for as long as the batch
 is in use.
+Executor responses are batched the same way: an executor queues each
+output it computes unsigned, and the first collection of one of them
+(``ExecutorNode.response``) seals every queued output into one Merkle tree
+and signs its root once.  A response carries the root, that signature and
+its own inclusion path, and ``response_signed`` is the one check the
+committee and arbitration make of it.
 Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
 past a cap is rejected, which the CLI reports as exit 2.
 
@@ -207,7 +213,7 @@ class TaskMessage:
     x: bytes
     reqid: bytes
     root: bytes
-    path: tuple[bytes, ...]
+    path: bytes
     votes: tuple[tuple[int, bytes], ...]
 
 
@@ -227,13 +233,17 @@ class TaskBatch:
 
 @dataclass(frozen=True, slots=True)
 class ExecutorResponse:
-    """An executor's output as the bytes it signed over (x, reqid, y_bytes);
-    every comparison, hash and verdict reads these bytes."""
+    """An executor's output as the bytes it committed to: ``path`` proves
+    the (x, reqid, y_bytes) leaf under the root of the node's response
+    batch, and ``signature`` is the node's one signature on (b"responses",
+    root).  Every comparison, hash and verdict reads ``y_bytes``."""
 
     x: bytes
     reqid: bytes
     node_index: int
     y_bytes: bytes
+    root: bytes
+    path: bytes
     signature: bytes
 
 
@@ -265,7 +275,7 @@ class ArbitrationRequest:
         return (b"arbitration", self.x, self.reqid) + tuple(
             part for resp in (self.asserter, self.validator)
             for part in (str(resp.node_index).encode(), resp.x, resp.reqid,
-                         resp.y_bytes, resp.signature))
+                         resp.y_bytes, resp.root, resp.path, resp.signature))
 
 
 @dataclass(frozen=True)
@@ -346,17 +356,41 @@ class Orchestrator:
 
 @dataclass
 class ExecutorNode:
+    """An executor and its unsigned work: the (x, reqid, y_bytes) it has
+    executed since its last batch, and the sealed responses not yet
+    collected, by request id."""
+
     index: int
     keypair: KeyPair
+    queued: list[tuple[bytes, bytes, bytes]] = field(default_factory=list)
+    sealed: dict[bytes, ExecutorResponse] = field(default_factory=dict)
 
     @property
     def account(self) -> str:
         return f"exec:{self.index}"
 
-    def sign_result(self, x: bytes, reqid: bytes, y_bytes: bytes) -> ExecutorResponse:
-        sig = self.keypair.sign(x, reqid, y_bytes)
-        return ExecutorResponse(x=x, reqid=reqid, node_index=self.index,
-                                y_bytes=y_bytes, signature=sig)
+    def response(self, reqid: bytes) -> ExecutorResponse:
+        """The signed response for an executed request, handed out once.
+        The first collection after an execution seals the batch of every
+        response queued since the last one: the node signs its Merkle root
+        once and each response carries its inclusion path."""
+        if reqid not in self.sealed and self.queued:
+            self._seal_batch()
+        try:
+            return self.sealed.pop(reqid)
+        except KeyError:
+            raise ProtocolError(f"node {self.index} has no response for "
+                                f"{reqid.hex()}") from None
+
+    def _seal_batch(self) -> None:
+        queued, self.queued = self.queued, []
+        levels = crypto.merkle_levels([crypto.merkle_leaf(*item) for item in queued])
+        root = levels[-1][0]
+        signature = self.keypair.sign(b"responses", root)
+        for leaf, (x, reqid, y_bytes) in enumerate(queued):
+            self.sealed[reqid] = ExecutorResponse(
+                x=x, reqid=reqid, node_index=self.index, y_bytes=y_bytes, root=root,
+                path=crypto.merkle_path(levels, leaf), signature=signature)
 
 
 def user_submit(x: bytes, nonce: bytes, user_keys: KeyPair) -> SignedRequest:
@@ -370,7 +404,12 @@ def user_submit(x: bytes, nonce: bytes, user_keys: KeyPair) -> SignedRequest:
 def selection_string(pk_user: bytes, x: bytes, reqid: bytes, attempt: int = 1) -> bytes:
     """The unique string fed to the sampling PRF; reassignments append an
     attempt suffix so a fresh node is drawn."""
-    base = encode_fields(pk_user, x, reqid)
+    return selection_from_prefix(crypto.request_prefix(pk_user, x), reqid, attempt)
+
+
+def selection_from_prefix(prefix: bytes, reqid: bytes, attempt: int = 1) -> bytes:
+    """``selection_string`` from ``crypto.request_prefix(pk_user, x)``."""
+    base = prefix + encode_fields(reqid)
     if attempt > 1:
         base += f"attempt_{attempt}".encode()
     return base
@@ -446,16 +485,28 @@ def _quorum(orch_pks: Sequence[PublicKey], quorum: int, fields: tuple[bytes, ...
 
 
 def asserter_execute(task: TaskMessage, node: ExecutorNode,
-                     orch_pks: Sequence[PublicKey], quorum: int,
-                     y_bytes: bytes) -> Optional[ExecutorResponse]:
-    """Respond with the node's encoded output ``y_bytes`` only when the
-    task's path proves its (x, reqid) under its root and 2f+1 distinct
-    orchestrators voted validly on (b"tasks", root); otherwise keep waiting
-    (returns None)."""
+                     orch_pks: Sequence[PublicKey], quorum: int, y_bytes: bytes) -> bool:
+    """Queue the node's encoded output ``y_bytes`` for the task, unsigned,
+    only when the task's path proves its (x, reqid) under its root and 2f+1
+    distinct orchestrators voted validly on (b"tasks", root); otherwise keep
+    waiting (returns False).  ``node.response(reqid)`` hands out the signed
+    response."""
     if (crypto.merkle_proves(task.root, crypto.merkle_leaf(task.x, task.reqid), task.path)
             and _quorum(orch_pks, quorum, (b"tasks", task.root), task.votes)):
-        return node.sign_result(task.x, task.reqid, y_bytes)
-    return None
+        node.queued.append((task.x, task.reqid, y_bytes))
+        return True
+    return False
+
+
+def response_signed(executor_pks: Sequence[PublicKey], resp: ExecutorResponse) -> bool:
+    """The one check of an executor response: its node is in range, its
+    path proves (x, reqid, y_bytes) under its root, and the node signed
+    (b"responses", root)."""
+    node = resp.node_index
+    return (type(node) is int and 0 <= node < len(executor_pks)
+            and crypto.merkle_proves(
+                resp.root, crypto.merkle_leaf(resp.x, resp.reqid, resp.y_bytes), resp.path)
+            and executor_pks[node].verify(resp.signature, b"responses", resp.root))
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +592,9 @@ class Committee:
             lc.batch, lc.leaf = batch, leaf
 
     def accept_asserter_response(self, resp: ExecutorResponse) -> bool:
-        lc = self.lifecycles[resp.reqid]
-        if resp.node_index != lc.asserter:
-            return False
-        pk = self.executor_pks[resp.node_index]
-        if not pk.verify(resp.signature, resp.x, resp.reqid, resp.y_bytes):
+        lc = self.lifecycles.get(resp.reqid)
+        if (lc is None or resp.node_index != lc.asserter
+                or not response_signed(self.executor_pks, resp)):
             return False
         lc.asserter_response = resp
         lc.advance(Phase.ASSERTED)
@@ -579,11 +628,9 @@ class Committee:
         return lc.validator
 
     def accept_validator_response(self, resp: ExecutorResponse) -> bool:
-        lc = self.lifecycles[resp.reqid]
-        if resp.node_index != lc.validator:
-            return False
-        pk = self.executor_pks[resp.node_index]
-        if not pk.verify(resp.signature, resp.x, resp.reqid, resp.y_bytes):
+        lc = self.lifecycles.get(resp.reqid)
+        if (lc is None or resp.node_index != lc.validator
+                or not response_signed(self.executor_pks, resp)):
             return False
         lc.validator_response = resp
         return True
@@ -697,8 +744,7 @@ class ArbitrationContract:
         if reqid in self.outcomes:
             return self.outcomes[reqid]
         for resp in (request.asserter, request.validator):
-            pk = self.executor_pks[resp.node_index]
-            if not pk.verify(resp.signature, resp.x, resp.reqid, resp.y_bytes):
+            if not response_signed(self.executor_pks, resp):
                 raise InvalidSignatureError(
                     f"evidence signature of node {resp.node_index} invalid")
 

@@ -35,7 +35,7 @@ from .protocol import (
     SettlementContract,
     draw_validator,
     payout,
-    selection_string,
+    selection_from_prefix,
     user_submit,
 )
 
@@ -104,6 +104,8 @@ class ExecStrategy:
     def from_dict(cls, data) -> "ExecStrategy":
         if isinstance(data, str):
             return cls(kind=data)
+        if not isinstance(data, dict):
+            raise ValueError(f"an executor strategy is a kind or an object, not {data!r}")
         return cls(kind=data.get("kind", HONEST),
                    fraud_probability=data.get("fraud_probability", 0.0),
                    group=data.get("group"))
@@ -168,6 +170,8 @@ class ScenarioConfig:
                                       or not 0 <= value < self.network.executors):
                 raise ValueError(f"{name} must be an executor index in "
                                  f"[0, {self.network.executors})")
+        if type(self.sweep_trials) is not int or self.sweep_trials < 1:
+            raise ValueError("sweep_trials must be an integer >= 1")
 
     @property
     def byzantine_budget(self) -> int:
@@ -196,6 +200,9 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         net = NetworkConfig(**data["network"])
+        for name in ("executor_overrides", "orchestrator_overrides"):
+            if not isinstance(data.get(name, {}), dict):
+                raise ValueError(f"{name} must be an object keyed by index")
         return cls(
             network=net,
             master_seed=bytes.fromhex(data["master_seed"]),
@@ -423,14 +430,13 @@ class _Simulation(_World):
 
     # -- request pipeline --------------------------------------------------
 
-    def execute(self, reqid: bytes, node: int, y: bytes,
-                role: str) -> protocol.ExecutorResponse:
-        resp = protocol.asserter_execute(
-            self.committee.task_message(reqid), self.executors[node],
-            self.committee.orch_pks, self.config.network.quorum, y)
-        if resp is None:
+    def execute(self, reqid: bytes, node: int, y: bytes, role: str) -> None:
+        """The node executes the request's task; the committee collects the
+        signed response (``ExecutorNode.response``) one epoch later."""
+        if not protocol.asserter_execute(
+                self.committee.task_message(reqid), self.executors[node],
+                self.committee.orch_pks, self.config.network.quorum, y):
             raise protocol.ProtocolError(f"{role} failed to collect a task quorum")
-        return resp
 
     def timeout(self, epoch: int, reqid: bytes, role: str, attempt: int) -> None:
         if attempt > MAX_ATTEMPTS:
@@ -466,8 +472,9 @@ class _Simulation(_World):
             epoch = yield self.config.network.t_assert
             self.timeout(epoch, reqid, "asserter", lc.assert_attempt)
             epoch = yield 1
-        resp = self.execute(reqid, asserter, y, "asserter")
+        self.execute(reqid, asserter, y, "asserter")
         epoch = yield 1
+        resp = self.executors[asserter].response(reqid)
         if not committee.accept_asserter_response(resp):
             raise protocol.ProtocolError("asserter response rejected")
         self.trace("assert", epoch, reqid, crypto.sha256(resp.y_bytes))
@@ -492,8 +499,9 @@ class _Simulation(_World):
                 epoch = yield self.config.network.t_validate
                 self.timeout(epoch, reqid, "validator", lc.validate_attempt)
                 epoch = yield 1
-            check = self.execute(reqid, validator, y, "validator")
+            self.execute(reqid, validator, y, "validator")
             epoch = yield 1
+            check = self.executors[validator].response(reqid)
             if not committee.accept_validator_response(check):
                 raise protocol.ProtocolError("validator response rejected")
             self.trace("validate", epoch, reqid, crypto.sha256(check.y_bytes))
@@ -655,8 +663,9 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
     focal = config.focal_executor
     account = f"exec:{focal}"
     table, leak, wrong_b = world.strategies, world.leak, world.wrong
-    x, y_true_b = world.x, world.y_true_b
-    pk_user = world.user_keys.public.raw
+    y_true_b = world.y_true_b
+    # every trial's request id and selection string begin with these bytes
+    prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
 
     def focal_payoff(deltas, cost: float) -> float:
         return sum(d.amount for d in deltas if d.account == account) - cost
@@ -673,9 +682,9 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
     challenges = 0
     for t in range(trials):
         sub = prf(master, b"trial" + t.to_bytes(8, "big"))
-        reqid = crypto.derive_reqid(pk_user, x, t.to_bytes(8, "big"))
+        reqid = crypto.reqid_from_prefix(prefix, t.to_bytes(8, "big"))
         tau_chal = prf(sub, b"tau-chal")
-        s = selection_string(pk_user, x, reqid)
+        s = selection_from_prefix(prefix, reqid)
         if not crypto.sampled(tau_chal, s, net.challenge_probability):
             for tally in tallies:
                 tally.add(tally.unchallenged)
@@ -687,7 +696,7 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
             if attempt > MAX_ATTEMPTS:
                 raise protocol.ProtocolError("no responsive validator found")
             attempt += 1
-            j = draw_validator(tau_chal, selection_string(pk_user, x, reqid, attempt),
+            j = draw_validator(tau_chal, selection_from_prefix(prefix, reqid, attempt),
                                focal, net.executors)
         # a free-riding validator copies whatever the focal node asserted
         copied = leak and table[j].adversarial

@@ -383,6 +383,20 @@ class TestScenarioValidation:
         for code, err in self.run_all(scenario, tmp_path, capsys):
             assert code == 2 and "invalid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario", [
+        {"executor_overrides": {"1": 5}},
+        {"executor_overrides": [1]},
+        {"orchestrator_overrides": ["withhold"]},
+        {"byzantine_fraction": 0.25, "byzantine_strategy": ["x"]},
+        {"sweep_trials": "x"},
+        {"sweep_trials": 0},
+        {"sweep_trials": 2.0},
+    ], ids=["number-override", "list-of-overrides", "list-of-orchestrator-overrides",
+            "list-strategy", "str-trials", "zero-trials", "float-trials"])
+    def test_malformed_shape_exits_2(self, tmp_path, capsys, scenario):
+        for code, err in self.run_all(scenario, tmp_path, capsys):
+            assert code == 2 and "invalid" in err and "Traceback" not in err
+
     def test_largest_group_runs(self, tmp_path, capsys):
         scenario = {"executor_overrides": {"1": {"kind": "collude", "group": sim.MAX_GROUP - 1}},
                     "user_colludes_with": 7, "focal_executor": 7}

@@ -8,7 +8,7 @@ from unittest.mock import patch
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posp import crypto, protocol
 from posp.crypto import KeyPair, prf
@@ -79,12 +79,21 @@ class World:
         req = user_submit(self.x, nonce, self.user)
         return self.committee.accept_request(req)
 
+    def execute(self, reqid, node, y_bytes, task=None):
+        """Node ``node``'s signed response to the request's task message (or
+        to ``task``), or None when the node does not execute it."""
+        task = self.committee.task_message(reqid) if task is None else task
+        executor = self.executors[node]
+        if not asserter_execute(task, executor, self.committee.orch_pks, self.net.quorum,
+                                y_bytes):
+            assert executor.queued == []
+            return None
+        return executor.response(task.reqid)
+
     def assert_output(self, reqid, y, epoch=1):
         tau = prf(SEED, b"tau" + epoch.to_bytes(4, "big"))
         i = self.committee.select_asserter(reqid, tau)
-        resp = asserter_execute(
-            self.committee.task_message(reqid), self.executors[i],
-            self.committee.orch_pks, self.net.quorum, encode_vector(y))
+        resp = self.execute(reqid, i, encode_vector(y))
         assert resp is not None
         assert self.committee.accept_asserter_response(resp)
         return i
@@ -93,9 +102,7 @@ class World:
         tau = prf(SEED, b"tau-chal")
         assert self.committee.challenge_decision(reqid, tau)
         j = self.committee.select_validator(reqid, tau)
-        resp = asserter_execute(
-            self.committee.task_message(reqid), self.executors[j],
-            self.committee.orch_pks, self.net.quorum, encode_vector(y))
+        resp = self.execute(reqid, j, encode_vector(y))
         assert resp is not None
         assert self.committee.accept_validator_response(resp)
         return j
@@ -171,9 +178,7 @@ class TestExecutorQuorum:
         reqid = w.submit()
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
-        resp = asserter_execute(
-            w.committee.task_message(reqid), w.executors[i],
-            w.committee.orch_pks, w.net.quorum, encode_vector(forward(w.model, w.x_vec)))
+        resp = w.execute(reqid, i, encode_vector(forward(w.model, w.x_vec)))
         assert resp is not None and resp.y_bytes == w.y_true_b
 
     def test_below_quorum_waits(self):
@@ -182,8 +187,7 @@ class TestExecutorQuorum:
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
         task = w.committee.task_message(reqid)
-        resp = asserter_execute(replace(task, votes=task.votes[: w.net.quorum - 1]),
-                                w.executors[i], w.committee.orch_pks, w.net.quorum, w.y_true_b)
+        resp = w.execute(reqid, i, w.y_true_b, replace(task, votes=task.votes[: w.net.quorum - 1]))
         assert resp is None
 
     def test_forgeries_ignored(self):
@@ -193,8 +197,7 @@ class TestExecutorQuorum:
         i = w.committee.select_asserter(reqid, tau)
         task = w.committee.task_message(reqid)
         forged = tuple((k, b"\x00" * 64) for k, _ in task.votes[: w.net.fault_bound])
-        resp = asserter_execute(replace(task, votes=forged + task.votes), w.executors[i],
-                                w.committee.orch_pks, w.net.quorum, w.y_true_b)
+        resp = w.execute(reqid, i, w.y_true_b, replace(task, votes=forged + task.votes))
         assert resp is not None
 
     def test_duplicate_senders_not_counted(self):
@@ -203,8 +206,7 @@ class TestExecutorQuorum:
         tau = prf(SEED, b"tau")
         i = w.committee.select_asserter(reqid, tau)
         task = w.committee.task_message(reqid)
-        resp = asserter_execute(replace(task, votes=task.votes[:1] * 5), w.executors[i],
-                                w.committee.orch_pks, w.net.quorum, w.y_true_b)
+        resp = w.execute(reqid, i, w.y_true_b, replace(task, votes=task.votes[:1] * 5))
         assert resp is None
 
 
@@ -257,7 +259,7 @@ class TestOneQuorumRule:
         assert len(task.votes) == w.net.committee_size
         calls = count_checks(monkeypatch)
         assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b) is not None
+                                w.net.quorum, w.y_true_b) is True
         # just signed, so the memo proves a quorum without any real verify
         assert (len(calls["signed_here"]), len(calls["verify"])) == (w.net.quorum, 0)
 
@@ -269,7 +271,7 @@ class TestOneQuorumRule:
         monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
         calls = count_checks(monkeypatch)
         assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b) is not None
+                                w.net.quorum, w.y_true_b) is True
         assert len(calls["verify"]) == w.net.quorum
 
     def test_equivocating_vote_not_verified_once_memo_reaches_quorum(self, monkeypatch):
@@ -279,7 +281,7 @@ class TestOneQuorumRule:
         task = w.committee.task_message(reqid)
         calls = count_checks(monkeypatch)
         assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b) is not None
+                                w.net.quorum, w.y_true_b) is True
         assert calls["verify"] == []
 
     def test_repeated_message_verified_once(self, monkeypatch):
@@ -289,7 +291,7 @@ class TestOneQuorumRule:
         task = w.committee.task_message(reqid)
         calls = count_checks(monkeypatch)
         assert asserter_execute(replace(task, votes=task.votes[:1] * 5), w.executors[i],
-                                w.committee.orch_pks, w.net.quorum, w.y_true_b) is None
+                                w.committee.orch_pks, w.net.quorum, w.y_true_b) is False
         assert (len(calls["signed_here"]), len(calls["verify"])) == (1, 0)
 
     @pytest.mark.parametrize("case", list(QUORUM_CASES))
@@ -306,7 +308,7 @@ class TestOneQuorumRule:
             return replace(message, votes=tuple(pick(list(message.votes), q)))
 
         task_ok = asserter_execute(picked(w.committee.task_message(reqid)),
-                                   w.executors[0], pks, q, w.y_true_b) is not None
+                                   w.executors[0], pks, q, w.y_true_b)
         try:
             w.arbitration.arbitrate(picked(w.committee.arbitration_request(reqid)))
             arbitration_ok = True
@@ -369,8 +371,7 @@ class TestTaskBatch:
         return reqids
 
     def answer(self, w: World, task):
-        return asserter_execute(task, w.executors[0], w.committee.orch_pks,
-                                w.net.quorum, w.y_true_b)
+        return w.execute(task.reqid, 0, w.y_true_b, task)
 
     def test_batch_answers_its_request(self):
         w = World()
@@ -399,7 +400,7 @@ class TestTaskBatch:
         w = World()
         (reqid,) = self.batch_of(w, 1)
         task = w.committee.task_message(reqid)
-        assert task.path == () and task.root == crypto.merkle_leaf(w.x, reqid)
+        assert task.path == b"" and task.root == crypto.merkle_leaf(w.x, reqid)
         assert self.answer(w, task).reqid == reqid
 
     @pytest.mark.parametrize("tamper", [
@@ -409,12 +410,11 @@ class TestTaskBatch:
         w = World()
         reqids = self.batch_of(w, 3)
         task = w.committee.task_message(reqids[0])
-        step = task.path[0]
         other_batch = w.committee.task_message(self.batch_of(w, 5, "other")[4])
         change = {
-            "path byte": {"path": (flip(step, 1),) + task.path[1:]},
+            "path byte": {"path": flip(task.path, 1)},
             "root byte": {"root": flip(task.root, 0)},
-            "side flag": {"path": (flip(step, 0),) + task.path[1:]},
+            "side flag": {"path": flip(task.path, 0)},
             "other request's path": {"path": w.committee.task_message(reqids[1]).path},
             "other batch's path": {"path": other_batch.path},
             # the other batch's votes are valid on its root, but its path
@@ -441,10 +441,29 @@ class TestTaskBatch:
         (bytearray(33),), (None,), (0,), None, 7, "path", [b"\x00" * 33],
         (b"\x00" * 33,) * (crypto.MERKLE_MAX_DEPTH + 1)], ids=repr)
     def test_malformed_path_is_not_proven(self, path):
+        # paths that are not bytes, tuples of steps among them
         w = World()
         reqid = self.batch_of(w, 2)[0]
         task = w.committee.task_message(reqid)
         assert crypto.merkle_proves(task.root, crypto.merkle_leaf(w.x, reqid), path) is False
+        assert self.answer(w, replace(task, path=path)) is None
+
+    @pytest.mark.parametrize("malformed", [
+        lambda path: b"step too short", lambda path: b"\x00" * 32, lambda path: path[:-1],
+        lambda path: path + b"\x00", lambda path: b"\x02" + path[1:],
+        lambda path: bytearray(path), lambda path: memoryview(path),
+        lambda path: type("BytesSubclass", (bytes,), {})(path),
+        lambda path: path + bytes(33) * crypto.MERKLE_MAX_DEPTH],
+        ids=["short", "32 bytes", "truncated", "one byte more", "no such side", "bytearray",
+             "memoryview", "bytes subclass", "too deep"])
+    def test_malformed_bytes_path_is_not_proven(self, malformed):
+        w = World()
+        reqid = self.batch_of(w, 2)[0]
+        task = w.committee.task_message(reqid)
+        leaf = crypto.merkle_leaf(w.x, reqid)
+        assert len(task.path) == 33 and crypto.merkle_proves(task.root, leaf, task.path)
+        path = malformed(task.path)
+        assert crypto.merkle_proves(task.root, leaf, path) is False
         assert self.answer(w, replace(task, path=path)) is None
 
     def test_malformed_root_is_not_proven(self):
@@ -489,6 +508,190 @@ class TestTaskBatch:
             kp.sign(k.to_bytes(4, "big"))
             assert kp.public.signed_here(vote, message)
         assert len(crypto._SIGNED) <= crypto._SIGNED_MAX
+
+
+class TestResponseBatch:
+    """An executor queues its outputs unsigned and signs one Merkle root per
+    batch of responses; each response carries the root, the signature and
+    its own inclusion path."""
+
+    def executed(self, w: World, node: int, reqids, y_bytes=None):
+        """Node ``node`` executes every request's task, unsigned."""
+        for reqid in reqids:
+            assert asserter_execute(w.committee.task_message(reqid), w.executors[node],
+                                    w.committee.orch_pks, w.net.quorum,
+                                    w.y_true_b if y_bytes is None else y_bytes)
+
+    def test_one_signature_per_batch(self, monkeypatch):
+        w = World()
+        reqids = [w.submit(f"n{k}".encode()) for k in range(3)]
+        w.committee.task_message(reqids[0])  # the orchestrators sign the task batch
+        node = w.executors[2]
+        signs = []
+        real_sign = crypto.KeyPair.sign
+        monkeypatch.setattr(crypto.KeyPair, "sign",
+                            lambda kp, *fields: signs.append(fields) or real_sign(kp, *fields))
+        self.executed(w, 2, reqids)
+        assert signs == [] and len(node.queued) == 3
+        # the first collection seals all three, in any order
+        responses = [node.response(reqid) for reqid in reversed(reqids)][::-1]
+        assert len(signs) == 1 and signs[0][0] == b"responses"
+        root = responses[0].root
+        assert signs[0][1] == root and node.queued == [] and node.sealed == {}
+        assert all(r.root == root and r.signature is responses[0].signature for r in responses)
+        assert [r.reqid for r in responses] == reqids
+        for r in responses:
+            assert protocol.response_signed(w.committee.executor_pks, r)
+            assert crypto.merkle_proves(root, crypto.merkle_leaf(r.x, r.reqid, r.y_bytes), r.path)
+
+    def test_response_executed_after_a_seal_is_the_next_batch(self):
+        w = World()
+        first, later = w.submit(b"n1"), w.submit(b"n2")
+        node = w.executors[1]
+        self.executed(w, 1, [first])
+        sealed = node.response(first)
+        self.executed(w, 1, [later])
+        again = node.response(later)
+        assert sealed.root != again.root and sealed.path == again.path == b""
+
+    def test_response_is_handed_out_once(self):
+        w = World()
+        reqid = w.submit()
+        self.executed(w, 0, [reqid])
+        w.executors[0].response(reqid)
+        with pytest.raises(ProtocolError):
+            w.executors[0].response(reqid)
+        # a request the node never executed
+        with pytest.raises(ProtocolError):
+            w.executors[1].response(reqid)
+
+    def test_committee_accepts_batched_responses(self):
+        w = World(p=1.0)
+        reqids = [w.submit(f"n{k}".encode()) for k in range(5)]
+        asserters = [w.committee.select_asserter(reqid, prf(SEED, b"tau")) for reqid in reqids]
+        for reqid, node in zip(reqids, asserters):
+            self.executed(w, node, [reqid])
+        for reqid, node in zip(reqids, asserters):
+            assert w.committee.accept_asserter_response(w.executors[node].response(reqid))
+
+    def test_response_from_another_node_is_refused(self):
+        # validly signed, but not by the request's asserter or validator
+        w = World(p=1.0)
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        other = w.execute(reqid, (i + 1) % w.net.executors, w.y_true_b)
+        assert protocol.response_signed(w.committee.executor_pks, other)
+        assert not w.committee.accept_asserter_response(other)
+        assert w.committee.accept_asserter_response(w.execute(reqid, i, w.y_true_b))
+        assert w.committee.challenge_decision(reqid, prf(SEED, b"tau-chal"))
+        j = w.committee.select_validator(reqid, prf(SEED, b"tau-chal"))
+        stranger = next(k for k in range(w.net.executors) if k not in (i, j))
+        assert not w.committee.accept_validator_response(w.execute(reqid, stranger, w.y_true_b))
+        assert w.committee.accept_validator_response(w.execute(reqid, j, w.y_true_b))
+
+    def test_unknown_request_is_refused(self):
+        w = World()
+        reqid = w.submit()
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        resp = w.execute(reqid, i, w.y_true_b)
+        assert not w.committee.accept_asserter_response(replace(resp, reqid=flip(reqid, 0)))
+        assert not w.committee.accept_validator_response(replace(resp, reqid=flip(reqid, 0)))
+        assert w.committee.accept_asserter_response(resp)
+
+
+# The response fields a property example may alter, and the swaps.
+RESPONSE_FIELDS = ["x", "reqid", "node_index", "y_bytes", "root", "path", "signature"]
+RESPONSE_SWAPS = ["another leaf's path", "another executor's root"]
+
+
+def altered_response(w: World, resp, change: str, at: int, other_path: bytes,
+                     other_root: bytes):
+    """``resp`` with one field altered: a flipped byte, another node index
+    (in range or not), or a swapped path or root."""
+    if change == "another leaf's path":
+        return replace(resp, path=other_path)
+    if change == "another executor's root":
+        return replace(resp, root=other_root)
+    value = getattr(resp, change)
+    if change == "node_index":
+        others = [k for k in range(-1, w.net.executors + 1) if k != value]
+        return replace(resp, node_index=others[at % len(others)])
+    return replace(resp, **{change: flip(value, at % len(value))})
+
+
+class TestResponseProofs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["asserter", "validator"]),
+           st.sampled_from(RESPONSE_FIELDS + RESPONSE_SWAPS),
+           st.integers(2, 6), st.integers(0, 5), st.integers(0, 1 << 16))
+    # node indices just outside [0, executors): -1 and 4 on this network
+    @example("asserter", "node_index", 2, 0, 0)
+    @example("validator", "node_index", 2, 0, 4)
+    def test_any_altered_response_is_refused(self, role, change, size, target, at):
+        w = World(p=1.0)
+        pks, q = w.committee.orch_pks, w.net.quorum
+        reqids = [w.submit(f"n{k}".encode()) for k in range(size)]
+        reqid = reqids[target % size]
+        wrong = encode_vector(corrupt(w.y_true, "offset"))
+        tau_chal = prf(SEED, b"tau-chal")
+        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        # drawn now, so the validator's response can be checked before the
+        # asserter's is accepted; the challenge below draws the same node
+        j = w.committee.select_validator(reqid, tau_chal)
+        k = min({0, 1, 2} - {i, j})
+
+        def batch(node, y_bytes):
+            """Node ``node`` executes every request of the batch and hands out
+            all the responses; the first seals the batch."""
+            for r in reqids:
+                assert asserter_execute(w.committee.task_message(r), w.executors[node],
+                                        pks, q, y_bytes)
+            return {r: w.executors[node].response(r) for r in reqids}
+
+        by_role = {"asserter": batch(i, wrong), "validator": batch(j, w.y_true_b)}
+        # a third executor's batch over the same requests, with another output
+        third = batch(k, encode_vector(corrupt(w.y_true, "offset", 3)))
+        honest = by_role[role][reqid]
+        neighbour = reqids[(target + 1) % size]
+        bogus = altered_response(w, honest, change, at, by_role[role][neighbour].path,
+                                 third[reqid].root)
+        assert bogus != honest
+        accept = {"asserter": w.committee.accept_asserter_response,
+                  "validator": w.committee.accept_validator_response}[role]
+
+        def verdicts(request):
+            """(accepted, arbitration under the honest votes, arbitration
+            under votes on the altered request), errors as their names."""
+            def arbitrate(req):
+                try:
+                    w.arbitration.arbitrate(req)
+                except (InvalidSignatureError, BelowQuorumError) as exc:
+                    return type(exc).__name__
+                return "arbitrated"
+            altered = replace(request, **{role: bogus})
+            revoted = replace(altered, votes=w.committee._votes(*altered.tuple_fields()))
+            return (accept(bogus), arbitrate(altered), arbitrate(revoted))
+
+        # the committee's request, with the honest responses, before either is
+        # accepted: arbitration reads only the request
+        request = protocol.ArbitrationRequest(
+            x=w.x, reqid=reqid, asserter=by_role["asserter"][reqid],
+            validator=by_role["validator"][reqid])
+        request = replace(request, votes=w.committee._votes(*request.tuple_fields()))
+        with_memo = verdicts(request)
+        with patch.object(crypto, "_SIGNED", OrderedDict()):
+            without_memo = verdicts(request)
+        assert with_memo == without_memo == (False, "BelowQuorumError", "InvalidSignatureError")
+        assert reqid not in w.arbitration.outcomes
+
+        # the unaltered responses still go through
+        assert w.committee.accept_asserter_response(by_role["asserter"][reqid])
+        assert w.committee.challenge_decision(reqid, tau_chal)
+        assert w.committee.select_validator(reqid, tau_chal) == j
+        assert w.committee.accept_validator_response(by_role["validator"][reqid])
+        assert w.committee.compare_and_route(reqid) == "arbitrate"
+        outcome = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
+        assert not outcome.asserter_honest and outcome.validator_honest
 
 
 class TestChallengeDecision:
@@ -623,14 +826,19 @@ class TestArbitration:
         self.arbitrate_altered_first(w, lambda request: replace(request, x=request.x + b"!"))
 
     @pytest.mark.parametrize("role", ["asserter", "validator"])
-    @pytest.mark.parametrize("field", ["node_index", "x", "reqid", "y_bytes", "signature"])
+    @pytest.mark.parametrize("field", ["node_index", "x", "reqid", "y_bytes", "root", "path",
+                                       "signature"])
     def test_altered_evidence_first_does_not_block_quorum(self, role, field):
         w = World(p=1.0)
 
         def alter(request):
             resp = getattr(request, role)
             value = getattr(resp, field)
-            value = (value + 1) % w.net.executors if field == "node_index" else flip(value, 0)
+            if field == "node_index":
+                value = (value + 1) % w.net.executors
+            else:
+                # a one-response batch has an empty path
+                value = flip(value, 0) if value else bytes(33)
             return replace(request, **{role: replace(resp, **{field: value})})
         self.arbitrate_altered_first(w, alter)
 
@@ -641,11 +849,7 @@ class TestArbitration:
         w.validate_output(reqid, w.y_true)
         w.committee.compare_and_route(reqid)
         lc = w.committee.lifecycles[reqid]
-        forged_asserter = protocol.ExecutorResponse(
-            x=lc.asserter_response.x, reqid=reqid,
-            node_index=lc.asserter_response.node_index,
-            y_bytes=lc.asserter_response.y_bytes, signature=b"\x00" * 64)
-        lc.asserter_response = forged_asserter
+        lc.asserter_response = replace(lc.asserter_response, signature=b"\x00" * 64)
         with pytest.raises(InvalidSignatureError):
             w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
 
@@ -655,8 +859,7 @@ class TestArbitration:
         w = World(p=1.0)
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        resp = asserter_execute(w.committee.task_message(reqid), w.executors[i],
-                                w.committee.orch_pks, w.net.quorum, b"\x00" * 7)
+        resp = w.execute(reqid, i, b"\x00" * 7)
         assert w.committee.accept_asserter_response(resp)
         w.validate_output(reqid, w.y_true)
         assert w.committee.compare_and_route(reqid) == "arbitrate"
