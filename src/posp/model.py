@@ -1,13 +1,15 @@
 """Deterministic stand-in for the outsourced function: a small feed-forward
 network evaluated entirely in Q16.16 fixed point, so two independent
-evaluations on any platform are byte-identical.  Also provides the
-wrong-result generators used by simulated adversaries.
+evaluations on any platform are byte-identical.  `Fixed`, `fixed_mul` and
+`relu` specify the arithmetic; `forward` runs it on raw ints, range-checking
+every product and partial sum.  Also provides the wrong-result generator
+used by simulated adversaries.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import crypto
@@ -36,7 +38,11 @@ class Fixed:
 
     @classmethod
     def from_float(cls, value: float) -> "Fixed":
-        return cls(_check_raw(int(round(value * ONE))))
+        try:
+            raw = int(round(value * ONE))
+        except OverflowError:  # infinite, or finite but infinite once scaled
+            raise FixedOverflowError(f"{value} outside the Q16.16 range") from None
+        return cls(_check_raw(raw))
 
     @classmethod
     def from_int(cls, value: int) -> "Fixed":
@@ -80,6 +86,13 @@ class ToyModel:
     weights: tuple[tuple[tuple[Fixed, ...], ...], ...]
     biases: tuple[tuple[Fixed, ...], ...]
     seed: bytes
+    # per layer, the raw weight column into each output and the raw biases
+    _layers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_layers", tuple(
+            (tuple(tuple(v.raw for v in col) for col in zip(*w)), tuple(v.raw for v in b))
+            for w, b in zip(self.weights, self.biases)))
 
     @property
     def input_dim(self) -> int:
@@ -126,43 +139,40 @@ def generate_model(seed: bytes, dims: Sequence[int]) -> ToyModel:
 
 
 def forward(model: ToyModel, x: Sequence[Fixed]) -> tuple[Fixed, ...]:
-    """Bit-exact evaluation; accumulation order is pinned (row-major)."""
+    """Bit-exact evaluation on raw Q16.16 ints, in the pinned (row-major)
+    order: products round like `fixed_mul`, and a product or partial sum
+    outside the signed 64-bit range raises `FixedOverflowError` at once."""
     if len(x) != model.input_dim:
         raise ValueError(f"expected input of length {model.input_dim}, got {len(x)}")
-    activ = tuple(x)
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+    lo, hi, frac = _RAW_MIN, _RAW_MAX, FRAC_BITS
+    activ = [v.raw for v in x]
+    last = len(model._layers) - 1
+    for l, (columns, biases) in enumerate(model._layers):
         out = []
-        for j in range(len(b)):
-            acc = b[j]
-            for i in range(len(activ)):
-                acc = acc + fixed_mul(w[i][j], activ[i])
+        for column, acc in zip(columns, biases):
+            for w, a in zip(column, activ):
+                p = (w * a) >> frac
+                acc += p
+                if not (lo <= p <= hi and lo <= acc <= hi):
+                    _check_raw(p)
+                    _check_raw(acc)
             out.append(acc)
-        if l != last:
-            out = [relu(v) for v in out]
-        activ = tuple(out)
-    return activ
-
-
-CORRUPT_MODES = ("flip-last-bit", "constant", "offset")
+        activ = out if l == last else [v if v > 0 else 0 for v in out]
+    return tuple(Fixed(v) for v in activ)
 
 
 def corrupt(y: Sequence[Fixed], mode: str, amount: Optional[int] = None) -> tuple[Fixed, ...]:
     """Deterministic wrong-result generator; differs from y when y is nonempty.
 
-    ``amount`` lets distinct adversary groups produce distinct wrong results
-    (offset step, default 1, or constant raw value, default 0x2A).
+    ``"offset"``, the one mode, adds ``amount`` (default 1) to every raw
+    value, so distinct adversary groups can produce distinct wrong results.
     """
-    if mode == "flip-last-bit":
-        return tuple(Fixed(v.raw ^ 1) for v in y)
-    if mode == "constant":
-        return tuple(Fixed(0x2A if amount is None else amount) for _ in y)
-    if mode == "offset":
-        step = 1 if amount is None else amount
-        if step == 0:
-            raise ValueError("offset amount must be nonzero")
-        return tuple(Fixed(_check_raw(v.raw + step)) for v in y)
-    raise ValueError(f"unknown corruption mode {mode!r}")
+    if mode != "offset":
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    step = 1 if amount is None else amount
+    if step == 0:
+        raise ValueError("offset amount must be nonzero")
+    return tuple(Fixed(_check_raw(v.raw + step)) for v in y)
 
 
 def encode_vector(y: Sequence[Fixed]) -> bytes:
