@@ -24,17 +24,20 @@ class FixedOverflowError(ArithmeticError):
     """Raised instead of wrapping around on any out-of-range result."""
 
 
-def _check_raw(raw: int) -> int:
+def _check_raw(raw: int) -> None:
     if raw < _RAW_MIN or raw > _RAW_MAX:
         raise FixedOverflowError(f"raw value {raw} outside signed 64-bit range")
-    return raw
 
 
 @dataclass(frozen=True, slots=True)
 class Fixed:
-    """Signed 64-bit Q16.16 value (raw / 2^16)."""
+    """Signed 64-bit Q16.16 value (raw / 2^16); a raw value outside the
+    signed 64-bit range raises `FixedOverflowError`."""
 
     raw: int
+
+    def __post_init__(self):
+        _check_raw(self.raw)
 
     @classmethod
     def from_float(cls, value: float) -> "Fixed":
@@ -42,20 +45,20 @@ class Fixed:
             raw = int(round(value * ONE))
         except OverflowError:  # infinite, or finite but infinite once scaled
             raise FixedOverflowError(f"{value} outside the Q16.16 range") from None
-        return cls(_check_raw(raw))
+        return cls(raw)
 
     @classmethod
     def from_int(cls, value: int) -> "Fixed":
-        return cls(_check_raw(value * ONE))
+        return cls(value * ONE)
 
     def to_float(self) -> float:
         return self.raw / ONE
 
     def __add__(self, other: "Fixed") -> "Fixed":
-        return Fixed(_check_raw(self.raw + other.raw))
+        return Fixed(self.raw + other.raw)
 
     def __sub__(self, other: "Fixed") -> "Fixed":
-        return Fixed(_check_raw(self.raw - other.raw))
+        return Fixed(self.raw - other.raw)
 
     def __mul__(self, other: "Fixed") -> "Fixed":
         return fixed_mul(self, other)
@@ -67,7 +70,7 @@ ZERO = Fixed(0)
 def fixed_mul(a: Fixed, b: Fixed) -> Fixed:
     # Python's >> on the (arbitrary-precision) product truncates toward
     # negative infinity, which is exactly the pinned semantics.
-    return Fixed(_check_raw((a.raw * b.raw) >> FRAC_BITS))
+    return Fixed((a.raw * b.raw) >> FRAC_BITS)
 
 
 def relu(a: Fixed) -> Fixed:
@@ -172,7 +175,7 @@ def corrupt(y: Sequence[Fixed], mode: str, amount: Optional[int] = None) -> tupl
     step = 1 if amount is None else amount
     if step == 0:
         raise ValueError("offset amount must be nonzero")
-    return tuple(Fixed(_check_raw(v.raw + step)) for v in y)
+    return tuple(Fixed(v.raw + step) for v in y)
 
 
 def encode_vector(y: Sequence[Fixed]) -> bytes:

@@ -7,18 +7,15 @@ certificate each carry their payload once, with the (orch_id, signature)
 votes on it.  Every vote is a signature over the canonical fields the
 orchestrator agrees on (``Orchestrator.vote``), and ``_quorum`` accepts a
 message that 2f+1 distinct, in-range orchestrators signed validly.
-Task votes are batched: the orchestrators sign once over the Merkle root of
-every request accepted since the last batch, and each task message carries
-that root, its votes, and the request's inclusion path.  Every task quorum
-probes the root's votes, and the sign memo keeps its most recently matched
-entries, so they are proven without a real verify for as long as the batch
-is in use.
-Executor responses are batched the same way: an executor queues each
-output it computes unsigned, and the first collection of one of them
-(``ExecutorNode.response``) seals every queued output into one Merkle tree
-and signs its root once.  A response carries the root, that signature and
-its own inclusion path, and ``response_signed`` is the one check the
-committee and arbitration make of it.
+Task votes and executor responses follow one seal rule (``seal_batch``):
+the first demand for an unsealed message (``Committee.task_message``,
+``ExecutorNode.response``) seals every message queued since the last seal
+into one Merkle tree, whose root is signed once (the orchestrators' votes on
+a task batch, the executor's signature on a response batch).  Each message
+then carries the root, what was signed on it and its own inclusion path.
+The sign memo keeps its most recently matched entries, so every task quorum
+proves the root's votes without a real verify while the batch is in use;
+``response_signed`` is the one check of a response.
 Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
 past a cap is rejected, which the CLI reports as exit 2.
 
@@ -32,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import crypto
 from .crypto import KeyPair, PublicKey, encode_fields
@@ -217,20 +214,6 @@ class TaskMessage:
     votes: tuple[tuple[int, bytes], ...]
 
 
-@dataclass(frozen=True)
-class TaskBatch:
-    """One batch of accepted requests: every level of its Merkle tree over
-    the requests' (x, reqid) leaves, and the orchestrators' votes on the
-    root as (orch_id, signature)."""
-
-    levels: list[list[bytes]]
-    votes: tuple[tuple[int, bytes], ...]
-
-    @property
-    def root(self) -> bytes:
-        return self.levels[-1][0]
-
-
 @dataclass(frozen=True, slots=True)
 class ExecutorResponse:
     """An executor's output as the bytes it committed to: ``path`` proves
@@ -302,7 +285,7 @@ class RequestLifecycle:
     validator_response: Optional[ExecutorResponse] = None
     assert_attempt: int = 1
     validate_attempt: int = 1
-    batch: Optional[TaskBatch] = None
+    batch: Optional[tuple] = None  # the task batch's (levels, votes) from ``seal_batch``
     leaf: int = 0  # the request's leaf index in ``batch``
     history: list[Phase] = field(default_factory=list)
 
@@ -375,22 +358,28 @@ class ExecutorNode:
         response queued since the last one: the node signs its Merkle root
         once and each response carries its inclusion path."""
         if reqid not in self.sealed and self.queued:
-            self._seal_batch()
+            queued, self.queued = self.queued, []
+            levels, signature = seal_batch(
+                queued, lambda root: self.keypair.sign(b"responses", root))
+            root = levels[-1][0]
+            for leaf, (x, queued_id, y_bytes) in enumerate(queued):
+                self.sealed[queued_id] = ExecutorResponse(
+                    x=x, reqid=queued_id, node_index=self.index, y_bytes=y_bytes, root=root,
+                    path=crypto.merkle_path(levels, leaf), signature=signature)
         try:
             return self.sealed.pop(reqid)
         except KeyError:
             raise ProtocolError(f"node {self.index} has no response for "
                                 f"{reqid.hex()}") from None
 
-    def _seal_batch(self) -> None:
-        queued, self.queued = self.queued, []
-        levels = crypto.merkle_levels([crypto.merkle_leaf(*item) for item in queued])
-        root = levels[-1][0]
-        signature = self.keypair.sign(b"responses", root)
-        for leaf, (x, reqid, y_bytes) in enumerate(queued):
-            self.sealed[reqid] = ExecutorResponse(
-                x=x, reqid=reqid, node_index=self.index, y_bytes=y_bytes, root=root,
-                path=crypto.merkle_path(levels, leaf), signature=signature)
+
+def seal_batch(messages: Sequence[Sequence[bytes]], sign: Callable[[bytes], object]) -> tuple:
+    """The one seal rule of both Merkle batches: the tree over the leaves of
+    ``messages``, each given as its leaf's canonical fields, and
+    ``sign(root)``, called once.  Returns (levels, what ``sign`` returned):
+    the executor's signature, or the orchestrators' votes."""
+    levels = crypto.merkle_levels([crypto.merkle_leaf(*fields) for fields in messages])
+    return levels, sign(levels[-1][0])
 
 
 def user_submit(x: bytes, nonce: bytes, user_keys: KeyPair) -> SignedRequest:
@@ -458,17 +447,19 @@ def _quorum(orch_pks: Sequence[PublicKey], quorum: int, fields: tuple[bytes, ...
     """The one 2f+1 rule: whether ``quorum`` distinct in-range orchestrators
     signed the message given as its canonical ``fields`` validly.
 
-    ``votes`` are (orch_id, signature) pairs.  Votes that ``KeyPair.sign``
-    made in this process are counted first, from the sign memo alone
-    (``PublicKey.signed_here``).  Only if they fall short are the other
-    votes verified for real, in order, until the count reaches quorum.  A
-    signer that has already counted is skipped unverified.
+    ``votes`` are (orch_id, signature) pairs; a vote whose id is not an
+    ``int`` is skipped, as ``response_signed`` refuses such a node index.
+    Votes that ``KeyPair.sign`` made in this process are counted first, from
+    the sign memo alone (``PublicKey.signed_here``).  Only if they fall
+    short are the other votes verified for real, in order, until the count
+    reaches quorum.  A signer that has already counted is skipped
+    unverified.
     """
     message = encode_fields(*fields)
     seen: set[int] = set()
     unproven = []
     for orch_id, sig in votes:
-        if not 0 <= orch_id < len(orch_pks) or orch_id in seen:
+        if type(orch_id) is not int or not 0 <= orch_id < len(orch_pks) or orch_id in seen:
             continue
         if orch_pks[orch_id].signed_here(sig, message):
             seen.add(orch_id)
@@ -577,19 +568,14 @@ class Committee:
         reuse it."""
         lc = self.lifecycles[reqid]
         if lc.batch is None:
-            self._seal_batch()
-        batch = lc.batch
-        return TaskMessage(x=lc.x, reqid=reqid, root=batch.root,
-                           path=crypto.merkle_path(batch.levels, lc.leaf), votes=batch.votes)
-
-    def _seal_batch(self) -> None:
-        reqids, self.unbatched = self.unbatched, []
-        lifecycles = [self.lifecycles[reqid] for reqid in reqids]
-        levels = crypto.merkle_levels([crypto.merkle_leaf(lc.x, lc.reqid)
-                                       for lc in lifecycles])
-        batch = TaskBatch(levels=levels, votes=self._votes(b"tasks", levels[-1][0]))
-        for leaf, lc in enumerate(lifecycles):
-            lc.batch, lc.leaf = batch, leaf
+            batched, self.unbatched = [self.lifecycles[queued] for queued in self.unbatched], []
+            batch = seal_batch([(member.x, member.reqid) for member in batched],
+                               lambda root: self._votes(b"tasks", root))
+            for leaf, member in enumerate(batched):
+                member.batch, member.leaf = batch, leaf
+        levels, votes = lc.batch
+        return TaskMessage(x=lc.x, reqid=reqid, root=levels[-1][0],
+                           path=crypto.merkle_path(levels, lc.leaf), votes=votes)
 
     def accept_asserter_response(self, resp: ExecutorResponse) -> bool:
         lc = self.lifecycles.get(resp.reqid)

@@ -54,6 +54,15 @@ class TestFixed:
         with pytest.raises(ValueError):
             Fixed.from_float(math.nan)
 
+    @pytest.mark.parametrize("raw", [1 << 63, -(1 << 63) - 1, 1 << 70])
+    def test_out_of_range_raw_rejected(self, raw):
+        with pytest.raises(FixedOverflowError):
+            Fixed(raw)
+
+    def test_range_ends_construct(self):
+        ends = (Fixed(-(1 << 63)), Fixed((1 << 63) - 1))
+        assert model.decode_vector(model.encode_vector(ends)) == ends
+
     def test_from_int_roundtrip(self):
         assert Fixed.from_int(-3).to_float() == -3.0
 
@@ -204,6 +213,13 @@ class TestForward:
         for fn in (model.forward, reference_forward):
             with pytest.raises(FixedOverflowError):
                 fn(m, x)
+
+    def test_out_of_range_parameter_cannot_be_built(self):
+        # input -1.0 would bring the first partial sum back into range
+        with pytest.raises(FixedOverflowError):
+            m = model.ToyModel(dims=(1, 1), weights=(((Fixed.from_float(1.0),),),),
+                               biases=((Fixed(1 << 63),),), seed=bytes(32))
+            model.forward(m, (Fixed.from_float(-1.0),))
 
     def test_deterministic_hash(self):
         m = model.generate_model(bytes([7] * 32), (4, 8, 2))

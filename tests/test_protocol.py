@@ -1,7 +1,7 @@
 """Role state-machine tests: request acceptance, selection, quorum rules,
 challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -319,6 +319,40 @@ class TestOneQuorumRule:
 
         assert (task_ok, arbitration_ok, cert_ok) == (expected,) * 3
 
+    @pytest.mark.parametrize("valid", ["2f", "2f+1"])
+    @pytest.mark.parametrize("as_id", [float, str, lambda k: None], ids=["float", "str", "None"])
+    def test_vote_with_a_non_int_id_is_skipped(self, as_id, valid):
+        # the last orchestrator's valid vote under an id that is not an int,
+        # first, next to 2f or 2f+1 valid votes of the others
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.validate_output(reqid, w.y_true)
+        assert w.committee.compare_and_route(reqid) == "arbitrate"
+        pks, q = w.committee.orch_pks, w.net.quorum
+        count = q if valid == "2f+1" else q - 1
+
+        def picked(message):
+            orch_id, sig = message.votes[-1]
+            return replace(message, votes=((as_id(orch_id), sig),) + message.votes[:count])
+
+        task = picked(w.committee.task_message(reqid))
+        assert asserter_execute(task, w.executors[0], pks, q, w.y_true_b) is (valid == "2f+1")
+        request = picked(w.committee.arbitration_request(reqid))
+        if valid == "2f":
+            with pytest.raises(BelowQuorumError):
+                w.arbitration.arbitrate(request)
+            request = w.committee.arbitration_request(reqid)
+        w.committee.record_arbitration(w.arbitration.arbitrate(request))
+        deltas = w.committee.concluded_deltas()
+        cert = picked(w.committee.certify_batch(deltas))
+        if valid == "2f":
+            with pytest.raises(BelowQuorumError):
+                w.settlement.settle(deltas, cert)
+        else:
+            w.settlement.settle(deltas, cert)
+            assert w.settlement.settled == {reqid}
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(
         st.sampled_from(["honest", "equivocating", "forged", "duplicate", "out-of-range"]),
@@ -393,8 +427,8 @@ class TestTaskBatch:
         assert [lc.leaf for lc in lcs] == [0, 1, 2]
         assert lcs[0].batch is lcs[2].batch
         # every task of the batch carries the batch's one votes tuple
-        assert all(tasks[reqid].votes is lcs[0].batch.votes for reqid in first)
-        assert len(lcs[0].batch.votes) == w.net.committee_size
+        assert all(tasks[reqid].votes is lcs[0].batch[1] for reqid in first)
+        assert len(lcs[0].batch[1]) == w.net.committee_size
 
     def test_one_request_batch_proves_itself(self):
         w = World()
@@ -597,6 +631,102 @@ class TestResponseBatch:
         assert not w.committee.accept_asserter_response(replace(resp, reqid=flip(reqid, 0)))
         assert not w.committee.accept_validator_response(replace(resp, reqid=flip(reqid, 0)))
         assert w.committee.accept_asserter_response(resp)
+
+
+class TestSealRule:
+    """Task votes and executor responses are sealed by one rule: the first
+    demand for an unsealed message seals every message queued since the last
+    seal, under one root signed once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["submit", "task", "execute", "collect"]),
+                              st.integers(0, 63), st.integers(0, 1)), min_size=30, max_size=80))
+    # collecting an already sealed response seals nothing, though another
+    # execution is queued
+    @example([("submit", 0, 0)] * 3 + [("execute", 0, 0), ("execute", 1, 0), ("collect", 0, 0),
+                                       ("execute", 2, 0), ("collect", 0, 0), ("collect", 0, 0)])
+    def test_any_interleaving_seals_what_was_queued(self, steps):
+        w = World()
+        pks, q = w.committee.orch_pks, w.net.quorum
+        signs = Counter()  # (signer's public key, first signed field)
+        real_sign = crypto.KeyPair.sign
+
+        def sign(kp, *fields):
+            signs[kp.public.raw, fields[0]] += 1
+            return real_sign(kp, *fields)
+
+        # the expected batches: request k's task batch, and (node, k)'s
+        # response batch, numbered in seal order
+        reqids, unsealed, task_batch, tasks = [], [], {}, {}
+        queued = [[] for _ in w.executors]
+        response_batch, responses = {}, {}
+        response_seals = [0] * len(w.executors)
+        with patch.object(crypto.KeyPair, "sign", sign):
+            for op, pick, node in steps:
+                if op == "submit":
+                    reqids.append(w.submit(len(reqids).to_bytes(2, "big")))
+                    unsealed.append(len(reqids) - 1)
+                    continue
+                if not reqids:
+                    continue
+                k = pick % len(reqids)
+                if op in ("task", "execute"):
+                    if k not in task_batch:
+                        seal = len(set(task_batch.values()))
+                        task_batch.update((member, seal) for member in unsealed)
+                        unsealed = []
+                    tasks.setdefault(k, []).append(w.committee.task_message(reqids[k]))
+                if op == "execute" and (node, k) not in response_batch and k not in queued[node]:
+                    assert asserter_execute(tasks[k][-1], w.executors[node], pks, q, w.y_true_b)
+                    queued[node].append(k)
+                elif op == "collect":
+                    uncollected = sorted(
+                        [m for (n, m) in response_batch if n == node and (n, m) not in responses]
+                        + queued[node])
+                    if not uncollected:
+                        continue
+                    m = uncollected[pick % len(uncollected)]
+                    if m in queued[node]:
+                        response_batch.update(((node, member), response_seals[node])
+                                              for member in queued[node])
+                        response_seals[node] += 1
+                        queued[node] = []
+                    responses[node, m] = w.executors[node].response(reqids[m])
+                # at every step: one vote per orchestrator per task batch and
+                # one sign per response batch
+                for orch in w.orchestrators:
+                    assert signs[orch.keypair.public.raw, b"tasks"] == len(set(task_batch.values()))
+                for executor, seals in zip(w.executors, response_seals):
+                    assert signs[executor.keypair.public.raw, b"responses"] == seals
+
+        task_leaves = [crypto.merkle_leaf(w.x, reqid) for reqid in reqids]
+        roots, votes = {}, {}
+        for k, demanded in tasks.items():
+            batch = task_batch[k]
+            members = sorted(m for m, b in task_batch.items() if b == batch)
+            assert w.committee.lifecycles[reqids[k]].leaf == members.index(k)
+            for task in demanded:
+                assert (task.x, task.reqid) == (w.x, reqids[k])
+                assert [crypto.merkle_proves(task.root, leaf, task.path)
+                        for leaf in task_leaves] == [m == k for m in range(len(reqids))]
+                assert task.root == roots.setdefault(batch, task.root)
+                assert task.votes is votes.setdefault(batch, task.votes)
+        assert len(set(roots.values())) == len(roots)
+
+        roots, signatures = {}, {}
+        for (node, k), resp in responses.items():
+            batch = (node, response_batch[node, k])
+            assert (resp.node_index, resp.reqid) == (node, reqids[k])
+            assert protocol.response_signed(w.committee.executor_pks, resp)
+            assert [crypto.merkle_proves(resp.root, crypto.merkle_leaf(w.x, reqid, w.y_true_b),
+                                         resp.path)
+                    for reqid in reqids] == [m == k for m in range(len(reqids))]
+            assert resp.root == roots.setdefault(batch, resp.root)
+            assert resp.signature is signatures.setdefault(batch, resp.signature)
+        # a leaf does not name its node, so only one node's roots must differ
+        for node in range(len(w.executors)):
+            node_roots = [root for (n, _), root in roots.items() if n == node]
+            assert len(set(node_roots)) == len(node_roots)
 
 
 # The response fields a property example may alter, and the swaps.
