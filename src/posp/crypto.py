@@ -18,8 +18,10 @@ another key, or evicted) is verified for real.
 
 A Merkle tree commits to many messages under one 32-byte root, so one
 signature over the root covers them all (Merkle 1987).  The protocol signs
-batch roots only: the orchestrators' task votes and each executor's
-responses.  Leaves and interior nodes are hashed with distinct prefixes, as
+batch roots (the orchestrators' task votes and each executor's responses)
+and the user's one message per arrival epoch, which lists the epoch's
+request ids in full: the committee receives them together, so a path per
+request would prove nothing more.  Leaves and interior nodes are hashed with distinct prefixes, as
 in RFC 9162 section 2.1, so no leaf can pass for an interior node.  An
 inclusion path is one ``bytes`` of 33-byte steps, a side byte and the
 sibling's hash each.

@@ -31,12 +31,15 @@ def _check_raw(raw: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Fixed:
-    """Signed 64-bit Q16.16 value (raw / 2^16); a raw value outside the
-    signed 64-bit range raises `FixedOverflowError`."""
+    """Signed 64-bit Q16.16 value (raw / 2^16); a raw value that is not
+    exactly an ``int`` raises `TypeError`, and one outside the signed 64-bit
+    range raises `FixedOverflowError`."""
 
     raw: int
 
     def __post_init__(self):
+        if type(self.raw) is not int:
+            raise TypeError(f"raw must be an int, not {type(self.raw).__name__}")
         _check_raw(self.raw)
 
     @classmethod

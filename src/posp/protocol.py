@@ -1,10 +1,13 @@
 """Executable state machines for every protocol role: user submission,
 orchestrator committee (request acceptance, sampling-based selection,
 challenge routing, timeouts), executors, and the arbitration and settlement
-contracts.  BFT agreement is the committee collecting votes into the
-message it certifies: a task message, an arbitration request and a batch
-certificate each carry their payload once, with the (orch_id, signature)
-votes on it.  Every vote is a signature over the canonical fields the
+contracts.  A user signs once per arrival epoch: ``user_submit`` signs
+(b"requests", reqid_1, ..., reqid_n) over the epoch's requests, and
+``Committee.accept_request`` rebuilds the ids, checks that one signature and
+accepts the whole message or none of it.  BFT agreement is the committee
+collecting votes into the message it certifies: a task message, an
+arbitration request and a batch certificate each carry their payload once,
+with the (orch_id, signature) votes on it.  Every vote is a signature over the canonical fields the
 orchestrator agrees on (``Orchestrator.vote``), and ``_quorum`` accepts a
 message that 2f+1 distinct, in-range orchestrators signed validly.
 Task votes and executor responses follow one seal rule (``seal_batch``):
@@ -191,14 +194,12 @@ class NetworkConfig:
 
 @dataclass(frozen=True, slots=True)
 class SignedRequest:
-    x: bytes
-    nonce: bytes
-    pk_user: bytes
-    signature: bytes
+    """A user's requests of one arrival epoch, as (x, nonce) pairs, with the
+    user's one signature on (b"requests", reqid_1, ..., reqid_n)."""
 
-    @property
-    def reqid(self) -> bytes:
-        return crypto.derive_reqid(self.pk_user, self.x, self.nonce)
+    pk_user: bytes
+    requests: tuple[tuple[bytes, bytes], ...]
+    signature: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,12 +383,15 @@ def seal_batch(messages: Sequence[Sequence[bytes]], sign: Callable[[bytes], obje
     return levels, sign(levels[-1][0])
 
 
-def user_submit(x: bytes, nonce: bytes, user_keys: KeyPair) -> SignedRequest:
-    """Build the broadcast-ready signed request; the signature covers the
-    request id to prevent replay."""
-    reqid = crypto.derive_reqid(user_keys.public.raw, x, nonce)
-    sig = user_keys.sign(x, nonce, reqid)
-    return SignedRequest(x=x, nonce=nonce, pk_user=user_keys.public.raw, signature=sig)
+def user_submit(requests: Sequence[tuple[bytes, bytes]], user_keys: KeyPair) -> SignedRequest:
+    """Build the broadcast-ready message of one arrival epoch's (x, nonce)
+    requests; the one signature covers every request id, in order, to
+    prevent replay."""
+    pk_user = user_keys.public.raw
+    requests = tuple((x, nonce) for x, nonce in requests)
+    reqids = [crypto.derive_reqid(pk_user, x, nonce) for x, nonce in requests]
+    return SignedRequest(pk_user=pk_user, requests=requests,
+                         signature=user_keys.sign(b"requests", *reqids))
 
 
 def selection_string(pk_user: bytes, x: bytes, reqid: bytes, attempt: int = 1) -> bytes:
@@ -527,22 +531,35 @@ class Committee:
 
     # -- Basic protocol ----------------------------------------------------
 
-    def accept_request(self, req: SignedRequest) -> bytes:
-        """Verify the user signature, reject duplicates, debit the payment."""
-        pk = self.user_pks.get(req.pk_user)
+    def accept_request(self, signed: SignedRequest) -> list[bytes]:
+        """Accept a user's message of requests whole or not at all: rebuild
+        every request id, verify the one user signature on them, reject
+        duplicates, and debit each payment.  Returns the ids in order.  A
+        malformed or empty message, an unknown key or a bad signature raises
+        `InvalidSignatureError`, and a repeated or already accepted id
+        `DuplicateRequestError`; either leaves the committee unchanged."""
+        pk_user, requests = signed.pk_user, signed.requests
+        if (type(pk_user) is not bytes or type(requests) is not tuple or not requests
+                or not all(type(pair) is tuple and len(pair) == 2 and type(pair[0]) is bytes
+                           and type(pair[1]) is bytes for pair in requests)):
+            raise InvalidSignatureError("malformed request message")
+        pk = self.user_pks.get(pk_user)
         if pk is None:
             raise InvalidSignatureError("unknown user key")
-        reqid = req.reqid
-        if not pk.verify(req.signature, req.x, req.nonce, reqid):
+        reqids = [crypto.derive_reqid(pk_user, x, nonce) for x, nonce in requests]
+        if not pk.verify(signed.signature, b"requests", *reqids):
             raise InvalidSignatureError("bad user signature")
-        if reqid in self.lifecycles:
-            raise DuplicateRequestError(reqid.hex())
-        self.lifecycles[reqid] = RequestLifecycle(reqid=reqid, pk_user=req.pk_user, x=req.x)
-        self.pending_deltas[reqid] = [
-            LedgerDelta("user", -self.config.payment_b, Reason.USER_PAYMENT, reqid)
-        ]
-        self.unbatched.append(reqid)
-        return reqid
+        seen: set[bytes] = set()
+        for reqid in reqids:
+            if reqid in seen or reqid in self.lifecycles:
+                raise DuplicateRequestError(reqid.hex())
+            seen.add(reqid)
+        debit = -self.config.payment_b
+        for reqid, (x, _nonce) in zip(reqids, requests):
+            self.lifecycles[reqid] = RequestLifecycle(reqid=reqid, pk_user=pk_user, x=x)
+            self.pending_deltas[reqid] = [LedgerDelta("user", debit, Reason.USER_PAYMENT, reqid)]
+        self.unbatched.extend(reqids)
+        return reqids
 
     def select_asserter(self, reqid: bytes, tau: bytes) -> int:
         """Draw the asserter for a Submitted request, or redraw with the

@@ -398,6 +398,7 @@ class _Simulation(_World):
         self._trace = hashlib.sha256()
         self._queue: list = []
         self._seq = 0
+        self._arrived: dict[int, bytes] = {}  # request index -> id, until it wakes
 
     # -- event machinery ---------------------------------------------------
 
@@ -438,6 +439,17 @@ class _Simulation(_World):
                 self.committee.orch_pks, self.config.network.quorum, y):
             raise protocol.ProtocolError(f"{role} failed to collect a task quorum")
 
+    def submit(self, first: int) -> None:
+        """The user's one signed message for the arrival epoch of request
+        ``first``, the first of its epoch to wake.  Arrivals are at
+        1 + index * arrival_spacing, so at spacing 0 the epoch holds every
+        request and at spacing >= 1 only ``first``."""
+        indices = range(first, self.config.requests if self.config.arrival_spacing == 0
+                        else first + 1)
+        reqids = self.committee.accept_request(user_submit(
+            [(self.x, k.to_bytes(8, "big")) for k in indices], self.user_keys))
+        self._arrived.update(zip(indices, reqids))
+
     def timeout(self, epoch: int, reqid: bytes, role: str, attempt: int) -> None:
         if attempt > MAX_ATTEMPTS:
             raise protocol.ProtocolError(f"no responsive {role} found")
@@ -452,8 +464,9 @@ class _Simulation(_World):
         in; the first waits from epoch 0 to the request's arrival."""
         committee = self.committee
         epoch = yield 1 + index * self.config.arrival_spacing
-        reqid = committee.accept_request(
-            user_submit(self.x, index.to_bytes(8, "big"), self.user_keys))
+        if index not in self._arrived:
+            self.submit(index)
+        reqid = self._arrived.pop(index)
         self.trace("accept", epoch, reqid)
         self.metrics.requests += 1
         lc = committee.lifecycles[reqid]

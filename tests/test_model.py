@@ -59,6 +59,11 @@ class TestFixed:
         with pytest.raises(FixedOverflowError):
             Fixed(raw)
 
+    @pytest.mark.parametrize("raw", [0.5, "1", True], ids=["float", "str", "bool"])
+    def test_non_int_raw_rejected(self, raw):
+        with pytest.raises(TypeError):
+            Fixed(raw)
+
     def test_range_ends_construct(self):
         ends = (Fixed(-(1 << 63)), Fixed((1 << 63) - 1))
         assert model.decode_vector(model.encode_vector(ends)) == ends
@@ -220,6 +225,13 @@ class TestForward:
             m = model.ToyModel(dims=(1, 1), weights=(((Fixed.from_float(1.0),),),),
                                biases=((Fixed(1 << 63),),), seed=bytes(32))
             model.forward(m, (Fixed.from_float(-1.0),))
+
+    def test_non_int_parameter_cannot_be_built(self):
+        # a float bias would make forward return Fixed(raw=65536.5) on input 1.0
+        with pytest.raises(TypeError):
+            m = model.ToyModel(dims=(1, 1), weights=(((Fixed.from_float(1.0),),),),
+                               biases=((Fixed(0.5),),), seed=bytes(32))
+            model.forward(m, (Fixed.from_float(1.0),))
 
     def test_deterministic_hash(self):
         m = model.generate_model(bytes([7] * 32), (4, 8, 2))

@@ -8,7 +8,7 @@ from unittest.mock import patch
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from posp import crypto, protocol
 from posp.crypto import KeyPair, prf
@@ -76,8 +76,8 @@ class World:
              **{e.account: self.net.slash_s for e in self.executors}})
 
     def submit(self, nonce=b"n1"):
-        req = user_submit(self.x, nonce, self.user)
-        return self.committee.accept_request(req)
+        [reqid] = self.committee.accept_request(user_submit([(self.x, nonce)], self.user))
+        return reqid
 
     def execute(self, reqid, node, y_bytes, task=None):
         """Node ``node``'s signed response to the request's task message (or
@@ -122,25 +122,127 @@ class TestUserSubmit:
 
     def test_duplicate_rejected(self):
         w = World()
-        req = user_submit(w.x, b"n1", w.user)
+        req = user_submit([(w.x, b"n1")], w.user)
         w.committee.accept_request(req)
         with pytest.raises(DuplicateRequestError):
             w.committee.accept_request(req)
 
     def test_tampered_x_rejected(self):
         w = World()
-        req = user_submit(w.x, b"n1", w.user)
-        bad = protocol.SignedRequest(x=w.x + b"!", nonce=req.nonce,
-                                     pk_user=req.pk_user, signature=req.signature)
+        req = user_submit([(w.x, b"n1")], w.user)
+        bad = replace(req, requests=((w.x + b"!", b"n1"),))
         with pytest.raises(InvalidSignatureError):
             w.committee.accept_request(bad)
 
     def test_unknown_user_rejected(self):
         w = World()
         stranger = keypair(999)
-        req = user_submit(w.x, b"n1", stranger)
+        req = user_submit([(w.x, b"n1")], stranger)
         with pytest.raises(InvalidSignatureError):
             w.committee.accept_request(req)
+
+
+def committee_state(committee):
+    """What accepting a request changes: lifecycles, debits and the
+    unbatched queue, copied."""
+    return (dict(committee.lifecycles),
+            {reqid: list(deltas) for reqid, deltas in committee.pending_deltas.items()},
+            list(committee.unbatched))
+
+
+@st.composite
+def altered_messages(draw, w, other):
+    """A valid message of 1-8 requests by ``w.user`` and one alteration of
+    it that no signature covers.  ``other`` is a second user the committee
+    knows."""
+    nonces = draw(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=8,
+                           unique=True))
+    honest = user_submit([(w.x, nonce) for nonce in nonces], w.user)
+    requests = list(honest.requests)
+    k = draw(st.integers(0, len(requests) - 1))
+    kind = draw(st.sampled_from(["x", "nonce", "drop", "add", "reorder", "key", "signature"]))
+    if kind == "x":
+        x = draw(st.binary(max_size=40).filter(lambda b: b != w.x))
+        requests[k] = (x, requests[k][1])
+    elif kind == "nonce":
+        nonce = draw(st.binary(max_size=8).filter(lambda b: b != requests[k][1]))
+        requests[k] = (requests[k][0], nonce)
+    elif kind == "drop":
+        del requests[k]
+    elif kind == "add":
+        # possibly a copy of one of the signed requests
+        extra = draw(st.sampled_from(requests) | st.tuples(st.just(w.x), st.binary(max_size=8)))
+        requests.insert(draw(st.integers(0, len(requests))), extra)
+    elif kind == "reorder":
+        shuffled = draw(st.permutations(requests))
+        assume(shuffled != requests)
+        requests = shuffled
+    if kind == "key":
+        return honest, replace(honest, pk_user=draw(st.sampled_from(
+            [other.public.raw, keypair(999).public.raw])))
+    if kind == "signature":
+        sig = bytearray(honest.signature)
+        bit = draw(st.integers(0, 8 * len(sig) - 1))
+        sig[bit // 8] ^= 1 << bit % 8
+        return honest, replace(honest, signature=bytes(sig))
+    return honest, replace(honest, requests=tuple(requests))
+
+
+class TestAcceptRule:
+    """A message of requests is accepted whole or not at all."""
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_alteration_accepts_nothing(self, memo, data):
+        w, other = World(), keypair(1)
+        w.committee.user_pks[other.public.raw] = other.public
+        w.submit(b"earlier")  # state that a rejected message must leave as it is
+        honest, altered = data.draw(altered_messages(w, other))
+        before = committee_state(w.committee)
+        with patch.object(crypto, "_SIGNED", crypto._SIGNED if memo else OrderedDict()):
+            with pytest.raises(InvalidSignatureError):
+                w.committee.accept_request(altered)
+            assert committee_state(w.committee) == before
+            reqids = w.committee.accept_request(honest)
+        assert reqids == [crypto.derive_reqid(w.user.public.raw, x, nonce)
+                          for x, nonce in honest.requests]
+        assert list(w.committee.lifecycles)[1:] == reqids
+        assert list(w.committee.pending_deltas)[1:] == reqids
+        assert w.committee.unbatched[1:] == reqids
+
+    def test_empty_message_rejected(self):
+        w = World()
+        with pytest.raises(InvalidSignatureError):
+            w.committee.accept_request(user_submit([], w.user))
+        assert committee_state(w.committee) == ({}, {}, [])
+
+    def test_repeated_nonce_rejected(self):
+        w = World()
+        reqid = w.submit(b"n0")
+        before = committee_state(w.committee)
+        message = user_submit([(w.x, b"n1"), (w.x, b"n2"), (w.x, b"n1")], w.user)
+        with pytest.raises(DuplicateRequestError):
+            w.committee.accept_request(message)
+        # and an id accepted by an earlier message
+        with pytest.raises(DuplicateRequestError):
+            w.committee.accept_request(user_submit([(w.x, b"n3"), (w.x, b"n0")], w.user))
+        assert committee_state(w.committee) == before
+        assert list(w.committee.lifecycles) == [reqid]
+
+    @pytest.mark.parametrize("field,value", [
+        ("pk_user", None), ("pk_user", ["key"]), ("requests", None),
+        ("requests", [(b"x", b"n1")]), ("requests", ((b"x", b"n1", b"extra"),)),
+        ("requests", (("x", b"n1"),)), ("requests", ((b"x", bytearray(b"n1")),)),
+        ("requests", (b"xn",)), ("signature", None),
+    ], ids=["pk-none", "pk-list", "requests-none", "requests-list", "triple", "str-x",
+            "bytearray-nonce", "bare-bytes", "signature-none"])
+    def test_malformed_message_rejected(self, field, value):
+        w = World()
+        message = replace(user_submit([(w.x, b"n1")], w.user), **{field: value})
+        with pytest.raises(InvalidSignatureError):
+            w.committee.accept_request(message)
+        assert committee_state(w.committee) == ({}, {}, [])
 
 
 class TestSelection:

@@ -27,6 +27,20 @@ def config(executors=8, fault_bound=1, p=0.0, requests=50, seed=SEED, **kw):
     )
 
 
+def trace_paths_config(spacing, requests):
+    """A run that traces every tag (``TestTracePaths``): a fraudulent, an
+    unresponsive and a sometimes-fraudulent executor, a leaking orchestrator
+    and a colluding user."""
+    return config(p=0.5, requests=requests, seed=bytes([7] * 32), arrival_spacing=spacing,
+                  executor_overrides={
+                      1: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD),
+                      2: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
+                      3: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                          fraud_probability=0.5)},
+                  orchestrator_overrides={0: protocol.ORCH_LEAK},
+                  user_colludes_with=4)
+
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # ids of the golden-scenario tests, so a re-pinned count keeps the test's name
 GOLDEN = ["all_honest", "leak_attack", "mixed_adversaries"]
@@ -41,29 +55,35 @@ class TestOpCounts:
     each vote it looks at, and each ``PublicKey.verify`` probes first.  So
     checks are counted as probes, and verifies as calls to ``verify``.
 
-    Each golden scenario accepts all its requests before the first task
-    message, so all of them form one task batch, and each voting
-    orchestrator signs once for all the task messages of the run.  An
-    executor signs once per batch of responses, not once per response."""
+    Each golden scenario has arrival spacing 0: all its requests arrive in
+    one epoch, so the user signs one message for all of them, and the
+    committee accepts them all before the first task message.  So all of
+    them form one task batch, and each voting orchestrator signs once for
+    all the task messages of the run.  An executor signs once per batch of
+    responses, not once per response."""
 
-    # verifies: the quorum votes the memo cannot prove, and the user
-    # signatures and executor response roots
-    VERIFY_CALLS = {"all_honest": 617, "leak_attack": 847, "mixed_adversaries": 1023}
+    # verifies: the quorum votes the memo cannot prove, the user's message
+    # and the executor response roots
+    VERIFY_CALLS = {"all_honest": 318, "leak_attack": 448, "mixed_adversaries": 524}
 
-    @pytest.mark.parametrize("name,signs,checks,forwards", [
-        ("all_honest", 339, 1571, 318),
-        ("leak_attack", 469, 2185, 399),
-        ("mixed_adversaries", 607, 4149, 435),
-    ], ids=GOLDEN)
-    def test_golden_op_counts(self, monkeypatch, name, signs, checks, forwards):
-        counts = {"sign": 0, "verify": 0, "probe": 0, "forward": 0}
+    @staticmethod
+    def count_ops(monkeypatch, config):
+        """Signs (and those by the user), verify calls, memo probes and
+        forwards of one run of ``config``."""
+        counts = {"sign": 0, "user_sign": 0, "verify": 0, "probe": 0, "forward": 0}
+        user = sim._World(config).user_keys.public.raw
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 counts[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
-        monkeypatch.setattr(crypto.KeyPair, "sign", counted("sign", crypto.KeyPair.sign))
+        sign = counted("sign", crypto.KeyPair.sign)
+
+        def signed(kp, *fields):
+            counts["user_sign"] += kp.public.raw == user
+            return sign(kp, *fields)
+        monkeypatch.setattr(crypto.KeyPair, "sign", signed)
         monkeypatch.setattr(crypto.PublicKey, "verify",
                             counted("verify", crypto.PublicKey.verify))
         monkeypatch.setattr(crypto.PublicKey, "signed_here",
@@ -71,10 +91,31 @@ class TestOpCounts:
         forward = counted("forward", sim.forward)
         monkeypatch.setattr(sim, "forward", forward)
         monkeypatch.setattr(protocol, "forward", forward)
-        sim.run(sim.ScenarioConfig.from_dict(
+        sim.run(config)
+        return counts
+
+    @pytest.mark.parametrize("name,signs,checks,forwards", [
+        ("all_honest", 40, 1272, 318),
+        ("leak_attack", 70, 1786, 399),
+        ("mixed_adversaries", 108, 3650, 435),
+    ], ids=GOLDEN)
+    def test_golden_op_counts(self, monkeypatch, name, signs, checks, forwards):
+        counts = self.count_ops(monkeypatch, sim.ScenarioConfig.from_dict(
             json.loads((SCENARIOS / f"{name}.json").read_text())))
-        assert counts == {"sign": signs, "verify": self.VERIFY_CALLS[name], "probe": checks,
-                          "forward": forwards}
+        assert counts == {"sign": signs, "user_sign": 1, "verify": self.VERIFY_CALLS[name],
+                          "probe": checks, "forward": forwards}
+
+    @pytest.mark.parametrize("spacing,requests,signs,verifies,checks,forwards", [
+        (1, 32, 174, 98, 272, 39),
+        (2, 24, 170, 75, 213, 34),
+    ])
+    def test_spaced_arrivals_sign_once_per_request(self, monkeypatch, spacing, requests,
+                                                   signs, verifies, checks, forwards):
+        """At spacing >= 1 each arrival epoch holds one request, so the user
+        signs once per request; the configs are those of ``TestTracePaths``."""
+        counts = self.count_ops(monkeypatch, trace_paths_config(spacing, requests))
+        assert counts == {"sign": signs, "user_sign": requests, "verify": verifies,
+                          "probe": checks, "forward": forwards}
 
     @pytest.mark.parametrize("name,real_verifies", [
         # the sign memo still holds every signature when it is checked
@@ -371,16 +412,7 @@ class TestTracePaths:
             tags.add(tag)
             trace(self, tag, epoch, *payload)
         monkeypatch.setattr(sim._Simulation, "trace", recorded)
-        cfg = config(p=0.5, requests=requests, seed=bytes([7] * 32),
-                     arrival_spacing=spacing,
-                     executor_overrides={
-                         1: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD),
-                         2: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
-                         3: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
-                                             fraud_probability=0.5)},
-                     orchestrator_overrides={0: protocol.ORCH_LEAK},
-                     user_colludes_with=4)
-        result = sim.run(cfg)
+        result = sim.run(trace_paths_config(spacing, requests))
         assert tags == TRACE_TAGS
         assert result.metrics.trace_hash == expected
 
