@@ -14,9 +14,6 @@ from typing import Optional
 MAX_CLOSED_FORM_N = 64
 MAX_BRUTE_FORCE_N = 12
 
-WITH_REPLACEMENT = "independent-with-replacement"
-WITHOUT_REPLACEMENT = "without-replacement"
-
 HONEST = "honest"
 FRAUD = "fraud"
 
@@ -65,26 +62,16 @@ class EconomicParams:
 class CollusionModel:
     """How many sampled validators mirror a fraudulent asserter's output.
 
-    rho is the network fraction that would submit the same wrong result;
-    validators are drawn independently with replacement (the only sampling
-    mode the closed forms cover).
+    rho is the network fraction that would submit the same wrong result.
+    The closed forms and the enumeration oracle hold only for validators
+    drawn independently with replacement.
     """
 
     rho: float
-    sampling: str = WITH_REPLACEMENT
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if self.sampling not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
-
-    def require_with_replacement(self):
-        if self.sampling != WITH_REPLACEMENT:
-            raise NotImplementedError(
-                "closed forms and the enumeration oracle are derived only for "
-                "independent-with-replacement sampling"
-            )
 
     def check_against(self, params: EconomicParams):
         if self.rho > params.r:
@@ -142,7 +129,6 @@ def validator_payoff_matrix(params: EconomicParams) -> PayoffMatrixBound:
 
 def honest_payoff_lower_bound(params: EconomicParams, model: CollusionModel) -> float:
     """(1-p)(R_A-C) + p(R_V/n * E[k] + R_A-C) with E[k] = n*rho."""
-    model.require_with_replacement()
     model.check_against(params)
     expected_captured = params.n * model.rho
     base = params.R_A - params.C
@@ -157,7 +143,6 @@ def fraud_payoff_upper_bound(params: EconomicParams, model: CollusionModel) -> f
     Binomial coefficients are computed exactly in integer arithmetic; the
     captured-validator count among i mirroring draws is identified with i.
     """
-    model.require_with_replacement()
     model.check_against(params)
     if params.n > MAX_CLOSED_FORM_N:
         raise ValueError(f"n > {MAX_CLOSED_FORM_N} not supported")
@@ -227,7 +212,6 @@ def brute_force_expected_payoff(params: EconomicParams, model: CollusionModel,
     (free when it is correct, slashed alongside the asserter when it is not),
     and their rewards count toward the asserter's payoff.
     """
-    model.require_with_replacement()
     model.check_against(params)
     if params.n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"n > {MAX_BRUTE_FORCE_N} not supported by enumeration")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import crypto
 
@@ -167,18 +167,15 @@ def forward(model: ToyModel, x: Sequence[Fixed]) -> tuple[Fixed, ...]:
     return tuple(Fixed(v) for v in activ)
 
 
-def corrupt(y: Sequence[Fixed], mode: str, amount: Optional[int] = None) -> tuple[Fixed, ...]:
+def corrupt(y: Sequence[Fixed], amount: int = 1) -> tuple[Fixed, ...]:
     """Deterministic wrong-result generator; differs from y when y is nonempty.
 
-    ``"offset"``, the one mode, adds ``amount`` (default 1) to every raw
-    value, so distinct adversary groups can produce distinct wrong results.
+    Adds ``amount`` to every raw value, so distinct adversary groups can
+    produce distinct wrong results.
     """
-    if mode != "offset":
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    step = 1 if amount is None else amount
-    if step == 0:
+    if amount == 0:
         raise ValueError("offset amount must be nonzero")
-    return tuple(Fixed(v.raw + step) for v in y)
+    return tuple(Fixed(v.raw + amount) for v in y)
 
 
 def encode_vector(y: Sequence[Fixed]) -> bytes:

@@ -66,8 +66,8 @@ MAX_MODEL_VALUES = 1 << 16
 # settlement comes one epoch after the last event.  So every epoch is < 2^50.
 MAX_ARRIVAL_SPACING = 1 << 32
 # A collusion group's wrong output is the true output offset by
-# 1,000,000 + group raw Q16.16 units (`_wrong_output`); groups stay far below
-# the signed 64-bit raw range, which a larger one could overflow.
+# 1,000,000 + group raw Q16.16 units (`_World.wrong_output`); groups stay far
+# below the signed 64-bit raw range, which a larger one could overflow.
 MAX_GROUP = 1 << 32
 
 
@@ -91,14 +91,6 @@ class ExecStrategy:
     @property
     def adversarial(self) -> bool:
         return self.kind != HONEST
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == FRAUD_WITH_PROBABILITY:
-            out["fraud_probability"] = self.fraud_probability
-        if self.group is not None:
-            out["group"] = self.group
-        return out
 
     @classmethod
     def from_dict(cls, data) -> "ExecStrategy":
@@ -178,24 +170,6 @@ class ScenarioConfig:
         """floor(r * N): the most adversarial nodes a Byzantine fraction
         allows, overrides included."""
         return int(self.byzantine_fraction * self.network.executors)
-
-    def to_dict(self) -> dict:
-        return {
-            "network": asdict(self.network),
-            "master_seed": self.master_seed.hex(),
-            "requests": self.requests,
-            "arrival_spacing": self.arrival_spacing,
-            "model_dims": list(self.model_dims),
-            "byzantine_fraction": self.byzantine_fraction,
-            "byzantine_strategy": self.byzantine_strategy.to_dict(),
-            "executor_overrides": {str(k): v.to_dict()
-                                   for k, v in sorted(self.executor_overrides.items())},
-            "orchestrator_overrides": {str(k): v
-                                       for k, v in sorted(self.orchestrator_overrides.items())},
-            "user_colludes_with": self.user_colludes_with,
-            "focal_executor": self.focal_executor,
-            "sweep_trials": self.sweep_trials,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -303,16 +277,6 @@ class SimResult:
     arbitration_outcomes: dict[bytes, protocol.ArbitrationOutcome]
     committee: Committee
     model: ToyModel
-    y_true: tuple[Fixed, ...]
-
-
-def _wrong_output(y_true, strategy: ExecStrategy, node_index: int):
-    # distinct groups (and ungrouped nodes) produce distinct wrong results
-    if strategy.group is not None:
-        amount = 1_000_000 + strategy.group
-    else:
-        amount = node_index + 1
-    return corrupt(y_true, "offset", amount=amount)
 
 
 def _lies(master_seed: bytes, strategy: ExecStrategy, node: int, reqid: bytes) -> bool:
@@ -358,7 +322,9 @@ class _World:
         self.leak = protocol.ORCH_LEAK in config.orchestrator_overrides.values()
 
     def wrong_output(self, strategy: ExecStrategy, node: int) -> bytes:
-        return encode_vector(_wrong_output(self.y_true, strategy, node))
+        # distinct groups (and ungrouped nodes) produce distinct wrong results
+        amount = 1_000_000 + strategy.group if strategy.group is not None else node + 1
+        return encode_vector(corrupt(self.y_true, amount))
 
 
 class _Simulation(_World):
@@ -574,7 +540,6 @@ class _Simulation(_World):
             arbitration_outcomes=self.arbitration.outcomes,
             committee=self.committee,
             model=self.model,
-            y_true=self.y_true,
         )
 
 
@@ -597,10 +562,6 @@ class StrategyEstimate:
     arbitrations: int
     fraud_assertions: int
     fraud_passes: int
-
-    @property
-    def empirical_challenge_rate(self) -> float:
-        return self.challenges / self.trials if self.trials else 0.0
 
     @property
     def empirical_cheat_pass_rate(self) -> float:
@@ -646,13 +607,16 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
 
     Each trial is one request asserted by the focal node, driven by an
     independent sub-seed PRF(master, trial-index).  The challenge and
-    validator draws, the redraw past an unresponsive validator, the nodes'
-    fraud decisions, free-riding on a leaking orchestrator, and the payouts
-    are the protocol's own rules; only the signature plumbing is elided,
-    since it cannot change any payoff.  The payoff is the sum of the focal
-    account's ledger deltas minus its compute cost.  ``user_colludes_with``
-    plays no part: each strategy already fixes what the focal asserter
-    returns.
+    validator draws, the nodes' fraud decisions, free-riding on a leaking
+    orchestrator, and the payouts are the protocol's own rules; only the
+    signature plumbing is elided, since it cannot change any payoff.  The
+    redraw past an unresponsive validator keeps the protocol's attempt
+    suffix but reuses the trial's challenge beacon ``tau_chal`` for every
+    attempt, where the simulator uses the beacon of the epoch the redraw
+    happens in: the draws have the same distribution, not the same values.
+    The payoff is the sum of the focal account's ledger deltas minus its
+    compute cost.  ``user_colludes_with`` plays no part: each strategy
+    already fixes what the focal asserter returns.
 
     The validator is never the focal node, so a trial's draws (request id,
     challenge, validator and the validator's fraud decision) do not depend on

@@ -39,11 +39,6 @@ class TestCollusionModel:
         with pytest.raises(ValueError):
             CollusionModel(rho=0.2).check_against(baseline_params(r=0.1))
 
-    def test_without_replacement_not_derived(self):
-        m = CollusionModel(rho=0.1, sampling=econ.WITHOUT_REPLACEMENT)
-        with pytest.raises(NotImplementedError):
-            econ.honest_payoff_lower_bound(baseline_params(), m)
-
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             CollusionModel(rho=1.5)

@@ -401,7 +401,7 @@ class TestOneQuorumRule:
         pick, expected = QUORUM_CASES[case]
         w = World(p=1.0)
         reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.assert_output(reqid, corrupt(w.y_true))
         w.validate_output(reqid, w.y_true)
         assert w.committee.compare_and_route(reqid) == "arbitrate"
         pks, q = w.committee.orch_pks, w.net.quorum
@@ -428,7 +428,7 @@ class TestOneQuorumRule:
         # first, next to 2f or 2f+1 valid votes of the others
         w = World(p=1.0)
         reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.assert_output(reqid, corrupt(w.y_true))
         w.validate_output(reqid, w.y_true)
         assert w.committee.compare_and_route(reqid) == "arbitrate"
         pks, q = w.committee.orch_pks, w.net.quorum
@@ -864,7 +864,7 @@ class TestResponseProofs:
         pks, q = w.committee.orch_pks, w.net.quorum
         reqids = [w.submit(f"n{k}".encode()) for k in range(size)]
         reqid = reqids[target % size]
-        wrong = encode_vector(corrupt(w.y_true, "offset"))
+        wrong = encode_vector(corrupt(w.y_true))
         tau_chal = prf(SEED, b"tau-chal")
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         # drawn now, so the validator's response can be checked before the
@@ -882,7 +882,7 @@ class TestResponseProofs:
 
         by_role = {"asserter": batch(i, wrong), "validator": batch(j, w.y_true_b)}
         # a third executor's batch over the same requests, with another output
-        third = batch(k, encode_vector(corrupt(w.y_true, "offset", 3)))
+        third = batch(k, encode_vector(corrupt(w.y_true, 3)))
         honest = by_role[role][reqid]
         neighbour = reqids[(target + 1) % size]
         bogus = altered_response(w, honest, change, at, by_role[role][neighbour].path,
@@ -969,7 +969,7 @@ class TestCompareAndRoute:
     def test_mismatch_escalates(self):
         w = World(p=1.0)
         reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.assert_output(reqid, corrupt(w.y_true))
         w.validate_output(reqid, w.y_true)
         assert w.committee.compare_and_route(reqid) == "arbitrate"
         assert w.committee.lifecycles[reqid].phase is Phase.ARBITRATING
@@ -978,7 +978,7 @@ class TestCompareAndRoute:
         # byte-equal wrong results settle as matched: the undetected-fraud case
         w = World(p=1.0)
         reqid = w.submit()
-        wrong = corrupt(w.y_true, "offset", amount=7)
+        wrong = corrupt(w.y_true, amount=7)
         w.assert_output(reqid, wrong)
         w.validate_output(reqid, wrong)
         assert w.committee.compare_and_route(reqid) == "matched"
@@ -997,7 +997,7 @@ def run_arbitration(w: World, y_asserter, y_validator):
 class TestArbitration:
     def test_asserter_wrong_validator_right(self):
         w = World(p=1.0)
-        reqid, outcome = run_arbitration(w, corrupt(w.y_true, "offset"), w.y_true)
+        reqid, outcome = run_arbitration(w, corrupt(w.y_true), w.y_true)
         assert not outcome.asserter_honest and outcome.validator_honest
         lc = w.committee.lifecycles[reqid]
         by_reason = {d.reason: d for d in outcome.deltas}
@@ -1009,7 +1009,7 @@ class TestArbitration:
 
     def test_validator_wrong_asserter_right(self):
         w = World(p=1.0)
-        reqid, outcome = run_arbitration(w, w.y_true, corrupt(w.y_true, "offset"))
+        reqid, outcome = run_arbitration(w, w.y_true, corrupt(w.y_true))
         assert outcome.asserter_honest and not outcome.validator_honest
         lc = w.committee.lifecycles[reqid]
         by_reason = {d.reason: d for d in outcome.deltas}
@@ -1019,7 +1019,7 @@ class TestArbitration:
     def test_both_wrong_no_redistribution(self):
         w = World(p=1.0)
         _reqid, outcome = run_arbitration(
-            w, corrupt(w.y_true, "offset", amount=1), corrupt(w.y_true, "offset", amount=2))
+            w, corrupt(w.y_true, amount=1), corrupt(w.y_true, amount=2))
         assert not outcome.asserter_honest and not outcome.validator_honest
         slashes = [d for d in outcome.deltas if d.reason is Reason.SLASH]
         assert len(slashes) == 2
@@ -1029,7 +1029,7 @@ class TestArbitration:
     def test_below_quorum_rejected(self):
         w = World(p=1.0)
         reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.assert_output(reqid, corrupt(w.y_true))
         w.validate_output(reqid, w.y_true)
         w.committee.compare_and_route(reqid)
         request = w.committee.arbitration_request(reqid)
@@ -1041,7 +1041,7 @@ class TestArbitration:
         honest votes, then the honest request; the copy must be refused and
         leave the honest request to arbitrate."""
         reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.assert_output(reqid, corrupt(w.y_true))
         w.validate_output(reqid, w.y_true)
         w.committee.compare_and_route(reqid)
         honest = w.committee.arbitration_request(reqid)
@@ -1077,7 +1077,7 @@ class TestArbitration:
     def test_tampered_evidence_rejected(self):
         w = World(p=1.0)
         reqid = w.submit()
-        w.assert_output(reqid, corrupt(w.y_true, "offset"))
+        w.assert_output(reqid, corrupt(w.y_true))
         w.validate_output(reqid, w.y_true)
         w.committee.compare_and_route(reqid)
         lc = w.committee.lifecycles[reqid]
@@ -1102,7 +1102,7 @@ class TestArbitration:
 
     def test_outcome_recorded_immutably(self):
         w = World(p=1.0)
-        reqid, outcome = run_arbitration(w, corrupt(w.y_true, "offset"), w.y_true)
+        reqid, outcome = run_arbitration(w, corrupt(w.y_true), w.y_true)
         again = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
         assert again is outcome
 
@@ -1163,7 +1163,7 @@ class TestPhaseGraph:
 
     def test_history_is_graph_path(self):
         w = World(p=1.0)
-        reqid, _outcome = run_arbitration(w, corrupt(w.y_true, "offset"), w.y_true)
+        reqid, _outcome = run_arbitration(w, corrupt(w.y_true), w.y_true)
         history = w.committee.lifecycles[reqid].history
         for a, b in zip(history, history[1:]):
             assert b in protocol.PHASE_TRANSITIONS[a]

@@ -4,14 +4,14 @@ orchestrators."""
 
 import json
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posp import crypto, econ, protocol, sim
-from posp.model import encode_vector, generate_model
+from posp.model import generate_model
 from posp.protocol import NetworkConfig, Phase
 
 SEED = bytes([42] * 32)
@@ -228,11 +228,43 @@ class TestRunInvariants:
 
 
 class TestScenarioConfig:
-    def test_roundtrip_dict(self):
-        cfg = config(p=0.3, executor_overrides={1: sim.ExecStrategy(kind=sim.COLLUDE, group=2)},
-                     orchestrator_overrides={0: protocol.ORCH_WITHHOLD},
-                     byzantine_fraction=0.25, user_colludes_with=3)
-        assert sim.ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    def test_from_dict_reads_every_field(self):
+        data = {
+            "network": {"executors": 8, "fault_bound": 1, "challenge_probability": 0.3,
+                        "t_assert": 4, "t_validate": 5, "payment_b": 40, "reward_r": 13,
+                        "slash_s": 1600, "compute_cost": 9.5, "timeout_penalty": 7},
+            "master_seed": SEED.hex(),
+            "requests": 12,
+            "arrival_spacing": 3,
+            "model_dims": [3, 5, 2],
+            "byzantine_fraction": 0.25,
+            "byzantine_strategy": {"kind": sim.FRAUD_WITH_PROBABILITY, "fraud_probability": 0.4},
+            "executor_overrides": {"1": {"kind": sim.COLLUDE, "group": 2},
+                                   "6": sim.UNRESPONSIVE},
+            "orchestrator_overrides": {"0": protocol.ORCH_WITHHOLD},
+            "user_colludes_with": 3,
+            "focal_executor": 2,
+            "sweep_trials": 17,
+        }
+        expected = sim.ScenarioConfig(
+            network=NetworkConfig(executors=8, fault_bound=1, challenge_probability=0.3,
+                                  t_assert=4, t_validate=5, payment_b=40, reward_r=13,
+                                  slash_s=1600, compute_cost=9.5, timeout_penalty=7),
+            master_seed=SEED, requests=12, arrival_spacing=3, model_dims=(3, 5, 2),
+            byzantine_fraction=0.25,
+            byzantine_strategy=sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                                fraud_probability=0.4),
+            executor_overrides={1: sim.ExecStrategy(kind=sim.COLLUDE, group=2),
+                                6: sim.ExecStrategy(kind=sim.UNRESPONSIVE)},
+            orchestrator_overrides={0: protocol.ORCH_WITHHOLD},
+            user_colludes_with=3, focal_executor=2, sweep_trials=17)
+        # the literal names every field, and no field keeps its default
+        for record, names in ((expected, data), (expected.network, data["network"])):
+            assert set(names) == {f.name for f in fields(record)}
+            for f in fields(record):
+                default = f.default if f.default_factory is MISSING else f.default_factory()
+                assert getattr(record, f.name) != default, f.name
+        assert sim.ScenarioConfig.from_dict(data) == expected
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -295,16 +327,15 @@ class TestAssignAdversaries:
         strat = sim.ExecStrategy(kind=sim.COLLUDE, group=4)
         cfg = config(executors=6,
                      executor_overrides={i: strat for i in (1, 2, 5)})
-        result = sim.run(replace(cfg, requests=0))
-        outputs = {encode_vector(sim._wrong_output(result.y_true, strat, i))
-                   for i in (1, 2, 5)}
-        assert len(outputs) == 1
+        world = sim._World(replace(cfg, requests=0))
+        outputs = {world.wrong_output(strat, i) for i in (1, 2, 5)}
+        assert len(outputs) == 1 and world.y_true_b not in outputs
 
     def test_ungrouped_nodes_differ(self):
         strat = sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)
-        result = sim.run(config(requests=0))
-        a = encode_vector(sim._wrong_output(result.y_true, strat, 1))
-        b = encode_vector(sim._wrong_output(result.y_true, strat, 2))
+        world = sim._World(config(requests=0))
+        a = world.wrong_output(strat, 1)
+        b = world.wrong_output(strat, 2)
         assert a != b
 
 
