@@ -8,13 +8,13 @@ protocol is produced over this encoding, which removes the ambiguity a
 plain ``a || b || c`` concatenation would leave.
 
 Ed25519 signing (RFC 8032) is deterministic, and a signature this process
-just made with a private key is valid under its public key by construction.
-``KeyPair.sign`` therefore records the exact (public key, encoded message,
-signature) bytes of its recent signatures, at most ``_SIGNED_MAX`` of them
-with the least recently made or matched evicted first, and
+made with a private key is valid under its public key by construction.
+``KeyPair.sign`` therefore records the exact (encoded message, signature)
+bytes of every signature it makes in a memo on its own ``PublicKey``, and
 ``PublicKey.verify`` answers True for an exact match without redoing the
-curve arithmetic.  Any other triple (forged, tampered, malleated, signed by
-another key, or evicted) is verified for real.
+curve arithmetic.  The memo lasts as long as the key and never evicts.  Any
+other pair (forged, tampered, malleated, signed by another key, or checked
+on another ``PublicKey`` object) is verified for real.
 
 A Merkle tree commits to many messages under one 32-byte root, so one
 signature over the root covers them all (Merkle 1987).  The protocol signs
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
-from collections import OrderedDict
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,17 +41,6 @@ from cryptography.hazmat.primitives import serialization
 
 SEED_LEN = 32
 PRF_MAX = 1 << 64
-
-# (public key raw, encoded message, signature) of recent KeyPair.sign calls,
-# least recently made or matched first.  A signature that is verified at all
-# is mostly verified within a few signs of being made, or again and again:
-# a task batch root's votes by every task quorum, and an executor's response
-# root, which it signs when the first response of its batch is collected
-# and which is checked right then and for each later response of the batch.
-# So a small bound keeps nearly every hit.  Every entry is a valid signature
-# whatever the interleaving of threads, so the memo needs no lock.
-_SIGNED_MAX = 64
-_SIGNED: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
 
 
 def _check_seed(seed: bytes) -> None:
@@ -192,10 +180,12 @@ def merkle_proves(root: bytes, leaf: bytes, path: bytes) -> bool:
 class PublicKey:
     """Ed25519 verification key over canonically encoded message fields."""
 
-    __slots__ = ("_pk", "raw")
+    __slots__ = ("_pk", "raw", "_signed")
 
     def __init__(self, pk: ed25519.Ed25519PublicKey):
         self._pk = pk
+        # (encoded message, signature) of every KeyPair.sign with this key
+        self._signed: set[tuple[bytes, bytes]] = set()
         self.raw = pk.public_bytes(
             encoding=serialization.Encoding.Raw,
             format=serialization.PublicFormat.Raw,
@@ -206,19 +196,12 @@ class PublicKey:
         return cls(ed25519.Ed25519PublicKey.from_public_bytes(raw))
 
     def signed_here(self, signature: bytes, message: bytes) -> bool:
-        """Memo-only probe: True when ``KeyPair.sign`` recently made exactly
-        this signature over this encoded message with this key; a match
-        becomes the newest memo entry.  False proves nothing; it never runs
-        the Ed25519 check."""
+        """Memo-only probe: True when ``KeyPair.sign`` made exactly this
+        signature over this encoded message with this key.  False proves
+        nothing; it never runs the Ed25519 check."""
         # exact bytes only: a bytearray is unhashable, and a bytes subclass
         # could redefine equality
-        if type(signature) is not bytes:
-            return False
-        try:
-            _SIGNED.move_to_end((self.raw, message, signature))
-        except KeyError:
-            return False
-        return True
+        return type(signature) is bytes and (message, signature) in self._signed
 
     def verify(self, signature: bytes, *fields: bytes) -> bool:
         """Never raises: any tampered bit, or a signature that is not
@@ -257,7 +240,5 @@ class KeyPair:
     def sign(self, *fields: bytes) -> bytes:
         message = encode_fields(*fields)
         signature = self._sk.sign(message)
-        _SIGNED[self.public.raw, message, signature] = None
-        if len(_SIGNED) > _SIGNED_MAX:
-            _SIGNED.popitem(last=False)
+        self.public._signed.add((message, signature))
         return signature

@@ -18,6 +18,14 @@ HONEST = "honest"
 FRAUD = "fraud"
 
 
+def _finite(value: float) -> bool:
+    """``math.isfinite``, and False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class EconomicParams:
     """All game parameters in one validated record (token units)."""
@@ -36,14 +44,14 @@ class EconomicParams:
 
     def __post_init__(self):
         for name in ("B", "R_A", "R_V", "S", "C", "U1", "U2", "R_C"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not _finite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
         if not 0.0 <= self.r < 1.0:
             raise ValueError("r must be in [0, 1)")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("n must be an integer >= 1")
         if not self.R_A + self.R_V < self.B:
             raise ValueError("rewards must satisfy R_A + R_V < B")
 
@@ -52,6 +60,8 @@ class EconomicParams:
                          p: float = 0.0, R_C: float = 0.0,
                          B: Optional[float] = None) -> "EconomicParams":
         """The n=1 instantiation: R_A = R_V = U1 = R, U2 = 2R."""
+        if not _finite(R):
+            raise ValueError("R must be finite")
         if B is None:
             B = 3.0 * R if R > 0 else 1.0
         return cls(B=B, R_A=R, R_V=R, S=S, C=C, p=p, r=r, n=1,
@@ -179,8 +189,8 @@ def min_challenge_probability(params: EconomicParams) -> Optional[float]:
 def single_validator_min_p(C: float, S: float, R: float, r: float) -> Optional[float]:
     """Single-validator bound C / ((1-r)S + (1-2r)R); None if the
     denominator is not positive (infeasible)."""
-    if min(C, S, R) < 0 or not 0.0 <= r < 1.0:
-        raise ValueError("require C, S, R >= 0 and r in [0, 1)")
+    if not all(map(_finite, (C, S, R, r))) or min(C, S, R) < 0 or not 0.0 <= r < 1.0:
+        raise ValueError("require finite C, S, R >= 0 and r in [0, 1)")
     denom = (1.0 - r) * S + (1.0 - 2.0 * r) * R
     if denom <= 0.0:
         return None

@@ -16,9 +16,9 @@ the first demand for an unsealed message (``Committee.task_message``,
 into one Merkle tree, whose root is signed once (the orchestrators' votes on
 a task batch, the executor's signature on a response batch).  Each message
 then carries the root, what was signed on it and its own inclusion path.
-The sign memo keeps its most recently matched entries, so every task quorum
-proves the root's votes without a real verify while the batch is in use;
-``response_signed`` is the one check of a response.
+Each key's sign memo holds every signature made with it for as long as the
+key lives, so every task quorum proves the root's votes without a real
+verify; ``response_signed`` is the one check of a response.
 Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
 past a cap is rejected, which the CLI reports as exit 2.
 
@@ -453,11 +453,11 @@ def _quorum(orch_pks: Sequence[PublicKey], quorum: int, fields: tuple[bytes, ...
 
     ``votes`` are (orch_id, signature) pairs; a vote whose id is not an
     ``int`` is skipped, as ``response_signed`` refuses such a node index.
-    Votes that ``KeyPair.sign`` made in this process are counted first, from
-    the sign memo alone (``PublicKey.signed_here``).  Only if they fall
-    short are the other votes verified for real, in order, until the count
-    reaches quorum.  A signer that has already counted is skipped
-    unverified.
+    Votes that ``KeyPair.sign`` made with a key are counted first, from that
+    key's sign memo alone (``PublicKey.signed_here``), which never evicts.
+    Only if they fall short are the other votes verified for real, in
+    order, until the count reaches quorum.  A signer that has already
+    counted is skipped unverified.
     """
     message = encode_fields(*fields)
     seen: set[int] = set()

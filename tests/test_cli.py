@@ -1,5 +1,6 @@
 """Command-line surface tests driven through cli.main with temp files."""
 
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -103,6 +104,32 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run_cli(["analyze", "--params", str(tmp_path / "nope.json")], capsys)
         assert code == 2
+
+    RECORDS = {
+        "full": {"B": 30, "R_A": 12, "R_V": 10, "S": 1500, "C": 10, "p": 0.01, "r": 0.1,
+                 "n": 1, "U1": 12, "U2": 24, "R_C": 100},
+        "shorthand": {"C": 1, "S": 150, "R": 1.2, "r": 0.1, "p": 0.01, "R_C": 100, "B": 4},
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                             ids=["NaN", "Infinity", "-Infinity", "huge-int"])
+    @pytest.mark.parametrize("record,field", [
+        (record, field) for record, data in RECORDS.items() for field in data if field != "n"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, record, field, value):
+        # json.dumps writes the NaN, Infinity and -Infinity literals json.load
+        # reads, and an int too large for a float in full
+        path = write_json(tmp_path / "params.json", {**self.RECORDS[record], field: value})
+        assert run_cli(["analyze", "--params", path], capsys)[:2] == (2, "")
+
+    @pytest.mark.parametrize("n", [1.5, True, "1"])
+    def test_non_integer_n_exits_2(self, tmp_path, capsys, n):
+        path = write_json(tmp_path / "params.json", {**self.RECORDS["full"], "n": n})
+        assert run_cli(["analyze", "--params", path], capsys)[:2] == (2, "")
+
+    @pytest.mark.parametrize("record", list(RECORDS))
+    def test_base_records_run(self, tmp_path, capsys, record):
+        path = write_json(tmp_path / "params.json", self.RECORDS[record])
+        assert run_cli(["analyze", "--params", path], capsys)[0] == 0
 
 
 class TestSimulate:
@@ -432,6 +459,33 @@ class TestReplay:
         code, _, err = run_cli(
             ["replay", "--scenario", silent_scenario, "--hash", "00" * 32], capsys)
         assert code == 3 and "no responsive asserter" in err
+
+
+class TestGoldenOutputs:
+    """``posp simulate`` on each shipped scenario writes exactly the
+    ``report.json`` and ``ledger.json`` it wrote when these SHA-256 digests
+    were recorded.  The trace hash does not cover everything in them: the
+    report's ``node_payoffs`` read the ``computations`` charges."""
+
+    DIGESTS = {
+        "all_honest": {
+            "report.json": "d530a627cfd1d8278df600a667c47cf6e95b4ab5013daed2bb7db8ead94b21ab",
+            "ledger.json": "b1db6b6e26d792e25a74db75bd7912acd1a6463a425e879cef0fa75181ab1c1e"},
+        "leak_attack": {
+            "report.json": "410e55583bf3132307150dab06c01c89b7cb0f3a9a6e0051340a7b777f439fc4",
+            "ledger.json": "70d0fc76d3b4a940bbdce73f654ac426501e0a9f77acaacea25f926b98a2f9ac"},
+        "mixed_adversaries": {
+            "report.json": "276a1be05e2fd23247ec7a4bed50fae51c413d9cf095088b9f449900dbe581bc",
+            "ledger.json": "b7a9367e5ce7798285c2d27a7bd26dabe97587efd7f3ebb488779d53f113af16"},
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_simulate_writes_the_golden_files(self, tmp_path, capsys, name):
+        code, _, _ = run_cli(["simulate", "--scenario", str(SCENARIOS / f"{name}.json"),
+                              "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+                for file in self.DIGESTS[name]} == self.DIGESTS[name]
 
 
 class TestLogging:

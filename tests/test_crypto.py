@@ -169,9 +169,9 @@ def raw_verify(pk_raw: bytes, signature: bytes, *fields: bytes) -> bool:
 
 
 class TestSignMemo:
-    """``PublicKey.verify`` answers exact (key, message, signature) triples
-    that ``KeyPair.sign`` made from its memo; everything else is verified for
-    real."""
+    """``PublicKey.verify`` answers an exact (message, signature) pair that
+    ``KeyPair.sign`` made with the key from the key's own memo; everything
+    else is verified for real."""
 
     FIELDS = (b"x", b"reqid", b"y")
     KP = crypto.KeyPair.from_seed(bytes([1] * 32))
@@ -181,7 +181,7 @@ class TestSignMemo:
         sk = ed25519.Ed25519PrivateKey.from_private_bytes(bytes([7] * 32))
         sig = sk.sign(crypto.encode_fields(*self.FIELDS))
         pk = crypto.PublicKey(sk.public_key())
-        assert (pk.raw, crypto.encode_fields(*self.FIELDS), sig) not in crypto._SIGNED
+        assert not pk.signed_here(sig, crypto.encode_fields(*self.FIELDS))
         assert pk.verify(sig, *self.FIELDS)
 
     def test_mismatches_rejected_right_after_sign(self):
@@ -240,14 +240,19 @@ class TestSignMemo:
         pk = self.OTHER.public if other_key else self.KP.public
         assert pk.verify(sig, *fields) == raw_verify(pk.raw, sig, *fields)
 
-    def test_memo_is_bounded(self):
-        first = self.KP.sign(b"first")
-        for i in range(10 * crypto._SIGNED_MAX):
-            self.KP.sign(i.to_bytes(4, "big"))
-        assert len(crypto._SIGNED) <= crypto._SIGNED_MAX
-        # evicted, so checked for real, and still valid
-        assert (self.KP.public.raw, crypto.encode_fields(b"first"), first) not in crypto._SIGNED
-        assert self.KP.public.verify(first, b"first")
+    def test_memo_never_evicts(self, ed25519_checks):
+        kp, other = (crypto.KeyPair.from_seed(bytes([k] * 32)) for k in (3, 4))
+        first = kp.sign(b"first")
+        for i in range(640):
+            kp.sign(i.to_bytes(4, "big"))
+        assert kp.public.verify(first, b"first")
+        assert ed25519_checks == []
+        # each PublicKey object has its own memo: a copy checks for real
+        copy = crypto.PublicKey.from_bytes(kp.public.raw)
+        assert copy.verify(first, b"first")
+        assert len(ed25519_checks) == 1
+        assert not other.public.signed_here(first, crypto.encode_fields(b"first"))
+        assert not other.public.verify(first, b"first")
 
 
 class TestUniformity:

@@ -168,6 +168,15 @@ class TestSingleValidatorMinP:
         with pytest.raises(ValueError):
             econ.single_validator_min_p(-1.0, 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge-int"])
+    @pytest.mark.parametrize("at", range(4))
+    def test_rejects_non_finite_inputs(self, at, value):
+        args = [1.0, 150.0, 1.2, 0.1]
+        args[at] = value
+        with pytest.raises(ValueError):
+            econ.single_validator_min_p(*args)
+
 
 class TestFraudProofUndetectedFraud:
     def test_reference_value(self):

@@ -1,7 +1,8 @@
 """Role state-machine tests: request acceptance, selection, quorum rules,
 challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
-from collections import Counter, OrderedDict
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -42,6 +43,12 @@ SEED = bytes([11] * 32)
 
 def keypair(tag: int) -> KeyPair:
     return KeyPair.from_seed(prf(SEED, b"key" + tag.to_bytes(4, "big")))
+
+
+def without_memo():
+    """Within this context the sign-memo probe answers False, so every
+    signature check runs Ed25519."""
+    return patch.object(crypto.PublicKey, "signed_here", lambda pk, sig, message: False)
 
 
 class World:
@@ -200,7 +207,7 @@ class TestAcceptRule:
         w.submit(b"earlier")  # state that a rejected message must leave as it is
         honest, altered = data.draw(altered_messages(w, other))
         before = committee_state(w.committee)
-        with patch.object(crypto, "_SIGNED", crypto._SIGNED if memo else OrderedDict()):
+        with nullcontext() if memo else without_memo():
             with pytest.raises(InvalidSignatureError):
                 w.committee.accept_request(altered)
             assert committee_state(w.committee) == before
@@ -370,7 +377,7 @@ class TestOneQuorumRule:
         reqid = w.submit()
         i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
         task = w.committee.task_message(reqid)
-        monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
+        monkeypatch.setattr(crypto.PublicKey, "signed_here", lambda pk, sig, message: False)
         calls = count_checks(monkeypatch)
         assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
                                 w.net.quorum, w.y_true_b) is True
@@ -484,12 +491,12 @@ class TestOneQuorumRule:
         votes = tuple(votes)
 
         with_memo = protocol._quorum(pks, quorum, PROPERTY_FIELDS, votes)
-        with patch.object(crypto, "_SIGNED", OrderedDict()):
-            without_memo = protocol._quorum(pks, quorum, PROPERTY_FIELDS, votes)
+        with without_memo():
+            no_memo = protocol._quorum(pks, quorum, PROPERTY_FIELDS, votes)
         message = crypto.encode_fields(*PROPERTY_FIELDS)
         signers = {orch_id for orch_id, sig in votes
                    if 0 <= orch_id < n and ed25519_valid(pks[orch_id], sig, message)}
-        assert with_memo == without_memo == (len(signers) >= quorum)
+        assert with_memo == no_memo == (len(signers) >= quorum)
 
 
 def flip(data: bytes, at: int) -> bytes:
@@ -636,14 +643,22 @@ class TestTaskBatch:
             assert [crypto.merkle_proves(root, leaf, path) for leaf in leaves] == \
                 [k == index for k in range(size)]
 
-    def test_probed_memo_entry_outlives_later_signs(self):
-        kp = keypair(300)
+    def test_probed_memo_entry_outlives_later_signs(self, ed25519_checks):
+        kp, other = keypair(300), keypair(301)
         vote = kp.sign(b"tasks", b"root")
         message = crypto.encode_fields(b"tasks", b"root")
-        for k in range(10 * crypto._SIGNED_MAX):
+        for k in range(640):
             kp.sign(k.to_bytes(4, "big"))
             assert kp.public.signed_here(vote, message)
-        assert len(crypto._SIGNED) <= crypto._SIGNED_MAX
+        assert kp.public.verify(vote, b"tasks", b"root")
+        assert ed25519_checks == []
+        # a copy of the key has its own, empty memo; another key's memo
+        # never answers for this key
+        copy = crypto.PublicKey.from_bytes(kp.public.raw)
+        assert not copy.signed_here(vote, message)
+        assert copy.verify(vote, b"tasks", b"root")
+        assert ed25519_checks == [(message, vote)]
+        assert not other.public.signed_here(vote, message)
 
 
 class TestResponseBatch:
@@ -911,9 +926,9 @@ class TestResponseProofs:
             validator=by_role["validator"][reqid])
         request = replace(request, votes=w.committee._votes(*request.tuple_fields()))
         with_memo = verdicts(request)
-        with patch.object(crypto, "_SIGNED", OrderedDict()):
-            without_memo = verdicts(request)
-        assert with_memo == without_memo == (False, "BelowQuorumError", "InvalidSignatureError")
+        with without_memo():
+            no_memo = verdicts(request)
+        assert with_memo == no_memo == (False, "BelowQuorumError", "InvalidSignatureError")
         assert reqid not in w.arbitration.outcomes
 
         # the unaltered responses still go through

@@ -3,7 +3,6 @@ estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
 import json
-from collections import OrderedDict
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -117,36 +116,37 @@ class TestOpCounts:
         assert counts == {"sign": signs, "user_sign": requests, "verify": verifies,
                           "probe": checks, "forward": forwards}
 
-    @pytest.mark.parametrize("name,real_verifies", [
-        # the sign memo still holds every signature when it is checked
-        ("all_honest", 0),
-        ("leak_attack", 0),
-        ("mixed_adversaries", 0),
-    ], ids=GOLDEN)
-    def test_golden_real_verifies(self, monkeypatch, name, real_verifies):
-        """Verifies that run the Ed25519 check: those the sign memo cannot
-        answer.  The memo starts empty, so earlier tests do not count."""
-        real = 0
+    @pytest.mark.parametrize("name,requests", [
+        ("all_honest", None),
+        ("leak_attack", None),
+        ("mixed_adversaries", None),
+        # 1 and 14 real verifies when one memo held the process's 64 most
+        # recent signatures
+        ("leak_attack", 1000),
+        ("mixed_adversaries", 1000),
+    ], ids=GOLDEN + ["leak_attack-1000", "mixed_adversaries-1000"])
+    def test_golden_real_verifies(self, ed25519_checks, name, requests):
+        """No verify runs the Ed25519 check: each key's sign memo holds
+        every signature made with it for as long as the run's keys live.
+        ``requests`` overrides the scenario's request count."""
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        if requests is not None:
+            data["requests"] = requests
+        sim.run(sim.ScenarioConfig.from_dict(data))
+        assert ed25519_checks == []
 
-        class CountingKey:
-            def __init__(self, key):
-                self.key = key
-
-            def public_bytes(self, *args, **kwargs):
-                return self.key.public_bytes(*args, **kwargs)
-
-            def verify(self, signature, message):
-                nonlocal real
-                real += 1
-                return self.key.verify(signature, message)
-
-        init = crypto.PublicKey.__init__
-        monkeypatch.setattr(crypto.PublicKey, "__init__",
-                            lambda pk, key: init(pk, CountingKey(key)))
-        monkeypatch.setattr(crypto, "_SIGNED", OrderedDict())
-        sim.run(sim.ScenarioConfig.from_dict(
-            json.loads((SCENARIOS / f"{name}.json").read_text())))
-        assert real == real_verifies
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_sign_memo_never_changes_an_answer(self, monkeypatch, name):
+        """With the memo probe answering False, every signature check runs
+        Ed25519, and the run gives its golden trace hash and ledger."""
+        config = sim.ScenarioConfig.from_dict(
+            json.loads((SCENARIOS / f"{name}.json").read_text()))
+        ledger = sim.run(config).ledger
+        monkeypatch.setattr(crypto.PublicKey, "signed_here", lambda pk, sig, message: False)
+        result = sim.run(config)
+        golden = json.loads((SCENARIOS / "golden_hashes.json").read_text())[name]
+        assert result.metrics.trace_hash == golden
+        assert result.ledger == ledger
 
     @pytest.mark.parametrize("name", GOLDEN)
     def test_one_task_root_vote_per_voting_orchestrator(self, monkeypatch, name):
