@@ -184,17 +184,18 @@ def cmd_sweep(args) -> int:
         config = sim.ScenarioConfig.from_dict(data)
         penalty = data["network"].get("timeout_penalty")
         values = _axis_values(args.start, args.stop, args.steps)
+        # every row's scenario is checked before any row is estimated
+        scns = [_apply_axis(config, args.axis, value, penalty) for value in values]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    estimates = sim.estimate_strategy_payoff(
+        scns, (sim.HONEST, sim.ALWAYS_FRAUD), config.sweep_trials)
     rows = []
     try:
-        for value in values:
-            scn = _apply_axis(config, args.axis, value, penalty)
+        for value, scn, (honest, fraud) in zip(values, scns, estimates):
             net = scn.network
-            honest, fraud = sim.estimate_strategy_payoff(
-                scn, (sim.HONEST, sim.ALWAYS_FRAUD), scn.sweep_trials)
             # the adversarial share actually deployed, overrides included
             table = sim.assign_adversaries(scn)
             r = sum(s.adversarial for s in table) / len(table)

@@ -65,7 +65,9 @@ def prf(seed: bytes, data: bytes) -> bytes:
     return _hmac.digest(seed, data, "sha256")
 
 
-def _prf_u64(seed: bytes, data: bytes) -> int:
+def prf_u64(seed: bytes, data: bytes) -> int:
+    """The PRF's first 8 output bytes as an integer in [0, 2^64): the value
+    that ``sampled`` compares with its threshold and ``bucket`` reduces."""
     return int.from_bytes(prf(seed, data)[:8], "big")
 
 
@@ -73,7 +75,7 @@ def bucket(seed: bytes, unique_string: bytes, n: int) -> int:
     """Deterministic sample in [0, n) from the first 8 PRF output bytes."""
     if n < 1:
         raise ValueError("bucket requires n >= 1")
-    return _prf_u64(seed, unique_string) % n
+    return prf_u64(seed, unique_string) % n
 
 
 @functools.lru_cache(maxsize=256)
@@ -90,7 +92,7 @@ def sample_threshold(p: float) -> int:
 
 def sampled(seed: bytes, unique_string: bytes, p: float) -> bool:
     """True with probability ~p; p=0 is never true, p=1 always true."""
-    return _prf_u64(seed, unique_string) < sample_threshold(p)
+    return prf_u64(seed, unique_string) < sample_threshold(p)
 
 
 def sha256(data: bytes) -> bytes:

@@ -50,8 +50,9 @@ class EconomicParams:
             raise ValueError("p must be in [0, 1]")
         if not 0.0 <= self.r < 1.0:
             raise ValueError("r must be in [0, 1)")
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError("n must be an integer >= 1")
+        # r**n and the other closed forms take n as a float
+        if type(self.n) is not int or self.n < 1 or not _finite(self.n):
+            raise ValueError("n must be an integer >= 1 that a float can hold")
         if not self.R_A + self.R_V < self.B:
             raise ValueError("rewards must satisfy R_A + R_V < B")
 

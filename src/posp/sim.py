@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import logging
+from array import array
 from dataclasses import asdict, dataclass, field
 from typing import Generator, Optional
 
@@ -599,11 +600,22 @@ class _Tally:
             fraud_passes=trials - self.arbitrations if fraud else 0)
 
 
-def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
-                             ) -> list[StrategyEstimate]:
+def _trial_draws(master: bytes, prefix: bytes, t: int) -> tuple[bytes, bytes, bytes]:
+    """Trial ``t``'s request id, challenge beacon ``tau_chal`` and selection
+    string.  They depend on the master seed, the input (through ``prefix``)
+    and ``t`` alone, so every sweep row draws the same ones."""
+    nonce = t.to_bytes(8, "big")
+    sub = prf(master, b"trial" + nonce)
+    reqid = crypto.reqid_from_prefix(prefix, nonce)
+    return reqid, prf(sub, b"tau-chal"), selection_from_prefix(prefix, reqid)
+
+
+def estimate_strategy_payoff(rows, strategies, trials: int,
+                             ) -> list[list[StrategyEstimate]]:
     """Mean and standard error of the focal node's per-request payoff when it
-    asserts under each of ``strategies``: one estimate per strategy, in the
-    order given.
+    asserts under each of ``strategies``, for each scenario in ``rows``: one
+    list per row, in row order, of one estimate per strategy, in the order
+    given.
 
     Each trial is one request asserted by the focal node, driven by an
     independent sub-seed PRF(master, trial-index).  The challenge and
@@ -622,7 +634,17 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
     challenge, validator and the validator's fraud decision) do not depend on
     the focal strategy.  They are made once per trial and shared; the focal
     output, a leaked copy of it, the verdict and the payoff are per strategy.
-    Each estimate is exactly what a call with that strategy alone gives.
+
+    Rows share draws too.  A trial's request id, ``tau_chal``, selection
+    string and the 64-bit PRF value u that the challenge compares with
+    ``sample_threshold(p)`` depend only on the master seed, the input and
+    the trial index, so the rows must agree on ``master_seed``,
+    ``model_dims``, ``network.executors`` and ``focal_executor``.  The first
+    row draws every trial and keeps its u; a later row re-derives a trial's
+    draws only when the trial is challenged at that row's p.  Rows are
+    scored one after another, each from its own world, so memory is one
+    world plus 8 bytes of u per trial.  Each estimate is exactly what a call
+    with that row and that strategy alone gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -633,7 +655,19 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
         raise ValueError("at least one focal strategy is required")
     if any(s.kind not in (HONEST, ALWAYS_FRAUD, COLLUDE) for s in strategies):
         raise ValueError("focal strategy must be honest or a fraud variant")
+    rows = list(rows)
+    if len({(row.master_seed, row.model_dims, row.network.executors, row.focal_executor)
+            for row in rows}) > 1:
+        raise ValueError("rows must agree on master_seed, model_dims, network.executors "
+                         "and focal_executor")
+    us = array("Q")  # each trial's challenge value u, drawn by the first row
+    return [_estimate_row(row, strategies, trials, us) for row in rows]
 
+
+def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials: int,
+                  us: array) -> list[StrategyEstimate]:
+    """One row of ``estimate_strategy_payoff``.  An empty ``us`` makes this
+    the first row: it draws every trial and appends the trial's u."""
     world = _World(config)
     net = config.network
     master = config.master_seed
@@ -643,6 +677,8 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
     y_true_b = world.y_true_b
     # every trial's request id and selection string begin with these bytes
     prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
+    threshold = crypto.sample_threshold(net.challenge_probability)
+    first = not us
 
     def focal_payoff(deltas, cost: float) -> float:
         return sum(d.amount for d in deltas if d.account == account) - cost
@@ -658,14 +694,18 @@ def estimate_strategy_payoff(config: ScenarioConfig, strategies, trials: int,
 
     challenges = 0
     for t in range(trials):
-        sub = prf(master, b"trial" + t.to_bytes(8, "big"))
-        reqid = crypto.reqid_from_prefix(prefix, t.to_bytes(8, "big"))
-        tau_chal = prf(sub, b"tau-chal")
-        s = selection_from_prefix(prefix, reqid)
-        if not crypto.sampled(tau_chal, s, net.challenge_probability):
+        if first:
+            reqid, tau_chal, s = _trial_draws(master, prefix, t)
+            u = crypto.prf_u64(tau_chal, s)
+            us.append(u)
+        else:
+            u = us[t]
+        if u >= threshold:  # unchallenged, as crypto.sampled decides
             for tally in tallies:
                 tally.add(tally.unchallenged)
             continue
+        if not first:
+            reqid, tau_chal, s = _trial_draws(master, prefix, t)
         challenges += 1
         attempt = 1
         j = draw_validator(tau_chal, s, focal, net.executors)

@@ -91,8 +91,8 @@ class TestAcceptance:
                                   challenge_probability=1.05 * P_STAR, **SCALED),
             master_seed=seed, requests=0, byzantine_fraction=0.1,
             byzantine_strategy=sim.ExecStrategy(kind=sim.ALWAYS_FRAUD))
-        honest_hi, fraud_hi = sim.estimate_strategy_payoff(
-            above, (sim.HONEST, sim.ALWAYS_FRAUD), trials)
+        [[honest_hi, fraud_hi]] = sim.estimate_strategy_payoff(
+            [above], (sim.HONEST, sim.ALWAYS_FRAUD), trials)
         gap = honest_hi.mean - fraud_hi.mean
         stderr = (honest_hi.stderr ** 2 + fraud_hi.stderr ** 2) ** 0.5
         z = gap / stderr if stderr else float("inf")
@@ -104,8 +104,8 @@ class TestAcceptance:
                                   challenge_probability=0.5 * P_STAR, **SCALED),
             master_seed=seed, requests=0, byzantine_fraction=0.1,
             byzantine_strategy=collude)
-        honest_lo, fraud_lo = sim.estimate_strategy_payoff(
-            below, (sim.HONEST, collude), trials)
+        [[honest_lo, fraud_lo]] = sim.estimate_strategy_payoff(
+            [below], (sim.HONEST, collude), trials)
         elapsed = time.perf_counter() - start
 
         ok = z > 5.0 and fraud_lo.mean > honest_lo.mean and elapsed < 120.0
@@ -205,7 +205,7 @@ class TestAcceptance:
                                   challenge_probability=p, **SCALED),
             master_seed=bytes(32), requests=0, byzantine_fraction=r,
             byzantine_strategy=collude)
-        [est] = sim.estimate_strategy_payoff(config, [collude], trials)
+        [[est]] = sim.estimate_strategy_payoff([config], [collude], trials)
         expected = econ.cheat_pass_probability(p, r)
         sigma = (expected * (1 - expected) / trials) ** 0.5
         dev = abs(est.empirical_cheat_pass_rate - expected)

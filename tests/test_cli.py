@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,17 @@ class TestAnalyze:
     def test_non_integer_n_exits_2(self, tmp_path, capsys, n):
         path = write_json(tmp_path / "params.json", {**self.RECORDS["full"], "n": n})
         assert run_cli(["analyze", "--params", path], capsys)[:2] == (2, "")
+
+    @pytest.mark.parametrize("n", [2**1024, 10**400], ids=["2**1024", "400-digits"])
+    @pytest.mark.parametrize("r", [0.1, 0.0])
+    def test_n_too_large_for_a_float_exits_2(self, tmp_path, capsys, n, r):
+        path = write_json(tmp_path / "params.json", {**self.RECORDS["full"], "n": n, "r": r})
+        assert run_cli(["analyze", "--params", path], capsys)[:2] == (2, "")
+
+    def test_largest_n_a_float_holds_runs(self, tmp_path, capsys):
+        path = write_json(tmp_path / "params.json",
+                          {**self.RECORDS["full"], "n": int(sys.float_info.max)})
+        assert run_cli(["analyze", "--params", path], capsys)[0] == 0
 
     @pytest.mark.parametrize("record", list(RECORDS))
     def test_base_records_run(self, tmp_path, capsys, record):
@@ -301,23 +313,41 @@ class TestSweep:
                                                       p=0.1, B=30)
         assert row["dominance_margin"] == econ.dominance_margin(params)
 
-    def test_one_estimator_pass_per_row(self, small_scenario, monkeypatch, capsys):
+    @pytest.fixture
+    def estimator_calls(self, monkeypatch):
+        """The rows of each call to the estimator made after the fixture."""
         calls = []
         estimate = sim.estimate_strategy_payoff
 
-        def counted(scn, strategies, trials):
-            calls.append(tuple(strategies))
-            return estimate(scn, strategies, trials)
+        def counted(rows, strategies, trials):
+            calls.append(list(rows))
+            return estimate(rows, strategies, trials)
         monkeypatch.setattr(sim, "estimate_strategy_payoff", counted)
+        return calls
+
+    def test_one_estimator_call_per_sweep(self, small_scenario, estimator_calls, capsys):
         code, out, _ = run_cli(["sweep", "--scenario", small_scenario, "--axis", "p",
                                 "--from", "0.1", "--to", "0.5", "--steps", "3"], capsys)
         assert code == 0
-        assert calls == [(sim.HONEST, sim.ALWAYS_FRAUD)] * 3
-        row = json.loads(out)["rows"][-1]
-        scn = cli._apply_axis(cli._load_scenario(small_scenario), "p", row["value"])
-        [honest] = estimate(scn, [sim.HONEST], scn.sweep_trials)
-        [fraud] = estimate(scn, [sim.ALWAYS_FRAUD], scn.sweep_trials)
-        assert (row["honest_mean"], row["fraud_mean"]) == (honest.mean, fraud.mean)
+        config = cli._load_scenario(small_scenario)
+        rows = json.loads(out)["rows"]
+        assert estimator_calls == [[cli._apply_axis(config, "p", row["value"]) for row in rows]]
+        [[honest, fraud]] = sim.estimate_strategy_payoff(
+            estimator_calls[0][-1:], (sim.HONEST, sim.ALWAYS_FRAUD), config.sweep_trials)
+        assert (rows[-1]["honest_mean"], rows[-1]["fraud_mean"]) == (honest.mean, fraud.mean)
+
+    def test_row_over_budget_exits_2_before_any_estimate(self, tmp_path, estimator_calls,
+                                                         capsys):
+        # floor(r * 8) covers the one adversarial override at r 0.4 and 0.2,
+        # not at 0.0
+        path = write_json(tmp_path / "overrides.json", {
+            "network": NETWORK, "master_seed": "17" * 32, "requests": 0,
+            "byzantine_fraction": 0.25, "executor_overrides": {"3": "always-fraud"},
+            "sweep_trials": 10})
+        code, out, err = run_cli(["sweep", "--scenario", path, "--axis", "r",
+                                  "--from", "0.4", "--to", "0.0", "--steps", "3"], capsys)
+        assert (code, out) == (2, "") and "exceed the budget" in err
+        assert estimator_calls == []
 
     @pytest.mark.parametrize("penalty,code", [(None, 0), (150, 2)], ids=["derived", "explicit"])
     def test_s_sweep_below_the_scenario_penalty(self, tmp_path, capsys, penalty, code):
@@ -486,6 +516,25 @@ class TestGoldenOutputs:
         assert code == 0
         assert {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
                 for file in self.DIGESTS[name]} == self.DIGESTS[name]
+
+
+    SWEEP_DIGESTS = {
+        ("mixed_adversaries.json", "p", "0.01", "0.2", "3"):
+            "ded82adb8b8db54fc712b35903db026836eba9dbe5bf2efb7bb73aae3a22773f",
+        ("mixed_adversaries.json", "r", "0.1", "0.4", "4"):
+            "ac742e73e14bba172440bc12079150cc1b54422074c8cedccf15d3ed86507f48",
+        ("leak_attack.json", "S", "200", "3000", "4"):
+            "43daf7cee6bbb373181876066373fdb924c438dcd0b26bc5591f50abd45f40f4",
+    }
+
+    @pytest.mark.parametrize("sweep", list(SWEEP_DIGESTS), ids=["p", "r", "S"])
+    def test_sweep_prints_the_golden_rows(self, capsys, sweep):
+        scenario, axis, start, stop, steps = sweep
+        code, out, _ = run_cli(["sweep", "--scenario", str(SCENARIOS / scenario),
+                                "--axis", axis, "--from", start, "--to", stop,
+                                "--steps", steps], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[sweep]
 
 
 class TestLogging:

@@ -2,6 +2,7 @@
 tests tying the closed forms to the exhaustive enumeration oracle."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -26,6 +27,14 @@ class TestEconomicParams:
     def test_rejects_reward_above_payment(self):
         with pytest.raises(ValueError):
             EconomicParams(B=2, R_A=1, R_V=1, S=1, C=1, p=0.1, r=0.1)
+
+    def test_n_must_fit_a_float(self):
+        # the closed forms take r**n, which raises OverflowError past a float
+        for n in (65, int(sys.float_info.max)):
+            assert EconomicParams(B=4, R_A=1, R_V=1, S=1, C=1, p=0.1, r=0.1, n=n).n == n
+        for n in (2**1024, 10**400):
+            with pytest.raises(ValueError, match="n must be"):
+                EconomicParams(B=4, R_A=1, R_V=1, S=1, C=1, p=0.1, r=0.1, n=n)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from posp import crypto, econ, protocol, sim
+from posp import cli, crypto, econ, protocol, sim
 from posp.model import generate_model
 from posp.protocol import NetworkConfig, Phase
 
@@ -505,24 +505,24 @@ def scaled_params(p):
 class TestEstimateStrategyPayoff:
     def test_honest_p_zero_exact(self):
         cfg = config(p=0.0)
-        [est] = sim.estimate_strategy_payoff(cfg, [sim.HONEST], trials=500)
+        [[est]] = sim.estimate_strategy_payoff([cfg], [sim.HONEST], trials=500)
         net = cfg.network
         assert est.mean == pytest.approx(net.reward_r - net.compute_cost)
         assert est.stderr == 0.0
 
     def test_fraud_always_caught(self):
         cfg = config(p=1.0)
-        [est] = sim.estimate_strategy_payoff(cfg, [sim.ALWAYS_FRAUD], trials=500)
+        [[est]] = sim.estimate_strategy_payoff([cfg], [sim.ALWAYS_FRAUD], trials=500)
         assert est.mean == pytest.approx(-cfg.network.slash_s)
         assert est.empirical_cheat_pass_rate == 0.0
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
-            sim.estimate_strategy_payoff(config(), [sim.HONEST], trials=0)
+            sim.estimate_strategy_payoff([config()], [sim.HONEST], trials=0)
 
     def test_rejects_unresponsive_focal(self):
         with pytest.raises(ValueError):
-            sim.estimate_strategy_payoff(config(), [sim.UNRESPONSIVE], trials=10)
+            sim.estimate_strategy_payoff([config()], [sim.UNRESPONSIVE], trials=10)
 
     def test_fraud_mean_tracks_enumeration_oracle(self):
         # colluding-fraction scenario at slightly-above-threshold p
@@ -532,8 +532,8 @@ class TestEstimateStrategyPayoff:
             network=scaled_params(p), master_seed=SEED, requests=0,
             byzantine_fraction=0.1,
             byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
-        [est] = sim.estimate_strategy_payoff(
-            cfg, [sim.ExecStrategy(kind=sim.COLLUDE, group=0)], trials=40_000)
+        [[est]] = sim.estimate_strategy_payoff(
+            [cfg], [sim.ExecStrategy(kind=sim.COLLUDE, group=0)], trials=40_000)
         params = econ.EconomicParams.single_validator(
             C=10.0, S=1500.0, R=12.0, r=0.1, p=p)
         exact = econ.brute_force_expected_payoff(
@@ -546,7 +546,7 @@ class TestEstimateStrategyPayoff:
             1: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
             2: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
             3: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)})
-        [est] = sim.estimate_strategy_payoff(cfg, [sim.HONEST], trials=300)
+        [[est]] = sim.estimate_strategy_payoff([cfg], [sim.HONEST], trials=300)
         net = cfg.network
         assert est.mean == net.reward_r + net.slash_s - net.compute_cost == 1502.0
         assert est.stderr == 0.0 and est.arbitrations == 300
@@ -555,7 +555,7 @@ class TestEstimateStrategyPayoff:
         cfg = config(p=1.0, executor_overrides={
             i: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD) for i in range(1, 8)},
             orchestrator_overrides={0: protocol.ORCH_LEAK})
-        [est] = sim.estimate_strategy_payoff(cfg, [sim.ALWAYS_FRAUD], trials=300)
+        [[est]] = sim.estimate_strategy_payoff([cfg], [sim.ALWAYS_FRAUD], trials=300)
         assert est.mean == cfg.network.reward_r == 12.0
         assert est.empirical_cheat_pass_rate == 1.0
 
@@ -563,52 +563,114 @@ class TestEstimateStrategyPayoff:
     def test_rejects_a_single_strategy(self, one):
         # a string would otherwise be iterated character by character
         with pytest.raises(TypeError):
-            sim.estimate_strategy_payoff(config(), one, trials=10)
+            sim.estimate_strategy_payoff([config()], one, trials=10)
 
 
 @st.composite
 def estimator_cases(draw):
-    """A random small scenario with a random focal node, and a trial count."""
+    """A random small scenario with a random focal node, one to four rows of
+    it along one `posp sweep` axis, and a trial count."""
     cfg = draw(small_scenarios())
-    focal = draw(st.integers(0, cfg.network.executors - 1))
-    return replace(cfg, focal_executor=focal), draw(st.integers(1, 60))
+    cfg = replace(cfg, focal_executor=draw(st.integers(0, cfg.network.executors - 1)))
+    axis = draw(st.sampled_from(cli.SWEEP_AXES))
+    count = draw(st.integers(1, 4))
+    if axis == "p":
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    elif axis == "S":
+        values = draw(st.lists(st.integers(0, 3000).map(float), min_size=count,
+                               max_size=count))
+    else:
+        # a Byzantine fraction fills the nodes left without an override, and
+        # each row's floor(r * N) must cover the adversarial overrides kept
+        n = cfg.network.executors
+        kept = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        overrides = {i: cfg.executor_overrides[i] for i in kept}
+        cfg = replace(cfg, executor_overrides=overrides, byzantine_strategy=draw(
+            st.sampled_from([sim.ExecStrategy(kind=sim.ALWAYS_FRAUD),
+                             sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                              fraud_probability=0.5),
+                             sim.ExecStrategy(kind=sim.COLLUDE, group=0)])))
+        adversarial = sum(s.adversarial for s in overrides.values())
+        values = [(k + 0.5) / n for k in draw(st.lists(
+            st.integers(adversarial, n - 1), min_size=count, max_size=count))]
+    return along(cfg, axis, values), draw(st.integers(1, 60))
 
 
-def estimate_or_error(cfg, strategies, trials):
+def along(cfg, axis, values):
+    """The sweep rows of ``cfg`` at ``values`` on ``axis``."""
+    return [cli._apply_axis(cfg, axis, value) for value in values]
+
+
+def estimate_or_error(rows, strategies, trials):
+    """Each row's estimates as dicts, or the repr of the ProtocolError the
+    call raised."""
     try:
-        return [e.to_dict() for e in sim.estimate_strategy_payoff(cfg, strategies, trials)]
+        return [[e.to_dict() for e in estimates]
+                for estimates in sim.estimate_strategy_payoff(rows, strategies, trials)]
     except protocol.ProtocolError as exc:
-        return [repr(exc)] * len(strategies)
+        return repr(exc)
+
+
+LEAK_REDRAW_FRAUD_COLLUDE = config(
+    executors=4, p=1.0, orchestrator_overrides={0: protocol.ORCH_LEAK},
+    executor_overrides={1: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
+                        2: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                            fraud_probability=0.5),
+                        3: sim.ExecStrategy(kind=sim.COLLUDE, group=0)})
+FRAUD_WITH_PROBABILITY_HALF = config(
+    executors=6, p=0.5, byzantine_fraction=0.5,
+    byzantine_strategy=sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                        fraud_probability=0.3))
+
+
+def sweep_scenario(p):
+    """The `posp sweep` benchmark scenario at challenge probability p."""
+    return sim.ScenarioConfig(
+        network=scaled_params(p), master_seed=bytes([0x28] * 32), requests=0,
+        byzantine_fraction=0.1,
+        byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
 
 
 class TestEstimateOnePass:
-    """One pass over the trials scores several focal strategies, each
-    exactly as a call with that strategy alone would."""
+    """One pass over the trials scores several focal strategies and several
+    sweep rows, each exactly as a call with that row and that strategy
+    alone would."""
 
     FOCALS = (sim.HONEST, sim.ALWAYS_FRAUD, sim.ExecStrategy(kind=sim.COLLUDE, group=0))
 
     @settings(max_examples=60)
     @given(estimator_cases())
-    @example((config(executors=4, p=1.0, orchestrator_overrides={0: protocol.ORCH_LEAK},
-                     executor_overrides={1: sim.ExecStrategy(kind=sim.UNRESPONSIVE),
-                                         2: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
-                                                             fraud_probability=0.5),
-                                         3: sim.ExecStrategy(kind=sim.COLLUDE, group=0)}),
-              200))
-    @example((config(executors=6, p=0.5, byzantine_fraction=0.5,
-                     byzantine_strategy=sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
-                                                         fraud_probability=0.3)),
-              200))
+    @example((along(LEAK_REDRAW_FRAUD_COLLUDE, "p", [1.0, 0.3, 0.0, 0.7]), 200))
+    @example((along(LEAK_REDRAW_FRAUD_COLLUDE, "S", [1500.0, 0.0, 200.0]), 200))
+    @example((along(FRAUD_WITH_PROBABILITY_HALF, "r", [0.5, 0.2, 0.0, 0.84]), 200))
+    @example((along(FRAUD_WITH_PROBABILITY_HALF, "p", [0.5]), 200))
     def test_matches_one_strategy_calls(self, case):
-        cfg, trials = case
-        one_pass = estimate_or_error(cfg, self.FOCALS, trials)
-        assert one_pass == [d for s in self.FOCALS for d in estimate_or_error(cfg, [s], trials)]
+        rows, trials = case
+        expected = []
+        for row in rows:
+            singles = [estimate_or_error([row], [s], trials) for s in self.FOCALS]
+            if isinstance(singles[0], str):
+                # a trial's draws fail whatever the focal strategy
+                assert singles == singles[:1] * len(singles)
+                expected = singles[0]  # and the call stops at its first failing row
+                break
+            expected.append([d for [[d]] in singles])
+        assert estimate_or_error(rows, self.FOCALS, trials) == expected
 
-    def test_sweep_row_work_is_exact(self, monkeypatch):
-        """PRF and payout calls of one honest/fraud estimate on the `posp
-        sweep` scenario: three PRFs per trial, one per challenge and 63 to
-        set up; one payout per strategy for all the unchallenged trials
-        together, and one per strategy per challenge."""
+    @pytest.mark.parametrize("change", [
+        {"master_seed": bytes(32)},
+        {"model_dims": (4, 8, 3)},
+        {"network": NetworkConfig(executors=9, fault_bound=1, challenge_probability=0.0)},
+        {"focal_executor": 1},
+    ], ids=["master_seed", "model_dims", "executors", "focal_executor"])
+    def test_rows_must_share_their_draws(self, change):
+        base = config()
+        with pytest.raises(ValueError, match="rows must agree"):
+            sim.estimate_strategy_payoff([base, replace(base, **change)], self.FOCALS, 10)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """PRF and payout calls made after the fixture."""
         counts = {"prf": 0, "payout": 0}
 
         def counted(key, fn):
@@ -620,13 +682,35 @@ class TestEstimateOnePass:
         monkeypatch.setattr(crypto, "prf", prf)
         monkeypatch.setattr(sim, "prf", prf)
         monkeypatch.setattr(sim, "payout", counted("payout", sim.payout))
-        cfg = sim.ScenarioConfig(
-            network=scaled_params(0.01), master_seed=bytes([0x28] * 32), requests=0,
-            byzantine_fraction=0.1,
-            byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
-        honest, fraud = sim.estimate_strategy_payoff(cfg, (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
+        return counts
+
+    def test_sweep_row_work_is_exact(self, counts):
+        """PRF and payout calls of one honest/fraud estimate on the `posp
+        sweep` scenario: three PRFs per trial, one per challenge and 63 to
+        set up; one payout per strategy for all the unchallenged trials
+        together, and one per strategy per challenge."""
+        [[honest, fraud]] = sim.estimate_strategy_payoff(
+            [sweep_scenario(0.01)], (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
         assert honest.challenges == fraud.challenges == 12
         assert counts == {"prf": 3 * 2000 + 12 + 63, "payout": 2 + 2 * 12}
+
+    def test_sweep_work_is_exact(self, counts):
+        """The same counts for the benchmark's seven-row p sweep, 0.5 p* to
+        2 p*.  The first row costs what a one-row call costs: 3 PRFs per
+        trial, 1 per challenge and 63 to set up its world.  Each later row
+        reads the first row's challenge values, so it pays its 63 and then
+        3 PRFs per challenge only (the trial's sub-seed, its challenge beacon
+        and the validator draw).  Payouts are per row as in one-row calls."""
+        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+        rows = along(sweep_scenario(0.01), "p", cli._axis_values(0.5 * p_star, 2 * p_star, 7))
+        estimates = sim.estimate_strategy_payoff(rows, (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
+        assert [(h.challenges, f.challenges) for h, f in estimates] == [
+            (c, c) for c in (6, 8, 10, 12, 13, 18, 20)]
+        # PRFs: the first row 3 * 2000 + 6 + 63 = 6069; the six later rows
+        # 6 * 63 + 3 * (8 + 10 + 12 + 13 + 18 + 20) = 378 + 243 = 621.
+        # Payouts: 2 per row and 2 per challenge, 7 * 2 + 2 * 87 = 188.
+        # Drawing every row afresh took 7 * (3 * 2000 + 63) + 87 = 42,528 PRFs.
+        assert counts == {"prf": 6069 + 621, "payout": 188}
 
 
 # StrategyEstimate.to_dict() as recorded when the estimator still derived
@@ -665,12 +749,9 @@ class TestPinnedEstimates:
     def test_sweep_scenario(self, factor, kind, expected):
         # the `posp sweep` scenario, at a multiple of its threshold p*
         p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
-        cfg = sim.ScenarioConfig(
-            network=scaled_params(factor * p_star), master_seed=bytes([0x28] * 32),
-            requests=0, byzantine_fraction=0.1,
-            byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
+        cfg = sweep_scenario(factor * p_star)
         strategy = sim.ExecStrategy(kind=kind, group=0 if kind == sim.COLLUDE else None)
-        [est] = sim.estimate_strategy_payoff(cfg, [strategy], trials=4000)
+        [[est]] = sim.estimate_strategy_payoff([cfg], [strategy], trials=4000)
         assert est.to_dict() == {"strategy": kind, "trials": 4000, **expected}
 
     @pytest.mark.parametrize("kind,expected", [
@@ -685,7 +766,7 @@ class TestPinnedEstimates:
         cfg = config(p=0.5, requests=0, byzantine_fraction=0.5,
                      byzantine_strategy=sim.ExecStrategy(
                          kind=sim.FRAUD_WITH_PROBABILITY, fraud_probability=0.5))
-        [est] = sim.estimate_strategy_payoff(cfg, [kind], trials=2000)
+        [[est]] = sim.estimate_strategy_payoff([cfg], [kind], trials=2000)
         assert est.to_dict() == {"strategy": kind, "trials": 2000, **expected}
 
 
