@@ -1,6 +1,6 @@
 """Bit-exact deterministic primitives: PRF, bucket/Bernoulli sampling,
-request-id derivation, Merkle inclusion proofs, and Ed25519 signatures over
-a canonical encoding.
+request-id derivation from the encoded (pk_user, x) prefix, Merkle
+inclusion proofs, and Ed25519 signatures over a canonical encoding.
 
 The canonical encoding of a message is the concatenation of its fields,
 each prefixed with a 4-byte big-endian length.  Every signature in the
@@ -101,19 +101,14 @@ def sha256(data: bytes) -> bytes:
 
 def request_prefix(pk_user: bytes, x: bytes) -> bytes:
     """The encoded (pk_user, x) fields that a request id's preimage and a
-    selection string (``protocol.selection_string``) both begin with.
-    Encodings concatenate, so a caller handling many requests of one user
-    and input encodes the pair once."""
+    selection string (``protocol.selection_string``) both begin with.  Both
+    rules take this prefix, so a caller encodes each pair once."""
     return encode_fields(pk_user, x)
 
 
-def derive_reqid(pk_user: bytes, x: bytes, user_nonce: bytes) -> bytes:
-    """Request id: SHA-256 over the canonical encoding of (pk, x, nonce)."""
-    return reqid_from_prefix(request_prefix(pk_user, x), user_nonce)
-
-
-def reqid_from_prefix(prefix: bytes, user_nonce: bytes) -> bytes:
-    """``derive_reqid`` from ``request_prefix(pk_user, x)``."""
+def derive_reqid(prefix: bytes, user_nonce: bytes) -> bytes:
+    """Request id: SHA-256 over the canonical encoding of (pk_user, x,
+    nonce), given ``prefix = request_prefix(pk_user, x)``."""
     return sha256(prefix + encode_fields(user_nonce))
 
 

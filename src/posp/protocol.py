@@ -4,7 +4,8 @@ challenge routing, timeouts), executors, and the arbitration and settlement
 contracts.  A user signs once per arrival epoch: ``user_submit`` signs
 (b"requests", reqid_1, ..., reqid_n) over the epoch's requests, and
 ``Committee.accept_request`` rebuilds the ids, checks that one signature and
-accepts the whole message or none of it.  BFT agreement is the committee
+accepts the whole message or none of it; each lifecycle keeps its request's
+``crypto.request_prefix`` for every draw.  BFT agreement is the committee
 collecting votes into the message it certifies: a task message, an
 arbitration request and a batch certificate each carry their payload once,
 with the (orch_id, signature) votes on it.  Every vote is a signature over the canonical fields the
@@ -277,7 +278,7 @@ class RequestLifecycle:
     transition graph so every simulated trace is a valid path."""
 
     reqid: bytes
-    pk_user: bytes
+    prefix: bytes  # crypto.request_prefix(pk_user, x), which every draw reads
     x: bytes
     phase: Phase = Phase.SUBMITTED
     asserter: Optional[int] = None
@@ -389,23 +390,23 @@ def user_submit(requests: Sequence[tuple[bytes, bytes]], user_keys: KeyPair) -> 
     prevent replay."""
     pk_user = user_keys.public.raw
     requests = tuple((x, nonce) for x, nonce in requests)
-    reqids = [crypto.derive_reqid(pk_user, x, nonce) for x, nonce in requests]
+    _prefixes, reqids = _request_ids(pk_user, requests)
     return SignedRequest(pk_user=pk_user, requests=requests,
                          signature=user_keys.sign(b"requests", *reqids))
 
 
-def selection_string(pk_user: bytes, x: bytes, reqid: bytes, attempt: int = 1) -> bytes:
-    """The unique string fed to the sampling PRF; reassignments append an
-    attempt suffix so a fresh node is drawn."""
-    return selection_from_prefix(crypto.request_prefix(pk_user, x), reqid, attempt)
+def _request_ids(pk_user: bytes, requests: tuple) -> tuple[list[bytes], list[bytes]]:
+    """Each request's ``crypto.request_prefix`` and id; each distinct x is encoded once."""
+    encoded = {x: crypto.request_prefix(pk_user, x) for x in {x for x, _nonce in requests}}
+    prefixes = [encoded[x] for x, _nonce in requests]
+    return prefixes, list(map(crypto.derive_reqid, prefixes, [nonce for _x, nonce in requests]))
 
 
-def selection_from_prefix(prefix: bytes, reqid: bytes, attempt: int = 1) -> bytes:
-    """``selection_string`` from ``crypto.request_prefix(pk_user, x)``."""
-    base = prefix + encode_fields(reqid)
-    if attempt > 1:
-        base += f"attempt_{attempt}".encode()
-    return base
+def selection_string(prefix: bytes, reqid: bytes, attempt: int = 1) -> bytes:
+    """The unique string fed to the sampling PRF: the request's prefix and
+    id, and on a reassignment an attempt suffix, so a fresh node is drawn."""
+    suffix = f"attempt_{attempt}".encode() if attempt > 1 else b""
+    return prefix + encode_fields(reqid) + suffix
 
 
 def draw_validator(tau_chal: bytes, unique_string: bytes, asserter: int, n: int) -> int:
@@ -546,7 +547,7 @@ class Committee:
         pk = self.user_pks.get(pk_user)
         if pk is None:
             raise InvalidSignatureError("unknown user key")
-        reqids = [crypto.derive_reqid(pk_user, x, nonce) for x, nonce in requests]
+        prefixes, reqids = _request_ids(pk_user, requests)
         if not pk.verify(signed.signature, b"requests", *reqids):
             raise InvalidSignatureError("bad user signature")
         seen: set[bytes] = set()
@@ -555,8 +556,8 @@ class Committee:
                 raise DuplicateRequestError(reqid.hex())
             seen.add(reqid)
         debit = -self.config.payment_b
-        for reqid, (x, _nonce) in zip(reqids, requests):
-            self.lifecycles[reqid] = RequestLifecycle(reqid=reqid, pk_user=pk_user, x=x)
+        for reqid, prefix, (x, _nonce) in zip(reqids, prefixes, requests):
+            self.lifecycles[reqid] = RequestLifecycle(reqid=reqid, prefix=prefix, x=x)
             self.pending_deltas[reqid] = [LedgerDelta("user", debit, Reason.USER_PAYMENT, reqid)]
         self.unbatched.extend(reqids)
         return reqids
@@ -566,7 +567,7 @@ class Committee:
         attempt suffix after an asserter timeout left it Reassigned."""
         lc = self.lifecycles[reqid]
         i = crypto.bucket(
-            tau, selection_string(lc.pk_user, lc.x, reqid, lc.assert_attempt),
+            tau, selection_string(lc.prefix, reqid, lc.assert_attempt),
             self.config.executors,
         )
         lc.asserter = i
@@ -610,7 +611,7 @@ class Committee:
         if lc.phase is not Phase.ASSERTED:
             raise ProtocolError("challenge decision requires an accepted response")
         challenged = crypto.sampled(
-            tau_chal, selection_string(lc.pk_user, lc.x, reqid),
+            tau_chal, selection_string(lc.prefix, reqid),
             self.config.challenge_probability,
         )
         if challenged:
@@ -626,7 +627,7 @@ class Committee:
     def select_validator(self, reqid: bytes, tau_chal: bytes) -> int:
         lc = self.lifecycles[reqid]
         lc.validator = draw_validator(
-            tau_chal, selection_string(lc.pk_user, lc.x, reqid, lc.validate_attempt),
+            tau_chal, selection_string(lc.prefix, reqid, lc.validate_attempt),
             lc.asserter, self.config.executors)
         return lc.validator
 

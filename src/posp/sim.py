@@ -36,7 +36,7 @@ from .protocol import (
     SettlementContract,
     draw_validator,
     payout,
-    selection_from_prefix,
+    selection_string,
     user_submit,
 )
 
@@ -53,11 +53,14 @@ STRATEGY_KINDS = (HONEST, ALWAYS_FRAUD, FRAUD_WITH_PROBABILITY, COLLUDE, UNRESPO
 MAX_ATTEMPTS = 64
 
 # Input caps: past them a scenario is rejected (CLI exit 2), not run.  A run
-# holds about 2.5 KiB per request; the model cap counts the values drawn for
-# the model's weights and biases plus d0 * (d0 + 1) for the input.  The input
-# is the biases of a d0 x d0 model; only those d0 values are drawn, but the
-# term counts the whole model so that the set of accepted scenarios is fixed.
+# holds about 2.5 KiB per request, and a sweep 8 bytes per trial (each
+# trial's challenge value u, ``estimate_strategy_payoff``), so at most 128 MiB.
+# The model cap counts the values drawn for the model's weights and biases
+# plus d0 * (d0 + 1) for the input.  The input is the biases of a d0 x d0
+# model; only those d0 values are drawn, but the term counts the whole model
+# so that the set of accepted scenarios is fixed.
 MAX_REQUESTS = 100_000
+MAX_SWEEP_TRIALS = 1 << 24
 MAX_MODEL_VALUES = 1 << 16
 # Epochs are encoded in 8 bytes.  The last request arrives by epoch
 # 1 + (MAX_REQUESTS - 1) * MAX_ARRIVAL_SPACING < 2^49; it then waits one epoch
@@ -163,8 +166,8 @@ class ScenarioConfig:
                                       or not 0 <= value < self.network.executors):
                 raise ValueError(f"{name} must be an executor index in "
                                  f"[0, {self.network.executors})")
-        if type(self.sweep_trials) is not int or self.sweep_trials < 1:
-            raise ValueError("sweep_trials must be an integer >= 1")
+        if type(self.sweep_trials) is not int or not 1 <= self.sweep_trials <= MAX_SWEEP_TRIALS:
+            raise ValueError(f"sweep_trials must be an integer in [1, {MAX_SWEEP_TRIALS}]")
 
     @property
     def byzantine_budget(self) -> int:
@@ -606,8 +609,8 @@ def _trial_draws(master: bytes, prefix: bytes, t: int) -> tuple[bytes, bytes, by
     and ``t`` alone, so every sweep row draws the same ones."""
     nonce = t.to_bytes(8, "big")
     sub = prf(master, b"trial" + nonce)
-    reqid = crypto.reqid_from_prefix(prefix, nonce)
-    return reqid, prf(sub, b"tau-chal"), selection_from_prefix(prefix, reqid)
+    reqid = crypto.derive_reqid(prefix, nonce)
+    return reqid, prf(sub, b"tau-chal"), selection_string(prefix, reqid)
 
 
 def estimate_strategy_payoff(rows, strategies, trials: int,
@@ -713,7 +716,7 @@ def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials
             if attempt > MAX_ATTEMPTS:
                 raise protocol.ProtocolError("no responsive validator found")
             attempt += 1
-            j = draw_validator(tau_chal, selection_from_prefix(prefix, reqid, attempt),
+            j = draw_validator(tau_chal, selection_string(prefix, reqid, attempt),
                                focal, net.executors)
         # a free-riding validator copies whatever the focal node asserted
         copied = leak and table[j].adversarial

@@ -50,6 +50,19 @@ def silent_scenario(tmp_path):
     })
 
 
+@pytest.fixture
+def estimator_calls(monkeypatch):
+    """The rows of each call to the estimator made after the fixture."""
+    calls = []
+    estimate = sim.estimate_strategy_payoff
+
+    def counted(rows, strategies, trials):
+        calls.append(list(rows))
+        return estimate(rows, strategies, trials)
+    monkeypatch.setattr(sim, "estimate_strategy_payoff", counted)
+    return calls
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -313,18 +326,6 @@ class TestSweep:
                                                       p=0.1, B=30)
         assert row["dominance_margin"] == econ.dominance_margin(params)
 
-    @pytest.fixture
-    def estimator_calls(self, monkeypatch):
-        """The rows of each call to the estimator made after the fixture."""
-        calls = []
-        estimate = sim.estimate_strategy_payoff
-
-        def counted(rows, strategies, trials):
-            calls.append(list(rows))
-            return estimate(rows, strategies, trials)
-        monkeypatch.setattr(sim, "estimate_strategy_payoff", counted)
-        return calls
-
     def test_one_estimator_call_per_sweep(self, small_scenario, estimator_calls, capsys):
         code, out, _ = run_cli(["sweep", "--scenario", small_scenario, "--axis", "p",
                                 "--from", "0.1", "--to", "0.5", "--steps", "3"], capsys)
@@ -448,11 +449,13 @@ class TestScenarioValidation:
         {"sweep_trials": "x"},
         {"sweep_trials": 0},
         {"sweep_trials": 2.0},
+        {"sweep_trials": sim.MAX_SWEEP_TRIALS + 1},
     ], ids=["number-override", "list-of-overrides", "list-of-orchestrator-overrides",
-            "list-strategy", "str-trials", "zero-trials", "float-trials"])
-    def test_malformed_shape_exits_2(self, tmp_path, capsys, scenario):
+            "list-strategy", "str-trials", "zero-trials", "float-trials", "too-many-trials"])
+    def test_malformed_shape_exits_2(self, tmp_path, capsys, estimator_calls, scenario):
         for code, err in self.run_all(scenario, tmp_path, capsys):
             assert code == 2 and "invalid" in err and "Traceback" not in err
+        assert estimator_calls == []
 
     def test_largest_group_runs(self, tmp_path, capsys):
         scenario = {"executor_overrides": {"1": {"kind": "collude", "group": sim.MAX_GROUP - 1}},

@@ -107,20 +107,21 @@ class TestSampled:
 
 
 class TestDeriveReqid:
-    PK = bytes(range(32))
+    PREFIX = crypto.request_prefix(bytes(range(32)), b"input-bytes")
 
     def test_deterministic(self):
-        a = crypto.derive_reqid(self.PK, b"input-bytes", b"nonce-1")
-        assert a == crypto.derive_reqid(self.PK, b"input-bytes", b"nonce-1")
+        a = crypto.derive_reqid(self.PREFIX, b"nonce-1")
+        assert a == crypto.derive_reqid(self.PREFIX, b"nonce-1")
 
     def test_nonce_changes_id(self):
-        a = crypto.derive_reqid(self.PK, b"input-bytes", b"nonce-1")
-        b = crypto.derive_reqid(self.PK, b"input-bytes", b"nonce-2")
+        a = crypto.derive_reqid(self.PREFIX, b"nonce-1")
+        b = crypto.derive_reqid(self.PREFIX, b"nonce-2")
         assert a != b
 
     def test_golden(self):
         # frozen from an independent SHA-256 oracle over the canonical encoding
-        assert crypto.derive_reqid(self.PK, b"input-bytes", b"nonce-1").hex() == (
+        # of (pk, x, nonce)
+        assert crypto.derive_reqid(self.PREFIX, b"nonce-1").hex() == (
             "080373c4eea06a974a43cf834fae8c3430804852080f518dbc924007308e9e59"
         )
 

@@ -212,11 +212,38 @@ class TestAcceptRule:
                 w.committee.accept_request(altered)
             assert committee_state(w.committee) == before
             reqids = w.committee.accept_request(honest)
-        assert reqids == [crypto.derive_reqid(w.user.public.raw, x, nonce)
+        assert reqids == [crypto.derive_reqid(crypto.request_prefix(w.user.public.raw, x), nonce)
                           for x, nonce in honest.requests]
         assert list(w.committee.lifecycles)[1:] == reqids
         assert list(w.committee.pending_deltas)[1:] == reqids
         assert w.committee.unbatched[1:] == reqids
+
+    def test_message_mixing_inputs(self, monkeypatch):
+        """Each request of a message with several inputs, some repeated,
+        takes its id, its lifecycle prefix and its draws from its own x, and
+        each distinct x is encoded once."""
+        w = World()
+        pk = w.user.public.raw
+        xs = [w.x, b"second-x", w.x, b"third-x", b"second-x"]
+        requests = [(x, b"n%d" % k) for k, x in enumerate(xs)]
+        message = user_submit(requests, w.user)
+        encoded = []
+        request_prefix = crypto.request_prefix
+
+        def counted(pk_user, x):
+            encoded.append(x)
+            return request_prefix(pk_user, x)
+        monkeypatch.setattr(crypto, "request_prefix", counted)
+        reqids = w.committee.accept_request(message)
+        assert sorted(encoded) == sorted(set(xs))
+        tau = prf(SEED, b"tau-mixed")
+        for reqid, (x, nonce) in zip(reqids, requests):
+            prefix = request_prefix(pk, x)
+            assert reqid == crypto.derive_reqid(prefix, nonce)
+            lc = w.committee.lifecycles[reqid]
+            assert (lc.prefix, lc.x) == (prefix, x)
+            assert w.committee.select_asserter(reqid, tau) == crypto.bucket(
+                tau, selection_string(prefix, reqid), w.net.executors)
 
     def test_empty_message_rejected(self):
         w = World()
@@ -261,17 +288,19 @@ class TestSelection:
             w2.committee.select_asserter(r2, tau)
 
     def test_selection_string_attempt_suffix(self):
-        base = selection_string(b"pk", b"x", b"rid")
-        second = selection_string(b"pk", b"x", b"rid", attempt=2)
+        prefix = crypto.request_prefix(b"pk", b"x")
+        base = selection_string(prefix, b"rid")
+        assert base == crypto.encode_fields(b"pk", b"x", b"rid")
+        second = selection_string(prefix, b"rid", attempt=2)
         assert second == base + b"attempt_2"
-        assert selection_string(b"pk", b"x", b"rid", attempt=1) == base
+        assert selection_string(prefix, b"rid", attempt=1) == base
 
     def test_validator_collision_rule(self):
         w = World(p=1.0)
         reqid = w.submit()
         tau = prf(SEED, b"tau-collide")
         lc = w.committee.lifecycles[reqid]
-        drawn = crypto.bucket(tau, selection_string(lc.pk_user, lc.x, reqid),
+        drawn = crypto.bucket(tau, selection_string(lc.prefix, reqid),
                               w.net.executors)
         # force a collision: park the asserter on the drawn slot
         lc.asserter = drawn
@@ -1139,7 +1168,7 @@ class TestTimeouts:
         assert lc.phase is Phase.ASSIGNED
         # the attempt-suffixed string redraws independently of attempt 1
         redrawn = crypto.bucket(
-            tau, selection_string(lc.pk_user, lc.x, reqid, 2), w.net.executors)
+            tau, selection_string(lc.prefix, reqid, 2), w.net.executors)
         assert lc.asserter == redrawn
 
     def test_validator_timeout_back_to_challenged(self):
@@ -1172,7 +1201,7 @@ class TestTimeouts:
 
 class TestPhaseGraph:
     def test_illegal_transition_rejected(self):
-        lc = RequestLifecycle(reqid=b"r", pk_user=b"pk", x=b"x")
+        lc = RequestLifecycle(reqid=b"r", prefix=crypto.request_prefix(b"pk", b"x"), x=b"x")
         with pytest.raises(ProtocolError):
             lc.advance(Phase.ASSERTED)
 

@@ -67,9 +67,10 @@ class TestOpCounts:
 
     @staticmethod
     def count_ops(monkeypatch, config):
-        """Signs (and those by the user), verify calls, memo probes and
-        forwards of one run of ``config``."""
-        counts = {"sign": 0, "user_sign": 0, "verify": 0, "probe": 0, "forward": 0}
+        """Signs (and those by the user), verify calls, memo probes,
+        forwards and request-prefix encodings of one run of ``config``."""
+        counts = {"sign": 0, "user_sign": 0, "verify": 0, "probe": 0, "forward": 0,
+                  "prefix": 0}
         user = sim._World(config).user_keys.public.raw
 
         def counted(key, fn):
@@ -90,6 +91,8 @@ class TestOpCounts:
         forward = counted("forward", sim.forward)
         monkeypatch.setattr(sim, "forward", forward)
         monkeypatch.setattr(protocol, "forward", forward)
+        monkeypatch.setattr(crypto, "request_prefix",
+                            counted("prefix", crypto.request_prefix))
         sim.run(config)
         return counts
 
@@ -99,10 +102,12 @@ class TestOpCounts:
         ("mixed_adversaries", 108, 3650, 435),
     ], ids=GOLDEN)
     def test_golden_op_counts(self, monkeypatch, name, signs, checks, forwards):
+        # the run's one message has one x: user_submit and accept_request
+        # each encode its prefix once
         counts = self.count_ops(monkeypatch, sim.ScenarioConfig.from_dict(
             json.loads((SCENARIOS / f"{name}.json").read_text())))
         assert counts == {"sign": signs, "user_sign": 1, "verify": self.VERIFY_CALLS[name],
-                          "probe": checks, "forward": forwards}
+                          "probe": checks, "forward": forwards, "prefix": 2}
 
     @pytest.mark.parametrize("spacing,requests,signs,verifies,checks,forwards", [
         (1, 32, 174, 98, 272, 39),
@@ -111,10 +116,12 @@ class TestOpCounts:
     def test_spaced_arrivals_sign_once_per_request(self, monkeypatch, spacing, requests,
                                                    signs, verifies, checks, forwards):
         """At spacing >= 1 each arrival epoch holds one request, so the user
-        signs once per request; the configs are those of ``TestTracePaths``."""
+        signs once per request, and each message's prefix is encoded twice
+        (``user_submit``, ``accept_request``); the configs are those of
+        ``TestTracePaths``."""
         counts = self.count_ops(monkeypatch, trace_paths_config(spacing, requests))
         assert counts == {"sign": signs, "user_sign": requests, "verify": verifies,
-                          "probe": checks, "forward": forwards}
+                          "probe": checks, "forward": forwards, "prefix": 2 * requests}
 
     @pytest.mark.parametrize("name,requests", [
         ("all_honest", None),
@@ -244,7 +251,7 @@ class TestScenarioConfig:
             "orchestrator_overrides": {"0": protocol.ORCH_WITHHOLD},
             "user_colludes_with": 3,
             "focal_executor": 2,
-            "sweep_trials": 17,
+            "sweep_trials": sim.MAX_SWEEP_TRIALS,  # the largest accepted
         }
         expected = sim.ScenarioConfig(
             network=NetworkConfig(executors=8, fault_bound=1, challenge_probability=0.3,
@@ -257,7 +264,7 @@ class TestScenarioConfig:
             executor_overrides={1: sim.ExecStrategy(kind=sim.COLLUDE, group=2),
                                 6: sim.ExecStrategy(kind=sim.UNRESPONSIVE)},
             orchestrator_overrides={0: protocol.ORCH_WITHHOLD},
-            user_colludes_with=3, focal_executor=2, sweep_trials=17)
+            user_colludes_with=3, focal_executor=2, sweep_trials=sim.MAX_SWEEP_TRIALS)
         # the literal names every field, and no field keeps its default
         for record, names in ((expected, data), (expected.network, data["network"])):
             assert set(names) == {f.name for f in fields(record)}
