@@ -5,7 +5,8 @@ inclusion proofs, and Ed25519 signatures over a canonical encoding.
 The canonical encoding of a message is the concatenation of its fields,
 each prefixed with a 4-byte big-endian length.  Every signature in the
 protocol is produced over this encoding, which removes the ambiguity a
-plain ``a || b || c`` concatenation would leave.
+plain ``a || b || c`` concatenation would leave.  ``sha256_fields`` hashes
+that encoding part by part, so a large batch is never encoded whole.
 
 Ed25519 signing (RFC 8032) is deterministic, and a signature this process
 made with a private key is valid under its public key by construction.
@@ -33,11 +34,10 @@ import functools
 import hashlib
 import hmac as _hmac
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
-from cryptography.hazmat.primitives import serialization
 
 SEED_LEN = 32
 PRF_MAX = 1 << 64
@@ -48,15 +48,20 @@ def _check_seed(seed: bytes) -> None:
         raise ValueError(f"seed must be {SEED_LEN} raw bytes")
 
 
+def _framed(fields: Iterable[bytes]) -> Iterator[bytes]:
+    """The canonical encoding's parts in order: each field's 4-byte
+    big-endian length, then the field itself."""
+    for field in fields:
+        n = len(field)
+        if n >= 1 << 32:
+            raise ValueError("field too long for 4-byte length prefix")
+        yield n.to_bytes(4, "big")
+        yield field
+
+
 def encode_fields(*fields: bytes) -> bytes:
     """Canonical byte encoding: [4-byte BE length][raw bytes] per field."""
-    out = bytearray()
-    for field in fields:
-        if len(field) >= 1 << 32:
-            raise ValueError("field too long for 4-byte length prefix")
-        out += len(field).to_bytes(4, "big")
-        out += field
-    return bytes(out)
+    return b"".join(_framed(fields))
 
 
 def prf(seed: bytes, data: bytes) -> bytes:
@@ -97,6 +102,15 @@ def sampled(seed: bytes, unique_string: bytes, p: float) -> bool:
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def sha256_fields(fields: Iterable[bytes]) -> bytes:
+    """``sha256(encode_fields(*fields))``, hashed one part at a time, so the
+    encoding is never held whole."""
+    h = hashlib.sha256()
+    for part in _framed(fields):
+        h.update(part)
+    return h.digest()
 
 
 def request_prefix(pk_user: bytes, x: bytes) -> bytes:
@@ -183,10 +197,7 @@ class PublicKey:
         self._pk = pk
         # (encoded message, signature) of every KeyPair.sign with this key
         self._signed: set[tuple[bytes, bytes]] = set()
-        self.raw = pk.public_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PublicFormat.Raw,
-        )
+        self.raw = pk.public_bytes_raw()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PublicKey":

@@ -102,6 +102,9 @@ class Reason(enum.Enum):
     BURN = "Burn"
     TIMEOUT_PENALTY = "TimeoutPenalty"
 
+    def __init__(self, value: str):
+        self.encoded = value.encode()  # the bytes a ledger delta carries
+
 
 @dataclass(frozen=True, slots=True)
 class LedgerDelta:
@@ -111,15 +114,18 @@ class LedgerDelta:
     reqid: bytes
 
     def __post_init__(self):
-        if not isinstance(self.amount, int):
+        # a bool is an int, and would encode exactly like 0 or 1
+        if type(self.amount) is not int:
             raise ValueError("ledger amounts must be integer token units")
+        if not abs(self.amount) < 1 << 128:
+            raise ValueError("a ledger amount's magnitude must fit its 16 bytes")
 
     def encode(self) -> bytes:
         sign = b"-" if self.amount < 0 else b"+"
         return encode_fields(
             self.account.encode(),
             sign + abs(self.amount).to_bytes(16, "big"),
-            self.reason.value.encode(),
+            self.reason.encoded,
             self.reqid,
         )
 
@@ -715,7 +721,9 @@ class Committee:
 
 
 def batch_digest(deltas: Sequence[LedgerDelta]) -> bytes:
-    return crypto.sha256(encode_fields(*(d.encode() for d in deltas)))
+    """SHA-256 of the canonical encoding of every delta's encoding, hashed
+    one delta at a time: the batch's encoding is never held whole."""
+    return crypto.sha256_fields(d.encode() for d in deltas)
 
 
 # ---------------------------------------------------------------------------

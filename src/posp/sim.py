@@ -52,8 +52,10 @@ STRATEGY_KINDS = (HONEST, ALWAYS_FRAUD, FRAUD_WITH_PROBABILITY, COLLUDE, UNRESPO
 
 MAX_ATTEMPTS = 64
 
-# Input caps: past them a scenario is rejected (CLI exit 2), not run.  A run
-# holds about 2.5 KiB per request, and a sweep 8 bytes per trial (each
+# Input caps: past them a scenario is rejected (CLI exit 2), not run.  A run's
+# peak RSS grows by about 2.3 KiB per request (a ``mixed_adversaries`` run
+# peaked at 254.7 MiB at 100,000 requests and 30.9 MiB at 1,000, CPython 3.11
+# on x86-64 Linux), and a sweep keeps 8 bytes per trial (each
 # trial's challenge value u, ``estimate_strategy_payoff``), so at most 128 MiB.
 # The model cap counts the values drawn for the model's weights and biases
 # plus d0 * (d0 + 1) for the input.  The input is the biases of a d0 x d0

@@ -24,8 +24,8 @@ def ed25519_checks(monkeypatch):
         def __init__(self, key):
             self.key = key
 
-        def public_bytes(self, *args, **kwargs):
-            return self.key.public_bytes(*args, **kwargs)
+        def public_bytes_raw(self):
+            return self.key.public_bytes_raw()
 
         def verify(self, signature, message):
             calls.append((message, signature))

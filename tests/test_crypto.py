@@ -28,6 +28,33 @@ class TestEncodeFields:
     def test_empty_field_roundtrip(self):
         assert crypto.encode_fields(b"", b"x") == b"\x00\x00\x00\x00\x00\x00\x00\x01x"
 
+    def test_field_of_2_32_bytes_is_refused(self):
+        with pytest.raises(ValueError):
+            crypto.encode_fields(b"ok", HugeField())
+
+
+class HugeField:
+    """Claims 2^32 bytes, one past the 4-byte length prefix, without holding
+    them: the length check must refuse it before reading any byte."""
+
+    def __len__(self):
+        return 1 << 32
+
+
+class TestSha256Fields:
+    @given(st.lists(st.binary(max_size=64), max_size=12))
+    def test_matches_hashing_the_whole_encoding(self, fields):
+        expected = hashlib.sha256(crypto.encode_fields(*fields)).digest()
+        assert crypto.sha256_fields(fields) == expected
+        assert crypto.sha256_fields(iter(fields)) == expected
+
+    def test_no_fields(self):
+        assert crypto.sha256_fields([]) == hashlib.sha256(b"").digest()
+
+    def test_field_of_2_32_bytes_is_refused(self):
+        with pytest.raises(ValueError):
+            crypto.sha256_fields([b"ok", HugeField()])
+
 
 class TestPrf:
     def test_deterministic(self):

@@ -1,6 +1,8 @@
 """Role state-machine tests: request acceptance, selection, quorum rules,
 challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
+import hashlib
+import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
@@ -24,6 +26,7 @@ from posp.protocol import (
     ExecutorNode,
     InvalidSignatureError,
     LedgerDelta,
+    MAX_EXECUTORS,
     NetworkConfig,
     Orchestrator,
     Phase,
@@ -1364,9 +1367,62 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             LedgerDelta("user", -1.5, Reason.USER_PAYMENT, b"r")
 
+    @pytest.mark.parametrize("amount", [True, False, 1 << 128, -(1 << 128)])
+    def test_ledger_amount_outside_its_16_bytes_or_a_bool_is_refused(self, amount):
+        # a bool would encode exactly like 1 or 0; a 2^128 magnitude used to
+        # construct and then raise OverflowError at settlement
+        with pytest.raises(ValueError):
+            LedgerDelta("user", amount, Reason.USER_PAYMENT, b"r")
+
+    @pytest.mark.parametrize("amount,sign", [((1 << 128) - 1, b"+"), (-(1 << 128) + 1, b"-")])
+    def test_ledger_amount_at_its_16_byte_limit_encodes(self, amount, sign):
+        delta = LedgerDelta("user", amount, Reason.USER_PAYMENT, b"r")
+        assert delta.encode() == crypto.encode_fields(b"user", sign + b"\xff" * 16,
+                                                      b"UserPayment", b"r")
+
+
+ACCOUNTS = st.one_of(st.sampled_from(["user", "burn"]),
+                     st.integers(0, MAX_EXECUTORS - 1).map("exec:{}".format))
+AMOUNTS = st.one_of(st.just(0), st.integers(-(1 << 128) + 1, (1 << 128) - 1))
+DELTAS = st.builds(LedgerDelta, ACCOUNTS, AMOUNTS, st.sampled_from(Reason),
+                   st.binary(max_size=64))
+
 
 class TestBatchDigest:
     def test_order_sensitive(self):
         a = LedgerDelta("user", -30, Reason.USER_PAYMENT, b"r1")
         b = LedgerDelta("exec:0", 30, Reason.BURN, b"r1")
         assert batch_digest([a, b]) != batch_digest([b, a])
+
+    @given(st.lists(DELTAS, max_size=40))
+    @example([LedgerDelta(f"exec:{k}", k - 3, reason, bytes(k * 9))
+              for k, reason in enumerate(Reason)])
+    def test_digest_bytes_are_the_whole_encodings_hash(self, deltas):
+        # the digest as it was first defined: the canonical encoding of every
+        # delta's encoding, built whole, then hashed
+        whole = hashlib.sha256(crypto.encode_fields(*(d.encode() for d in deltas))).digest()
+        assert batch_digest(deltas) == whole
+
+    def test_pinned_digest(self):
+        deltas = [LedgerDelta("user", -30, Reason.USER_PAYMENT, b"r1"),
+                  LedgerDelta("exec:0", 12, Reason.ASSERTER_REWARD, b"r1"),
+                  LedgerDelta("burn", 18, Reason.BURN, b"r1")]
+        assert batch_digest(deltas).hex() == (
+            "3a526c93276ef078c9b2c2e660246607fa7fe3e436e5fceeba460ccba37f2836")
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        deltas = [LedgerDelta(f"exec:{k % 50}", k - 10_000, Reason.SLASH,
+                              k.to_bytes(32, "big")) for k in range(20_000)]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batch_digest(deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # building the whole encoding peaks at several MiB here
+        assert peak - before < 64 * 1024

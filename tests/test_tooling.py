@@ -1,12 +1,15 @@
-"""The test settings themselves: a failing property test must report its
-falsifying example under the repository's pytest configuration."""
+"""The test settings and the package's import footprint: a failing
+property test must report its falsifying example under the repository's
+pytest configuration, and the CLI loads no module it does not use."""
 
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING = '''
 from hypothesis import given, strategies as st
@@ -33,3 +36,15 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
     assert "Falsifying example: test_fails(" in out
+
+
+def test_cli_import_skips_key_serialization():
+    # PublicKey reads a key's raw bytes with public_bytes_raw; going through
+    # public_bytes loads the serialization module and about 20 more
+    code = ("import sys, posp.cli; "
+            "print('cryptography.hazmat.primitives.serialization' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
