@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -62,16 +62,14 @@ def _load_json(path: str):
 
 
 def _params_from_file(data: dict) -> econ.EconomicParams:
-    """Accept either the single-validator shorthand {C, S, R, r, ...} or the
-    full generic parameter record."""
+    """A record with an R is the single-validator shorthand, whose keys are
+    the keywords of `EconomicParams.single_validator` (C, S, R, r and
+    optionally p, R_C, B); any other is the full record, whose keys are the
+    fields of `EconomicParams`.  Absent optional keys take their defaults
+    there, and a key that names none raises TypeError."""
     if "R" in data:
-        return econ.EconomicParams.single_validator(
-            C=data["C"], S=data["S"], R=data["R"], r=data["r"],
-            p=data.get("p", 0.0), R_C=data.get("R_C", 0.0), B=data.get("B"))
-    fields = {k: data[k] for k in
-              ("B", "R_A", "R_V", "S", "C", "p", "r", "n", "U1", "U2", "R_C")
-              if k in data}
-    return econ.EconomicParams(**fields)
+        return econ.EconomicParams.single_validator(**data)
+    return econ.EconomicParams(**data)
 
 
 def cmd_analyze(args) -> int:
@@ -99,16 +97,9 @@ def cmd_analyze(args) -> int:
     equilibrium = margin > 0 if p_given else min_p is not None
 
     report = {
-        "params": {k: getattr(params, k)
-                   for k in ("B", "R_A", "R_V", "S", "C", "p", "r", "n",
-                             "U1", "U2", "R_C")},
+        "params": asdict(params),
         "stake_assumptions": {"holds": holds, "violations": violations},
-        "validator_payoff_matrix": {
-            "both_correct": list(matrix.both_correct),
-            "correct_vs_incorrect": list(matrix.correct_vs_incorrect),
-            "incorrect_vs_correct": list(matrix.incorrect_vs_correct),
-            "both_incorrect": list(matrix.both_incorrect),
-        },
+        "validator_payoff_matrix": asdict(matrix),
         "dominance_margin": margin,
         "min_challenge_probability": "infeasible" if min_p is None else min_p,
         "single_validator_min_p": single_p,

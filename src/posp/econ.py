@@ -19,7 +19,9 @@ FRAUD = "fraud"
 
 
 def _finite(value: float) -> bool:
-    """``math.isfinite``, and False for an int too large for a float."""
+    """``math.isfinite``, and False for a bool or an int too large for a float."""
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -46,10 +48,10 @@ class EconomicParams:
         for name in ("B", "R_A", "R_V", "S", "C", "U1", "U2", "R_C"):
             if not _finite(getattr(self, name)) or getattr(self, name) < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError("r must be in [0, 1)")
+        if not (_finite(self.p) and 0.0 <= self.p <= 1.0):
+            raise ValueError("p must be a number in [0, 1]")
+        if not (_finite(self.r) and 0.0 <= self.r < 1.0):
+            raise ValueError("r must be a number in [0, 1)")
         # r**n and the other closed forms take n as a float
         if type(self.n) is not int or self.n < 1 or not _finite(self.n):
             raise ValueError("n must be an integer >= 1 that a float can hold")

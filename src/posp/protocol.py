@@ -168,8 +168,9 @@ class NetworkConfig:
             raise ValueError(f"executors must be an integer in [2, {MAX_EXECUTORS}]")
         if type(self.fault_bound) is not int or not 0 <= self.fault_bound <= MAX_FAULT_BOUND:
             raise ValueError(f"fault_bound must be an integer in [0, {MAX_FAULT_BOUND}]")
-        if not 0.0 <= self.challenge_probability <= 1.0:
-            raise ValueError("challenge_probability must be in [0, 1]")
+        if (type(self.challenge_probability) not in (int, float)
+                or not 0.0 <= self.challenge_probability <= 1.0):
+            raise ValueError("challenge_probability must be a number in [0, 1]")
         for name, low, high in (("payment_b", 0, MAX_AMOUNT), ("reward_r", 0, MAX_AMOUNT),
                                 ("slash_s", 0, MAX_AMOUNT), ("t_assert", 1, MAX_TIMEOUT_EPOCHS),
                                 ("t_validate", 1, MAX_TIMEOUT_EPOCHS)):

@@ -86,8 +86,9 @@ class ExecStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown executor strategy {self.kind!r}")
-        if self.kind == FRAUD_WITH_PROBABILITY and not 0.0 <= self.fraud_probability <= 1.0:
-            raise ValueError("fraud_probability must be in [0, 1]")
+        if (type(self.fraud_probability) not in (int, float)
+                or not 0.0 <= self.fraud_probability <= 1.0):
+            raise ValueError("fraud_probability must be a number in [0, 1]")
         if self.kind == COLLUDE and self.group is None:
             raise ValueError("collude strategy requires a group id")
         if self.group is not None and (type(self.group) is not int
@@ -100,13 +101,14 @@ class ExecStrategy:
 
     @classmethod
     def from_dict(cls, data) -> "ExecStrategy":
+        """A strategy from its JSON form: a kind string, or an object whose
+        keys are this class's fields.  Absent fields take the class
+        defaults; a key that names no field raises TypeError."""
         if isinstance(data, str):
             return cls(kind=data)
         if not isinstance(data, dict):
             raise ValueError(f"an executor strategy is a kind or an object, not {data!r}")
-        return cls(kind=data.get("kind", HONEST),
-                   fraud_probability=data.get("fraud_probability", 0.0),
-                   group=data.get("group"))
+        return cls(**data)
 
 
 HONEST_STRATEGY = ExecStrategy()
@@ -142,8 +144,10 @@ class ScenarioConfig:
         if (type(self.arrival_spacing) is not int
                 or not 0 <= self.arrival_spacing <= MAX_ARRIVAL_SPACING):
             raise ValueError(f"arrival_spacing must be an integer in [0, {MAX_ARRIVAL_SPACING}]")
-        if self.byzantine_fraction is not None and not 0.0 <= self.byzantine_fraction < 1.0:
-            raise ValueError("byzantine_fraction must be in [0, 1)")
+        if self.byzantine_fraction is not None and (
+                type(self.byzantine_fraction) not in (int, float)
+                or not 0.0 <= self.byzantine_fraction < 1.0):
+            raise ValueError("byzantine_fraction must be a number in [0, 1)")
         for idx in self.executor_overrides:
             if not 0 <= idx < self.network.executors:
                 raise ValueError(f"executor override index {idx} out of range")
@@ -179,27 +183,24 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        net = NetworkConfig(**data["network"])
-        for name in ("executor_overrides", "orchestrator_overrides"):
-            if not isinstance(data.get(name, {}), dict):
-                raise ValueError(f"{name} must be an object keyed by index")
-        return cls(
-            network=net,
-            master_seed=bytes.fromhex(data["master_seed"]),
-            requests=data["requests"],
-            arrival_spacing=data.get("arrival_spacing", 0),
-            model_dims=tuple(data.get("model_dims", (4, 8, 2))),
-            byzantine_fraction=data.get("byzantine_fraction"),
-            byzantine_strategy=ExecStrategy.from_dict(
-                data.get("byzantine_strategy", {"kind": ALWAYS_FRAUD})),
-            executor_overrides={int(k): ExecStrategy.from_dict(v)
-                                for k, v in data.get("executor_overrides", {}).items()},
-            orchestrator_overrides={int(k): v
-                                    for k, v in data.get("orchestrator_overrides", {}).items()},
-            user_colludes_with=data.get("user_colludes_with"),
-            focal_executor=data.get("focal_executor", 0),
-            sweep_trials=data.get("sweep_trials", 2000),
-        )
+        """A scenario from its JSON record, whose keys are this class's
+        fields.  Only the fields whose JSON form differs are converted here;
+        absent fields take the class defaults, and a key that names no field
+        raises TypeError."""
+        data = {**data}
+        data["network"] = NetworkConfig(**data["network"])
+        data["master_seed"] = bytes.fromhex(data["master_seed"])
+        if "model_dims" in data:
+            data["model_dims"] = tuple(data["model_dims"])
+        if "byzantine_strategy" in data:
+            data["byzantine_strategy"] = ExecStrategy.from_dict(data["byzantine_strategy"])
+        for name, read in (("executor_overrides", ExecStrategy.from_dict),
+                           ("orchestrator_overrides", lambda behavior: behavior)):
+            if name in data:
+                if not isinstance(data[name], dict):
+                    raise ValueError(f"{name} must be an object keyed by index")
+                data[name] = {int(k): read(v) for k, v in data[name].items()}
+        return cls(**data)
 
 
 class BeaconOracle:

@@ -125,20 +125,28 @@ class TestAnalyze:
         "shorthand": {"C": 1, "S": 150, "R": 1.2, "r": 0.1, "p": 0.01, "R_C": 100, "B": 4},
     }
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
-                             ids=["NaN", "Infinity", "-Infinity", "huge-int"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400,
+                                       True, False],
+                             ids=["NaN", "Infinity", "-Infinity", "huge-int", "true", "false"])
     @pytest.mark.parametrize("record,field", [
         (record, field) for record, data in RECORDS.items() for field in data if field != "n"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, record, field, value):
         # json.dumps writes the NaN, Infinity and -Infinity literals json.load
-        # reads, and an int too large for a float in full
+        # reads, and an int too large for a float in full; a bool is not a number
         path = write_json(tmp_path / "params.json", {**self.RECORDS[record], field: value})
         assert run_cli(["analyze", "--params", path], capsys)[:2] == (2, "")
 
-    @pytest.mark.parametrize("n", [1.5, True, "1"])
-    def test_non_integer_n_exits_2(self, tmp_path, capsys, n):
-        path = write_json(tmp_path / "params.json", {**self.RECORDS["full"], "n": n})
-        assert run_cli(["analyze", "--params", path], capsys)[:2] == (2, "")
+    @pytest.mark.parametrize("record,key,n", [
+        ("full", "n", 1.5), ("full", "n", True), ("full", "n", "1"),
+        # only the full record takes an n, and a key that names no field is refused
+        ("shorthand", "n", 3), ("full", "N", 1),
+    ], ids=["1.5", "True", "1", "shorthand-n", "misspelled-n"])
+    def test_non_integer_n_exits_2(self, tmp_path, capsys, record, key, n):
+        data = {k: v for k, v in self.RECORDS[record].items() if k != "n"}
+        path = write_json(tmp_path / "params.json", {**data, key: n})
+        code, out, err = run_cli(["analyze", "--params", path], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid params file" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n", [2**1024, 10**400], ids=["2**1024", "400-digits"])
     @pytest.mark.parametrize("r", [0.1, 0.0])
@@ -450,8 +458,21 @@ class TestScenarioValidation:
         {"sweep_trials": 0},
         {"sweep_trials": 2.0},
         {"sweep_trials": sim.MAX_SWEEP_TRIALS + 1},
+        {"sweep_trails": 3},
+        {"byzantine_fraction": 0.25,
+         "byzantine_strategy": {"kind": sim.FRAUD_WITH_PROBABILITY, "fraud_probabilty": 0.3}},
+        {"executor_overrides": {"1": {"kind": sim.FRAUD_WITH_PROBABILITY,
+                                      "fraud_probabilty": 0.3}}},
+        {"network": {**NETWORK, "t_asert": 3}},
+        {"network": {**NETWORK, "challenge_probability": True}},
+        {"byzantine_fraction": 0.25,
+         "byzantine_strategy": {"kind": sim.FRAUD_WITH_PROBABILITY, "fraud_probability": True}},
+        {"byzantine_fraction": False},
     ], ids=["number-override", "list-of-overrides", "list-of-orchestrator-overrides",
-            "list-strategy", "str-trials", "zero-trials", "float-trials", "too-many-trials"])
+            "list-strategy", "str-trials", "zero-trials", "float-trials", "too-many-trials",
+            "misspelled-key", "misspelled-strategy-key", "misspelled-override-key",
+            "misspelled-network-key", "bool-challenge-probability", "bool-fraud-probability",
+            "bool-byzantine-fraction"])
     def test_malformed_shape_exits_2(self, tmp_path, capsys, estimator_calls, scenario):
         for code, err in self.run_all(scenario, tmp_path, capsys):
             assert code == 2 and "invalid" in err and "Traceback" not in err
@@ -498,7 +519,8 @@ class TestGoldenOutputs:
     """``posp simulate`` on each shipped scenario writes exactly the
     ``report.json`` and ``ledger.json`` it wrote when these SHA-256 digests
     were recorded.  The trace hash does not cover everything in them: the
-    report's ``node_payoffs`` read the ``computations`` charges."""
+    report's ``node_payoffs`` read the ``computations`` charges.  ``sweep``
+    and ``analyze`` print exactly the stdout they printed then."""
 
     DIGESTS = {
         "all_honest": {
@@ -538,6 +560,22 @@ class TestGoldenOutputs:
                                 "--steps", steps], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[sweep]
+
+    ANALYZE_DIGESTS = {
+        "params_baseline": "908b0acb85aaf6dde96aedab70c15f2f2500e4a2cc3842a8b1ff8d10e7c0cfab",
+        "full": "a72576e8a90becd083281cd8df7887c79e9ce660563ecbcd609895576138b2d2",
+        "shorthand": "6b23f177ebf781fa9b36ccdbc4787677cb4ca4d1d7c90449befde573c2e072ca",
+    }
+
+    @pytest.mark.parametrize("name", list(ANALYZE_DIGESTS))
+    def test_analyze_prints_the_golden_report(self, tmp_path, capsys, name):
+        if name in TestAnalyze.RECORDS:
+            path = write_json(tmp_path / "params.json", TestAnalyze.RECORDS[name])
+        else:
+            path = str(SCENARIOS / f"{name}.json")
+        code, out, _ = run_cli(["analyze", "--params", path], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ANALYZE_DIGESTS[name]
 
 
 class TestLogging:

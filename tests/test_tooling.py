@@ -1,15 +1,22 @@
-"""The test settings and the package's import footprint: a failing
-property test must report its falsifying example under the repository's
-pytest configuration, and the CLI loads no module it does not use."""
+"""The test settings, the package's import footprint and its documented
+input schema: a failing property test must report its falsifying example
+under the repository's pytest configuration, the CLI loads no module it does
+not use, and README names every key an input record takes."""
 
+import dataclasses
+import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+from posp import econ, protocol, sim
+
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 
 FAILING = '''
 from hypothesis import given, strategies as st
@@ -48,3 +55,15 @@ def test_cli_import_skips_key_serialization():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_readme_names_every_input_key():
+    # the words inside backtick spans, outside fenced code blocks
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    named = {word for span in re.findall(r"`([^`]+)`", text)
+             for word in re.findall(r"\w+", span)}
+    keys = {f.name for record in (sim.ScenarioConfig, protocol.NetworkConfig, sim.ExecStrategy,
+                                  econ.EconomicParams)
+            for f in dataclasses.fields(record)}
+    keys |= set(inspect.signature(econ.EconomicParams.single_validator).parameters)
+    assert keys - named == set()
