@@ -104,7 +104,7 @@ def cmd_analyze(args) -> int:
         "min_challenge_probability": "infeasible" if min_p is None else min_p,
         "single_validator_min_p": single_p,
         "fraud_proof_undetected_fraud_probability": fraud_proof,
-        "cheat_pass_probability": econ.cheat_pass_probability(params.p, params.r),
+        "cheat_pass_probability": econ.cheat_pass_probability(params.p, params.r, params.n),
         "equilibrium_holds": equilibrium,
     }
     print(_dump(report))

@@ -209,11 +209,14 @@ def fraud_proof_undetected_fraud_probability(C: float, S: float, R: float, R_C: 
     return min(1.0, max(0.0, value))
 
 
-def cheat_pass_probability(p: float, r: float) -> float:
-    """Chance a wrong assertion goes unpunished: (1-p) + p*r."""
+def cheat_pass_probability(p: float, r: float, n: int) -> float:
+    """Chance a wrong assertion goes unpunished with n validators per
+    challenge, each mirroring it with probability r: (1-p) + p*r^n."""
     if not 0.0 <= p <= 1.0 or not 0.0 <= r <= 1.0:
         raise ValueError("p and r must be in [0, 1]")
-    return (1.0 - p) + p * r
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an integer >= 1")
+    return (1.0 - p) + p * r**n
 
 
 def brute_force_expected_payoff(params: EconomicParams, model: CollusionModel,

@@ -168,8 +168,9 @@ class ScenarioConfig:
             raise ValueError("Byzantine orchestrators exceed the fault bound f")
         for name in ("focal_executor", "user_colludes_with"):
             value = getattr(self, name)
-            if value is not None and (type(value) is not int
-                                      or not 0 <= value < self.network.executors):
+            if value is None and name == "user_colludes_with":
+                continue  # no collusion; the focal executor is always named
+            if type(value) is not int or not 0 <= value < self.network.executors:
                 raise ValueError(f"{name} must be an executor index in "
                                  f"[0, {self.network.executors})")
         if type(self.sweep_trials) is not int or not 1 <= self.sweep_trials <= MAX_SWEEP_TRIALS:
@@ -199,6 +200,10 @@ class ScenarioConfig:
             if name in data:
                 if not isinstance(data[name], dict):
                     raise ValueError(f"{name} must be an object keyed by index")
+                for k in data[name]:
+                    # int() also reads "01", " 2", "+1" and "1_0": one spelling per index
+                    if str(int(k)) != k:
+                        raise ValueError(f"{name} key {k!r} is not an index in plain decimal")
                 data[name] = {int(k): read(v) for k, v in data[name].items()}
         return cls(**data)
 

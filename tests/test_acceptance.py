@@ -206,7 +206,7 @@ class TestAcceptance:
             master_seed=bytes(32), requests=0, byzantine_fraction=r,
             byzantine_strategy=collude)
         [[est]] = sim.estimate_strategy_payoff([config], [collude], trials)
-        expected = econ.cheat_pass_probability(p, r)
+        expected = econ.cheat_pass_probability(p, r, 1)  # one validator per challenge
         sigma = (expected * (1 - expected) / trials) ** 0.5
         dev = abs(est.empirical_cheat_pass_rate - expected)
         ok = est.fraud_assertions == trials and dev <= 3 * sigma

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from posp import cli, econ, protocol, sim
+from posp import cli, crypto, econ, protocol, sim
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -299,6 +299,25 @@ class TestSweep:
         step = rows[1]["value"] - rows[0]["value"]
         assert any(abs(v - p_star) <= step for v in flip_values)
 
+    # counted with hmac.digest as the PRF: each Monte Carlo draw is one call,
+    # so a faster PRF must come from cheaper calls, not from fewer
+    PRF_CALLS = 62779
+
+    def test_prf_calls_per_sweep(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        prf = crypto.prf
+
+        def counted(seed, data):
+            calls.append(None)
+            return prf(seed, data)
+        # sim binds prf by name; crypto's own callers look it up in crypto
+        monkeypatch.setattr(crypto, "prf", counted)
+        monkeypatch.setattr(sim, "prf", counted)
+        code, _, _ = run_cli(
+            ["sweep", "--scenario", self.make_scenario(tmp_path), "--axis", "p",
+             "--from", "0.005", "--to", "0.02", "--steps", "4"], capsys)
+        assert code == 0 and len(calls) == self.PRF_CALLS
+
     def test_empty_range(self, small_scenario, capsys):
         code, out, _ = run_cli(
             ["sweep", "--scenario", small_scenario, "--axis", "p",
@@ -468,14 +487,30 @@ class TestScenarioValidation:
         {"byzantine_fraction": 0.25,
          "byzantine_strategy": {"kind": sim.FRAUD_WITH_PROBABILITY, "fraud_probability": True}},
         {"byzantine_fraction": False},
+        {"focal_executor": None},
     ], ids=["number-override", "list-of-overrides", "list-of-orchestrator-overrides",
             "list-strategy", "str-trials", "zero-trials", "float-trials", "too-many-trials",
             "misspelled-key", "misspelled-strategy-key", "misspelled-override-key",
             "misspelled-network-key", "bool-challenge-probability", "bool-fraud-probability",
-            "bool-byzantine-fraction"])
+            "bool-byzantine-fraction", "null-focal-executor"])
     def test_malformed_shape_exits_2(self, tmp_path, capsys, estimator_calls, scenario):
         for code, err in self.run_all(scenario, tmp_path, capsys):
             assert code == 2 and "invalid" in err and "Traceback" not in err
+        assert estimator_calls == []
+
+    @pytest.mark.parametrize("name,value", [
+        ("executor_overrides", "always-fraud"),
+        ("orchestrator_overrides", protocol.ORCH_WITHHOLD),
+    ])
+    @pytest.mark.parametrize("key", ["01", " 2", "1_0", "+1", "-0"])
+    def test_override_key_not_in_plain_decimal_exits_2(self, tmp_path, capsys,
+                                                       estimator_calls, name, value, key):
+        # "01" and "+1" would name index 1 a second time, and with 12
+        # executors "1_0" (int() reads 10) would name a real executor
+        overrides = {"1": value, key: "honest"}
+        scenario = {"network": {**NETWORK, "executors": 12}, name: overrides}
+        for code, err in self.run_all(scenario, tmp_path, capsys):
+            assert code == 2 and repr(key) in err and "Traceback" not in err
         assert estimator_calls == []
 
     def test_largest_group_runs(self, tmp_path, capsys):

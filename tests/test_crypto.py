@@ -5,6 +5,7 @@ hash oracle before the build and frozen here.
 
 import hashlib
 import hmac
+import struct
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -31,6 +32,15 @@ class TestEncodeFields:
     def test_field_of_2_32_bytes_is_refused(self):
         with pytest.raises(ValueError):
             crypto.encode_fields(b"ok", HugeField())
+
+    @given(st.lists(st.tuples(st.binary(max_size=80), st.booleans()), max_size=12))
+    def test_matches_reference_framing(self, drawn):
+        fields = [bytearray(field) if mutable else field for field, mutable in drawn]
+        expected = b""
+        for field in fields:
+            expected += struct.pack(">I", len(field)) + bytes(field)
+        encoded = crypto.encode_fields(*fields)
+        assert type(encoded) is bytes and encoded == expected
 
 
 class HugeField:
@@ -73,7 +83,14 @@ class TestPrf:
         with pytest.raises(ValueError):
             crypto.prf(b"short", b"data")
 
-    @given(seed=st.binary(min_size=32, max_size=32), data=st.binary(max_size=80),
+    @pytest.mark.parametrize("seed", [memoryview(SEED_A), "k" * 32, list(SEED_A)],
+                             ids=["memoryview", "str", "list-of-ints"])
+    def test_rejects_seed_that_is_not_bytes_or_bytearray(self, seed):
+        with pytest.raises(ValueError):
+            crypto.prf(seed, b"data")
+
+    # data up to 200 bytes spans one to four SHA-256 blocks after the key block
+    @given(seed=st.binary(min_size=32, max_size=32), data=st.binary(max_size=200),
            mutable=st.booleans())
     def test_matches_hmac_object(self, seed, data, mutable):
         expected = hmac.new(seed, data, hashlib.sha256).digest()

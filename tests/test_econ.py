@@ -206,17 +206,31 @@ class TestFraudProofUndetectedFraud:
 
 class TestCheatPass:
     def test_no_challenge(self):
-        assert econ.cheat_pass_probability(0.0, 0.7) == 1.0
+        assert econ.cheat_pass_probability(0.0, 0.7, 1) == 1.0
 
     def test_always_caught(self):
-        assert econ.cheat_pass_probability(1.0, 0.0) == 0.0
+        assert econ.cheat_pass_probability(1.0, 0.0, 1) == 0.0
 
     def test_reference_scale(self):
-        assert econ.cheat_pass_probability(0.00736, 0.1) == pytest.approx(0.993376)
+        assert econ.cheat_pass_probability(0.00736, 0.1, 1) == pytest.approx(0.993376)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            econ.cheat_pass_probability(-0.1, 0.5)
+            econ.cheat_pass_probability(-0.1, 0.5, 1)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 1.0])
+    def test_rejects_n_that_is_not_a_count(self, n):
+        with pytest.raises(ValueError):
+            econ.cheat_pass_probability(0.5, 0.5, n)
+
+    @given(p=st.floats(0.0, 1.0), r=st.floats(0.0, 0.99), n=st.integers(1, 10))
+    def test_matches_enumerated_mirroring_draws(self, p, r, n):
+        # the fraud payoff with U1 = U2 = 1 and S = 0 is 1 exactly when the
+        # wrong assertion passes: unchallenged, or every validator mirrors it
+        params = EconomicParams(B=10.0, R_A=1.0, R_V=1.0, S=0.0, C=0.0, p=p, r=r, n=n,
+                                U1=1.0, U2=1.0)
+        enumerated = econ.brute_force_expected_payoff(params, CollusionModel(r), econ.FRAUD)
+        assert econ.cheat_pass_probability(p, r, n) == pytest.approx(enumerated, abs=1e-12)
 
 
 class TestBruteForce:
