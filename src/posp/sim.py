@@ -18,6 +18,7 @@ import heapq
 import logging
 from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import compress, count, repeat
 from typing import Generator, Optional
 
 from . import crypto, protocol
@@ -599,6 +600,18 @@ class _Tally:
         self.total += payoff
         self.total_sq += payoff * payoff
 
+    def add_unchallenged(self, k: int) -> None:
+        """``add(self.unchallenged)`` k times: the same float additions in
+        the same order, in one tight loop.  A product ``k * c`` or a
+        compensated sum would round differently."""
+        c = self.unchallenged
+        c_sq = c * c
+        total, total_sq = self.total, self.total_sq
+        for _ in repeat(None, k):
+            total += c
+            total_sq += c_sq
+        self.total, self.total_sq = total, total_sq
+
     def estimate(self, trials: int, challenges: int) -> StrategyEstimate:
         mean = self.total / trials
         var = max(0.0, self.total_sq / trials - mean * mean)
@@ -651,11 +664,17 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     ``sample_threshold(p)`` depend only on the master seed, the input and
     the trial index, so the rows must agree on ``master_seed``,
     ``model_dims``, ``network.executors`` and ``focal_executor``.  The first
-    row draws every trial and keeps its u; a later row re-derives a trial's
-    draws only when the trial is challenged at that row's p.  Rows are
-    scored one after another, each from its own world, so memory is one
-    world plus 8 bytes of u per trial.  Each estimate is exactly what a call
-    with that row and that strategy alone gives.
+    row draws every trial and keeps its u; a later row finds the trials its
+    p challenges in one C-level scan of the kept u values and re-derives
+    only those trials' draws.  Every unchallenged trial pays the same, so
+    the run of unchallenged trials between two challenged ones reaches each
+    strategy's sums through one tight loop that makes the same float
+    additions, in the same order, as adding them one by one.  That loop
+    still runs once per unchallenged trial and strategy, so a later row's
+    work is O(trials) per strategy, at a much smaller constant than a full
+    draw.  Rows are scored one after another, each from its own world, so
+    memory is one world plus 8 bytes of u per trial.  Each estimate is
+    exactly what a call with that row and that strategy alone gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -678,7 +697,8 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
 def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials: int,
                   us: array) -> list[StrategyEstimate]:
     """One row of ``estimate_strategy_payoff``.  An empty ``us`` makes this
-    the first row: it draws every trial and appends the trial's u."""
+    the first row: it draws every trial and appends the trial's u.  A later
+    row scans ``us`` for the trials its p challenges and redraws only those."""
     world = _World(config)
     net = config.network
     master = config.master_seed
@@ -689,10 +709,23 @@ def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials
     # every trial's request id and selection string begin with these bytes
     prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
     threshold = crypto.sample_threshold(net.challenge_probability)
-    first = not us
 
     def focal_payoff(deltas, cost: float) -> float:
         return sum(d.amount for d in deltas if d.account == account) - cost
+
+    def challenged():
+        """(t, request id, tau_chal, selection string) of each trial this
+        row's p challenges, as ``crypto.sampled`` decides, in trial order."""
+        if us:
+            for t in compress(count(), map(threshold.__gt__, us)):
+                yield (t, *_trial_draws(master, prefix, t))
+            return
+        for t in range(trials):
+            reqid, tau_chal, s = _trial_draws(master, prefix, t)
+            u = crypto.prf_u64(tau_chal, s)
+            us.append(u)
+            if u < threshold:
+                yield t, reqid, tau_chal, s
 
     tallies = []
     for strategy in strategies:
@@ -704,19 +737,11 @@ def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials
                               focal_payoff(payout(net, b"", focal), cost)))
 
     challenges = 0
-    for t in range(trials):
-        if first:
-            reqid, tau_chal, s = _trial_draws(master, prefix, t)
-            u = crypto.prf_u64(tau_chal, s)
-            us.append(u)
-        else:
-            u = us[t]
-        if u >= threshold:  # unchallenged, as crypto.sampled decides
-            for tally in tallies:
-                tally.add(tally.unchallenged)
-            continue
-        if not first:
-            reqid, tau_chal, s = _trial_draws(master, prefix, t)
+    scored = 0  # trials before this index are in every tally
+    for t, reqid, tau_chal, s in challenged():
+        for tally in tallies:
+            tally.add_unchallenged(t - scored)
+        scored = t + 1
         challenges += 1
         attempt = 1
         j = draw_validator(tau_chal, s, focal, net.executors)
@@ -738,5 +763,7 @@ def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials
                 deltas = payout(net, reqid, focal, j,
                                 (not tally.strategy.adversarial, y_j == y_true_b))
             tally.add(focal_payoff(deltas, tally.cost))
+    for tally in tallies:
+        tally.add_unchallenged(trials - scored)
 
     return [tally.estimate(trials, challenges) for tally in tallies]

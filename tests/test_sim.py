@@ -3,6 +3,7 @@ estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
 import json
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -719,6 +720,21 @@ class TestEstimateOnePass:
         # Drawing every row afresh took 7 * (3 * 2000 + 63) + 87 = 42,528 PRFs.
         assert counts == {"prf": 6069 + 621, "payout": 188}
 
+    def test_memory_is_the_kept_challenge_values(self):
+        """At p = 1 every trial is challenged, yet the estimate keeps only
+        each trial's 8-byte u: its traced peak stays under 8 bytes per trial
+        plus a fixed 256 KiB for the world."""
+        trials = 5000
+        tracemalloc.start()
+        try:
+            [[honest, fraud]] = sim.estimate_strategy_payoff(
+                [sweep_scenario(1.0)], (sim.HONEST, sim.ALWAYS_FRAUD), trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert honest.challenges == fraud.challenges == trials
+        assert peak < 8 * trials + 256 * 1024
+
 
 # StrategyEstimate.to_dict() as recorded when the estimator still derived
 # the payouts and draws itself; the shared protocol rules reproduce it bit
@@ -775,6 +791,39 @@ class TestPinnedEstimates:
                          kind=sim.FRAUD_WITH_PROBABILITY, fraud_probability=0.5))
         [[est]] = sim.estimate_strategy_payoff([cfg], [kind], trials=2000)
         assert est.to_dict() == {"strategy": kind, "trials": 2000, **expected}
+
+    def test_unchallenged_trials_add_in_order(self):
+        # Recorded while every trial was added to the sums one at a time.  At
+        # compute_cost 10.3 every honest payoff is non-integer, so the order
+        # and kind of the additions show in the last bits: adding the
+        # unchallenged trials as k * c gives an honest mean of
+        # 2.0749999999999993.
+        honest = {"strategy": "honest", "trials": 4000, "mean": 2.074999999999897,
+                  "stderr": 0.37495312206994735, "arbitrations": 1,
+                  "fraud_assertions": 0, "fraud_passes": 0}
+        fraud = {"strategy": "always-fraud", "trials": 4000}
+        pinned = {
+            0.5: [{**honest, "challenges": 13},
+                  {**fraud, "mean": 7.086, "stderr": 1.3606818698726018, "challenges": 13,
+                   "arbitrations": 13, "fraud_assertions": 4000, "fraud_passes": 3987}],
+            1.0: [{**honest, "challenges": 22},
+                  {**fraud, "mean": 3.684, "stderr": 1.7680947474612327, "challenges": 22,
+                   "arbitrations": 22, "fraud_assertions": 4000, "fraud_passes": 3978}],
+            2.0: [{**honest, "challenges": 42},
+                  {**fraud, "mean": -3.876, "stderr": 2.4368250154658213, "challenges": 42,
+                   "arbitrations": 42, "fraud_assertions": 4000, "fraud_passes": 3958}],
+        }
+        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+        rows = []
+        for factor in pinned:
+            cfg = sweep_scenario(factor * p_star)
+            rows.append(replace(cfg, network=replace(cfg.network, compute_cost=10.3)))
+        focals = (sim.HONEST, sim.ALWAYS_FRAUD)
+        # each row alone is a first row; together, the later two scan its u
+        alone = [sim.estimate_strategy_payoff([row], focals, 4000)[0] for row in rows]
+        together = sim.estimate_strategy_payoff(rows, focals, 4000)
+        for estimates in (alone, together):
+            assert [[e.to_dict() for e in row] for row in estimates] == list(pinned.values())
 
 
 class TestDeriveInput:

@@ -1,7 +1,8 @@
 """The test settings, the package's import footprint and its documented
 input schema: a failing property test must report its falsifying example
 under the repository's pytest configuration, the CLI loads no module it does
-not use, and README names every key an input record takes."""
+not use, README names every key an input record takes, and README's sweep
+memory bound matches the code."""
 
 import dataclasses
 import inspect
@@ -10,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 from posp import econ, protocol, sim
@@ -67,3 +69,12 @@ def test_readme_names_every_input_key():
             for f in dataclasses.fields(record)}
     keys |= set(inspect.signature(econ.EconomicParams.single_validator).parameters)
     assert keys - named == set()
+
+
+def test_readme_states_the_sweep_memory_bound():
+    # a sweep keeps each trial's u in an array("Q"), for at most
+    # MAX_SWEEP_TRIALS trials
+    text = " ".join(README.read_text().split())
+    per_trial = array("Q").itemsize
+    mib = per_trial * sim.MAX_SWEEP_TRIALS / (1 << 20)
+    assert f"{per_trial} bytes per trial, at most {mib:g} MiB" in text
