@@ -169,10 +169,10 @@ def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> bytes:
 
 def merkle_proves(root: bytes, leaf: bytes, path: bytes) -> bool:
     """True when ``path`` leads from ``leaf`` to ``root``.  Never raises: a
-    path that is not bytes made of 33-byte steps with a valid side byte, or
-    is deeper than any tree, or a root that is not bytes, simply yields
-    False."""
-    if (type(path) is not bytes or len(path) % _STEP
+    leaf that is not bytes, a path that is not bytes made of 33-byte steps
+    with a valid side byte, or is deeper than any tree, or a root that is
+    not bytes, simply yields False."""
+    if (type(leaf) is not bytes or type(path) is not bytes or len(path) % _STEP
             or len(path) > _STEP * MERKLE_MAX_DEPTH):
         return False
     node = leaf
@@ -211,9 +211,13 @@ class PublicKey:
         return type(signature) is bytes and (message, signature) in self._signed
 
     def verify(self, signature: bytes, *fields: bytes) -> bool:
-        """Never raises: any tampered bit, or a signature that is not
-        bytes-like at all, simply yields False."""
-        message = encode_fields(*fields)
+        """Never raises: any tampered bit, a signature that is not
+        bytes-like at all, or fields that cannot be encoded simply yield
+        False."""
+        try:
+            message = encode_fields(*fields)
+        except (TypeError, ValueError):
+            return False
         if self.signed_here(signature, message):
             return True
         try:

@@ -465,9 +465,13 @@ def _quorum(orch_pks: Sequence[PublicKey], quorum: int, fields: tuple[bytes, ...
     key's sign memo alone (``PublicKey.signed_here``), which never evicts.
     Only if they fall short are the other votes verified for real, in
     order, until the count reaches quorum.  A signer that has already
-    counted is skipped unverified.
+    counted is skipped unverified.  Fields that cannot be encoded have no
+    valid vote.
     """
-    message = encode_fields(*fields)
+    try:
+        message = encode_fields(*fields)
+    except (TypeError, ValueError):
+        return False
     seen: set[int] = set()
     unproven = []
     for orch_id, sig in votes:
@@ -492,9 +496,12 @@ def asserter_execute(task: TaskMessage, node: ExecutorNode,
     """Queue the node's encoded output ``y_bytes`` for the task, unsigned,
     only when the task's path proves its (x, reqid) under its root and 2f+1
     distinct orchestrators voted validly on (b"tasks", root); otherwise keep
-    waiting (returns False).  ``node.response(reqid)`` hands out the signed
-    response."""
-    if (crypto.merkle_proves(task.root, crypto.merkle_leaf(task.x, task.reqid), task.path)
+    waiting (returns False).  An ``x``, ``reqid`` or ``y_bytes`` that is not
+    exactly ``bytes`` is refused.  ``node.response(reqid)`` hands out the
+    signed response."""
+    if (type(task.x) is type(task.reqid) is type(y_bytes) is bytes
+            and crypto.merkle_proves(task.root, crypto.merkle_leaf(task.x, task.reqid),
+                                     task.path)
             and _quorum(orch_pks, quorum, (b"tasks", task.root), task.votes)):
         node.queued.append((task.x, task.reqid, y_bytes))
         return True
@@ -503,10 +510,11 @@ def asserter_execute(task: TaskMessage, node: ExecutorNode,
 
 def response_signed(executor_pks: Sequence[PublicKey], resp: ExecutorResponse) -> bool:
     """The one check of an executor response: its node is in range, its
-    path proves (x, reqid, y_bytes) under its root, and the node signed
-    (b"responses", root)."""
+    x, reqid and y_bytes are exactly ``bytes``, its path proves (x, reqid,
+    y_bytes) under its root, and the node signed (b"responses", root)."""
     node = resp.node_index
     return (type(node) is int and 0 <= node < len(executor_pks)
+            and type(resp.x) is type(resp.reqid) is type(resp.y_bytes) is bytes
             and crypto.merkle_proves(
                 resp.root, crypto.merkle_leaf(resp.x, resp.reqid, resp.y_bytes), resp.path)
             and executor_pks[node].verify(resp.signature, b"responses", resp.root))

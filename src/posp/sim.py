@@ -13,10 +13,14 @@ same scenario produce byte-identical trace hashes.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import heapq
 import logging
-from array import array
+import mmap
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from itertools import compress, count, repeat
 from typing import Generator, Optional
@@ -76,6 +80,11 @@ MAX_ARRIVAL_SPACING = 1 << 32
 # 1,000,000 + group raw Q16.16 units (`_World.wrong_output`); groups stay far
 # below the signed 64-bit raw range, which a larger one could overflow.
 MAX_GROUP = 1 << 32
+# A sweep forks a worker to draw challenge values only for at least this many
+# trials per worker.  Forking a worker from a ~28 MiB process and reaping it
+# costs about 4 ms (median of 50 fork/_exit/waitpid cycles, CPython 3.11 on
+# x86-64 Linux); drawing 4,096 trials' u takes about 30 ms (7.5 us a trial).
+MIN_TRIALS_PER_WORKER = 4096
 
 
 @dataclass(frozen=True)
@@ -663,14 +672,19 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     string and the 64-bit PRF value u that the challenge compares with
     ``sample_threshold(p)`` depend only on the master seed, the input and
     the trial index, so the rows must agree on ``master_seed``,
-    ``model_dims``, ``network.executors`` and ``focal_executor``.  The first
-    row draws every trial and keeps its u; a later row finds the trials its
-    p challenges in one C-level scan of the kept u values and re-derives
-    only those trials' draws.  Every unchallenged trial pays the same, so
-    the run of unchallenged trials between two challenged ones reaches each
-    strategy's sums through one tight loop that makes the same float
-    additions, in the same order, as adding them one by one.  That loop
-    still runs once per unchallenged trial and strategy, so a later row's
+    ``model_dims``, ``network.executors`` and ``focal_executor``.  Each
+    trial's u is drawn once, before any row, into one anonymous shared map
+    of 8 bytes per trial (``_draw_challenge_values``): the trials are split
+    into one contiguous slice per available CPU, this process draws the
+    first and a forked worker each other one.  One process draws them all
+    on one CPU, below ``2 * MIN_TRIALS_PER_WORKER`` trials, or when the
+    caller runs a second thread.  Every row, the first included, then finds
+    the trials its p challenges in one C-level scan of the map and
+    re-derives only those trials' draws.  Every unchallenged trial pays the
+    same, so the run of unchallenged trials between two challenged ones
+    reaches each strategy's sums through one tight loop that makes the same
+    float additions, in the same order, as adding them one by one.  That
+    loop still runs once per unchallenged trial and strategy, so a row's
     work is O(trials) per strategy, at a much smaller constant than a full
     draw.  Rows are scored one after another, each from its own world, so
     memory is one world plus 8 bytes of u per trial.  Each estimate is
@@ -690,42 +704,96 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
             for row in rows}) > 1:
         raise ValueError("rows must agree on master_seed, model_dims, network.executors "
                          "and focal_executor")
-    us = array("Q")  # each trial's challenge value u, drawn by the first row
-    return [_estimate_row(row, strategies, trials, us) for row in rows]
+    if not rows:
+        return []
+    world = _World(rows[0])
+    # every trial's request id and selection string begin with these bytes
+    prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
+    with (mmap.mmap(-1, 8 * trials) as shared, memoryview(shared) as raw,
+          raw.cast("Q") as us):
+        _draw_challenge_values(rows[0].master_seed, prefix, us)
+        estimates = [_estimate_row(world, strategies, trials, prefix, us)]
+        del world  # one world at a time: each later row builds its own
+        estimates += (_estimate_row(_World(row), strategies, trials, prefix, us)
+                      for row in rows[1:])
+    return estimates
 
 
-def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials: int,
-                  us: array) -> list[StrategyEstimate]:
-    """One row of ``estimate_strategy_payoff``.  An empty ``us`` makes this
-    the first row: it draws every trial and appends the trial's u.  A later
-    row scans ``us`` for the trials its p challenges and redraws only those."""
-    world = _World(config)
+def _draw_slice(master: bytes, prefix: bytes, us: memoryview, lo: int, hi: int) -> None:
+    """Write the challenge value u of trials ``lo`` to ``hi`` into ``us``."""
+    for t in range(lo, hi):
+        _reqid, tau_chal, s = _trial_draws(master, prefix, t)
+        us[t] = crypto.prf_u64(tau_chal, s)
+
+
+def _draw_challenge_values(master: bytes, prefix: bytes, us: memoryview) -> None:
+    """Fill ``us``, a view of a shared map, with every trial's u.  The trials
+    are split into k contiguous slices, k = min(available CPUs, trials //
+    MIN_TRIALS_PER_WORKER), at least 1.  This process draws the first slice
+    and a forked worker each other one, each held to its own CPU; a worker
+    leaves through ``os._exit``, so it never returns into the caller's code,
+    flushes no stdio buffer and runs no atexit hook.  Every worker is
+    reaped, and this process's own CPUs restored, before this returns or
+    raises; a worker that failed raises RuntimeError.  Nothing forks where
+    ``os.fork`` is missing or the caller runs a second thread, since a child
+    forked from a threaded process can deadlock on a lock another thread
+    held."""
+    trials = len(us)
+    cpus = []
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        cpus = (sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else list(range(os.cpu_count() or 1)))
+    workers = max(1, min(len(cpus), trials // MIN_TRIALS_PER_WORKER))
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    pids = []
+    try:
+        for cpu, lo, hi in zip(cpus[1:], bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _run_on({cpu})
+                    gc.disable()  # the caller's garbage is not the worker's to finalize
+                    _draw_slice(master, prefix, us, lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        if pids:
+            _run_on({cpus[0]})
+        _draw_slice(master, prefix, us, bounds[0], bounds[1])
+    finally:
+        if pids:
+            _run_on(set(cpus))
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {len(pids)} challenge-value workers failed")
+
+
+def _run_on(cpus: set[int]) -> None:
+    """Hold this process to ``cpus`` where the platform allows it.  A forked
+    child starts on its parent's CPU, and a kernel may keep both there for
+    hundreds of milliseconds while another CPU idles."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
+                  prefix: bytes, us: memoryview) -> list[StrategyEstimate]:
+    """One row of ``estimate_strategy_payoff``, scored in ``world``: it scans
+    every trial's u in ``us`` for the trials its p challenges and redraws
+    only those."""
+    config = world.config
     net = config.network
     master = config.master_seed
     focal = config.focal_executor
     account = f"exec:{focal}"
     table, leak, wrong_b = world.strategies, world.leak, world.wrong
     y_true_b = world.y_true_b
-    # every trial's request id and selection string begin with these bytes
-    prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
     threshold = crypto.sample_threshold(net.challenge_probability)
 
     def focal_payoff(deltas, cost: float) -> float:
         return sum(d.amount for d in deltas if d.account == account) - cost
-
-    def challenged():
-        """(t, request id, tau_chal, selection string) of each trial this
-        row's p challenges, as ``crypto.sampled`` decides, in trial order."""
-        if us:
-            for t in compress(count(), map(threshold.__gt__, us)):
-                yield (t, *_trial_draws(master, prefix, t))
-            return
-        for t in range(trials):
-            reqid, tau_chal, s = _trial_draws(master, prefix, t)
-            u = crypto.prf_u64(tau_chal, s)
-            us.append(u)
-            if u < threshold:
-                yield t, reqid, tau_chal, s
 
     tallies = []
     for strategy in strategies:
@@ -738,7 +806,9 @@ def _estimate_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials
 
     challenges = 0
     scored = 0  # trials before this index are in every tally
-    for t, reqid, tau_chal, s in challenged():
+    # the trials this row's p challenges, as ``crypto.sampled`` decides, in order
+    for t in compress(count(), map(threshold.__gt__, us)):
+        reqid, tau_chal, s = _trial_draws(master, prefix, t)
         for tally in tallies:
             tally.add_unchallenged(t - scored)
         scored = t + 1

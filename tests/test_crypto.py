@@ -199,6 +199,30 @@ class TestSignatures:
         assert pk.verify(sig, b"m")
 
 
+# fields that cannot be encoded (or, for a leaf, are not exactly bytes)
+NOT_BYTES = [None, "a str", 5]
+
+
+class TestFieldsThatAreNotBytes:
+    @pytest.mark.parametrize("leaf", NOT_BYTES + [bytearray(crypto.merkle_leaf(b"m"))],
+                             ids=["None", "str", "int", "bytearray"])
+    def test_merkle_proves_refuses_leaf(self, leaf):
+        levels = crypto.merkle_levels([crypto.merkle_leaf(b"m"), crypto.merkle_leaf(b"n")])
+        path = crypto.merkle_path(levels, 0)
+        assert crypto.merkle_proves(levels[-1][0], crypto.merkle_leaf(b"m"), path)
+        assert crypto.merkle_proves(levels[-1][0], leaf, path) is False
+        assert crypto.merkle_proves(root=None, leaf=leaf, path=b"\x00" + 32 * b"a") is False
+
+    @pytest.mark.parametrize("field", NOT_BYTES, ids=["None", "str", "int"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_verify_refuses_fields_that_cannot_be_encoded(self, field, at):
+        kp = crypto.KeyPair.from_seed(bytes([1] * 32))
+        fields = [b"x", b"y"]
+        sig = kp.sign(*fields)
+        fields[at] = field
+        assert kp.public.verify(sig, *fields) is False
+
+
 # order of the Ed25519 base point; S + L is the classic malleated scalar
 ED25519_L = 2**252 + 27742317777372353535851937790883648493
 

@@ -973,6 +973,64 @@ class TestResponseProofs:
         assert not outcome.asserter_honest and outcome.validator_honest
 
 
+# fields that cannot be encoded
+NOT_BYTES = [None, "a str", 5]
+NOT_BYTES_IDS = ["None", "str", "int"]
+
+
+class TestFieldsThatAreNotBytes:
+    """A message field that is not exactly bytes is refused like any other
+    bad field: no check raises TypeError on it."""
+
+    @pytest.mark.parametrize("value", NOT_BYTES + ["bytearray"], ids=NOT_BYTES_IDS + ["bytearray"])
+    @pytest.mark.parametrize("field", ["x", "reqid", "y_bytes"])
+    def test_response_signed_refuses(self, field, value):
+        w = World()
+        resp = w.execute(w.submit(), 0, w.y_true_b)
+        assert protocol.response_signed(w.committee.executor_pks, resp)
+        if value == "bytearray":
+            value = bytearray(getattr(resp, field))  # an equal copy, not bytes
+        assert protocol.response_signed(w.committee.executor_pks,
+                                        replace(resp, **{field: value})) is False
+
+    @pytest.mark.parametrize("value", NOT_BYTES + ["bytearray"], ids=NOT_BYTES_IDS + ["bytearray"])
+    @pytest.mark.parametrize("field", ["x", "reqid", "y_bytes"])
+    def test_asserter_execute_refuses(self, field, value):
+        w = World()
+        task = w.committee.task_message(w.submit())
+        fields = {"x": task.x, "reqid": task.reqid, "y_bytes": w.y_true_b}
+        fields[field] = bytearray(fields[field]) if value == "bytearray" else value
+        y_bytes = fields.pop("y_bytes")
+        assert w.execute(task.reqid, 0, y_bytes, task=replace(task, **fields)) is None
+        assert w.execute(task.reqid, 0, w.y_true_b, task=task) is not None
+
+    def request(self, w: World):
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true))
+        w.validate_output(reqid, w.y_true)
+        w.committee.compare_and_route(reqid)
+        return w.committee.arbitration_request(reqid)
+
+    @pytest.mark.parametrize("value", NOT_BYTES, ids=NOT_BYTES_IDS)
+    @pytest.mark.parametrize("field", ["x", "reqid"])
+    def test_arbitrate_refuses_request_field(self, field, value):
+        w = World(p=1.0)
+        honest = self.request(w)
+        with pytest.raises(BelowQuorumError):
+            w.arbitration.arbitrate(replace(honest, **{field: value}))
+        assert not w.arbitration.arbitrate(honest).asserter_honest
+
+    @pytest.mark.parametrize("value", NOT_BYTES, ids=NOT_BYTES_IDS)
+    @pytest.mark.parametrize("role", ["asserter", "validator"])
+    def test_arbitrate_refuses_evidence_y_bytes(self, role, value):
+        w = World(p=1.0)
+        honest = self.request(w)
+        bogus = replace(honest, **{role: replace(getattr(honest, role), y_bytes=value)})
+        with pytest.raises(BelowQuorumError):
+            w.arbitration.arbitrate(bogus)
+        assert not w.arbitration.arbitrate(honest).asserter_honest
+
+
 class TestChallengeDecision:
     def test_p_zero_never_challenges(self):
         w = World(p=0.0)

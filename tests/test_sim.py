@@ -3,6 +3,8 @@ estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
 import json
+import os
+import threading
 import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -639,6 +641,12 @@ def sweep_scenario(p):
         byzantine_strategy=sim.ExecStrategy(kind=sim.COLLUDE, group=0))
 
 
+def benchmark_sweep_rows():
+    """The benchmark's seven-row p sweep, 0.5 p* to 2 p*."""
+    p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+    return along(sweep_scenario(0.01), "p", cli._axis_values(0.5 * p_star, 2 * p_star, 7))
+
+
 class TestEstimateOnePass:
     """One pass over the trials scores several focal strategies and several
     sweep rows, each exactly as a call with that row and that strategy
@@ -694,31 +702,33 @@ class TestEstimateOnePass:
 
     def test_sweep_row_work_is_exact(self, counts):
         """PRF and payout calls of one honest/fraud estimate on the `posp
-        sweep` scenario: three PRFs per trial, one per challenge and 63 to
-        set up; one payout per strategy for all the unchallenged trials
-        together, and one per strategy per challenge."""
+        sweep` scenario, at 2,000 trials, too few to fork a worker: three
+        PRFs per trial to draw its u, three per challenge to redraw the
+        trial (its sub-seed, its challenge beacon and the validator draw)
+        and 63 to set up; one payout per strategy for all the unchallenged
+        trials together, and one per strategy per challenge."""
         [[honest, fraud]] = sim.estimate_strategy_payoff(
             [sweep_scenario(0.01)], (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
         assert honest.challenges == fraud.challenges == 12
-        assert counts == {"prf": 3 * 2000 + 12 + 63, "payout": 2 + 2 * 12}
+        assert counts == {"prf": 3 * 2000 + 3 * 12 + 63, "payout": 2 + 2 * 12}
 
     def test_sweep_work_is_exact(self, counts):
         """The same counts for the benchmark's seven-row p sweep, 0.5 p* to
-        2 p*.  The first row costs what a one-row call costs: 3 PRFs per
-        trial, 1 per challenge and 63 to set up its world.  Each later row
-        reads the first row's challenge values, so it pays its 63 and then
-        3 PRFs per challenge only (the trial's sub-seed, its challenge beacon
-        and the validator draw).  Payouts are per row as in one-row calls."""
-        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
-        rows = along(sweep_scenario(0.01), "p", cli._axis_values(0.5 * p_star, 2 * p_star, 7))
-        estimates = sim.estimate_strategy_payoff(rows, (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
+        2 p*, at 2,000 trials, so one process draws every u.  Each trial's u
+        costs 3 PRFs, drawn once for every row.  Each row, the first
+        included, scans those values, so it pays 63 to set up its world and
+        then 3 PRFs per challenge only (the trial's sub-seed, its challenge
+        beacon and the validator draw).  Payouts are per row as in one-row
+        calls."""
+        estimates = sim.estimate_strategy_payoff(
+            benchmark_sweep_rows(), (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
         assert [(h.challenges, f.challenges) for h, f in estimates] == [
             (c, c) for c in (6, 8, 10, 12, 13, 18, 20)]
-        # PRFs: the first row 3 * 2000 + 6 + 63 = 6069; the six later rows
-        # 6 * 63 + 3 * (8 + 10 + 12 + 13 + 18 + 20) = 378 + 243 = 621.
+        # PRFs: every u 3 * 2000 = 6000; the rows 7 * 63 = 441 to set up and
+        # 3 * (6 + 8 + 10 + 12 + 13 + 18 + 20) = 3 * 87 = 261 to redraw.
         # Payouts: 2 per row and 2 per challenge, 7 * 2 + 2 * 87 = 188.
         # Drawing every row afresh took 7 * (3 * 2000 + 63) + 87 = 42,528 PRFs.
-        assert counts == {"prf": 6069 + 621, "payout": 188}
+        assert counts == {"prf": 6000 + 441 + 261, "payout": 188}
 
     def test_memory_is_the_kept_challenge_values(self):
         """At p = 1 every trial is challenged, yet the estimate keeps only
@@ -734,6 +744,101 @@ class TestEstimateOnePass:
             tracemalloc.stop()
         assert honest.challenges == fraud.challenges == trials
         assert peak < 8 * trials + 256 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the tests set the CPUs a call sees through os.sched_getaffinity")
+class TestChallengeValueWorkers:
+    """Each trial's u is drawn once, split across forked workers, one per
+    available CPU; the estimates never depend on how many there were."""
+
+    FOCALS = (sim.HONEST, sim.ALWAYS_FRAUD)
+
+    @pytest.fixture(autouse=True)
+    def own_cpus(self):
+        """A call under patched CPUs restores the patched set when it is
+        done; each test starts from this process's own CPUs."""
+        mask = os.sched_getaffinity(0)
+        yield
+        os.sched_setaffinity(0, mask)
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def no_fork(monkeypatch):
+        def fork():
+            raise AssertionError("forked a worker")
+        monkeypatch.setattr(os, "fork", fork)
+
+    def estimates(self, trials):
+        rows = sim.estimate_strategy_payoff(benchmark_sweep_rows(), self.FOCALS, trials)
+        return [[e.to_dict() for e in row] for row in rows]
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("trials", [20_000, 20_011])
+    def test_parallel_equals_serial(self, monkeypatch, trials):
+        # 20,011 is prime, so no worker count splits it evenly
+        with monkeypatch.context() as serial:
+            self.cpus(serial, 1)
+            self.no_fork(serial)
+            expected = self.estimates(trials)
+        for n in (2, 3):
+            self.cpus(monkeypatch, n)
+            assert self.estimates(trials) == expected
+            self.assert_no_child()
+
+    @pytest.mark.parametrize("cpus,trials", [(1, 20_000),
+                                             (2, 2 * sim.MIN_TRIALS_PER_WORKER - 1)])
+    def test_one_process_draws_too_few_trials_per_worker(self, monkeypatch, cpus, trials):
+        self.cpus(monkeypatch, cpus)
+        self.no_fork(monkeypatch)
+        assert len(self.estimates(trials)) == 7
+
+    @pytest.mark.parametrize("failing,error", [
+        (lambda t: t == 20_000 - 1, RuntimeError),  # the worker's slice
+        (lambda t: t == 0, KeyError),  # this process's own slice
+    ], ids=["worker", "parent"])
+    def test_a_failed_slice_raises_and_leaves_no_child(self, monkeypatch, failing, error):
+        draws = sim._trial_draws
+
+        def trial_draws(master, prefix, t):
+            if failing(t):
+                raise KeyError(t)
+            return draws(master, prefix, t)
+        # the forked worker inherits the patch
+        monkeypatch.setattr(sim, "_trial_draws", trial_draws)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(error):
+            self.estimates(20_000)
+        self.assert_no_child()
+
+    def test_caller_keeps_its_cpus(self):
+        # each worker and this process run on their own CPU while they draw
+        mask = os.sched_getaffinity(0)
+        self.estimates(20_000)
+        assert os.sched_getaffinity(0) == mask
+        self.assert_no_child()
+
+    def test_threaded_caller_draws_in_one_process(self, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        expected = self.estimates(20_000)
+        self.cpus(monkeypatch, 2)
+        self.no_fork(monkeypatch)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            assert self.estimates(20_000) == expected
+        finally:
+            done.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
 
 
 # StrategyEstimate.to_dict() as recorded when the estimator still derived

@@ -72,8 +72,8 @@ def test_readme_names_every_input_key():
 
 
 def test_readme_states_the_sweep_memory_bound():
-    # a sweep keeps each trial's u in an array("Q"), for at most
-    # MAX_SWEEP_TRIALS trials
+    # a sweep keeps each trial's u as one "Q" item of a shared map, for at
+    # most MAX_SWEEP_TRIALS trials
     text = " ".join(README.read_text().split())
     per_trial = array("Q").itemsize
     mib = per_trial * sim.MAX_SWEEP_TRIALS / (1 << 20)
