@@ -23,6 +23,12 @@ verify; ``response_signed`` is the one check of a response.
 Network sizes are capped (``MAX_EXECUTORS``, ``MAX_FAULT_BOUND``); a config
 past a cap is rejected, which the CLI reports as exit 2.
 
+Each executor role is a slot (``ROLES``: slot 0 asserts, slot 1 validates),
+and a request's phase names the slot it awaits (``PHASE_SLOT``), so one
+``Committee.select``, ``accept_response`` and ``handle_timeout`` serve both
+roles and take no slot.  A call the phase does not await changes nothing, and
+returns False (``accept_response``) or raises ``ProtocolError``.
+
 All cross-role interaction happens through the immutable message types
 defined here; token amounts on the ledger are integers so conservation can
 be audited exactly.
@@ -77,7 +83,9 @@ class Phase(enum.Enum):
 
 
 # Reassigned loops back into the pipeline: to Assigned after an asserter
-# timeout, to Challenged after a validator timeout.
+# timeout, to Challenged after a validator timeout.  A phase names the slot it
+# awaits (``PHASE_SLOT``): Submitted or Reassigned draws slot 0, Assigned waits
+# for its response, and Challenged draws slot 1 and waits for its response.
 PHASE_TRANSITIONS = {
     Phase.SUBMITTED: {Phase.ASSIGNED},
     Phase.ASSIGNED: {Phase.ASSERTED, Phase.REASSIGNED},
@@ -91,6 +99,8 @@ PHASE_TRANSITIONS = {
 }
 
 TERMINAL_PHASES = {Phase.UNCHALLENGED_DONE, Phase.MATCHED_DONE, Phase.ARBITRATED_DONE}
+ROLES = ("asserter", "validator")  # by slot
+PHASE_SLOT = {Phase.SUBMITTED: 0, Phase.REASSIGNED: 0, Phase.ASSIGNED: 0, Phase.CHALLENGED: 1}
 
 
 class Reason(enum.Enum):
@@ -282,19 +292,18 @@ class ArbitrationOutcome:
 @dataclass(slots=True)
 class RequestLifecycle:
     """Per-request record; phase changes are checked against the declared
-    transition graph so every simulated trace is a valid path."""
+    transition graph so every simulated trace is a valid path.  A write to a
+    slot's node, response or attempt counter replaces the tuple."""
 
     reqid: bytes
     prefix: bytes  # crypto.request_prefix(pk_user, x), which every draw reads
     x: bytes
     phase: Phase = Phase.SUBMITTED
-    asserter: Optional[int] = None
-    validator: Optional[int] = None
-    asserter_response: Optional[ExecutorResponse] = None
-    validator_response: Optional[ExecutorResponse] = None
-    assert_attempt: int = 1
-    validate_attempt: int = 1
-    batch: Optional[tuple] = None  # the task batch's (levels, votes) from ``seal_batch``
+    nodes: tuple[Optional[int], ...] = (None, None)
+    responses: tuple[Optional[ExecutorResponse], ...] = (None, None)
+    attempts: tuple[int, ...] = (1, 1)
+    # the task batch's (levels, votes) from ``seal_batch``; too large to repr
+    batch: Optional[tuple] = field(default=None, repr=False)
     leaf: int = 0  # the request's leaf index in ``batch``
     history: list[Phase] = field(default_factory=list)
 
@@ -310,6 +319,18 @@ class RequestLifecycle:
     @property
     def concluded(self) -> bool:
         return self.phase in TERMINAL_PHASES
+
+
+def _awaited(lc: RequestLifecycle, drawn: bool) -> Optional[int]:
+    """The slot the phase awaits a response from (``drawn``) or a draw for."""
+    slot = PHASE_SLOT.get(lc.phase)
+    if slot is None or lc.responses[slot] is not None or (lc.nodes[slot] is not None) != drawn:
+        return None
+    return slot
+
+
+def _put(values: tuple, slot: int, value) -> tuple:
+    return values[:slot] + (value,) + values[slot + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +437,7 @@ def selection_string(prefix: bytes, reqid: bytes, attempt: int = 1) -> bytes:
     return prefix + encode_fields(reqid) + suffix
 
 
-def draw_validator(tau_chal: bytes, unique_string: bytes, asserter: int, n: int) -> int:
+def draw_validator(tau_chal: bytes, unique_string: bytes, asserter: Optional[int], n: int) -> int:
     """Bucket draw over the n executors; a draw that lands on the asserter
     moves to the next node, so the validator is never the asserter."""
     j = crypto.bucket(tau_chal, unique_string, n)
@@ -577,17 +598,20 @@ class Committee:
         self.unbatched.extend(reqids)
         return reqids
 
-    def select_asserter(self, reqid: bytes, tau: bytes) -> int:
-        """Draw the asserter for a Submitted request, or redraw with the
-        attempt suffix after an asserter timeout left it Reassigned."""
+    def select(self, reqid: bytes, tau: bytes) -> int:
+        """Draw the awaited slot's node, with its attempt suffix: the asserter,
+        or the validator past it (``draw_validator``)."""
         lc = self.lifecycles[reqid]
-        i = crypto.bucket(
-            tau, selection_string(lc.prefix, reqid, lc.assert_attempt),
-            self.config.executors,
-        )
-        lc.asserter = i
-        lc.advance(Phase.ASSIGNED)
-        return i
+        slot = _awaited(lc, drawn=False)
+        if slot is None:
+            raise ProtocolError(f"no executor to draw in phase {lc.phase.value}")
+        # slot 0 has no drawn node to step past: a plain bucket draw
+        node = draw_validator(tau, selection_string(lc.prefix, reqid, lc.attempts[slot]),
+                              lc.nodes[0], self.config.executors)
+        lc.nodes = _put(lc.nodes, slot, node)
+        if not slot:
+            lc.advance(Phase.ASSIGNED)
+        return node
 
     def _votes(self, *fields: bytes) -> tuple[tuple[int, bytes], ...]:
         """(orch_id, signature) for every orchestrator that votes on fields."""
@@ -610,14 +634,35 @@ class Committee:
         return TaskMessage(x=lc.x, reqid=reqid, root=levels[-1][0],
                            path=crypto.merkle_path(levels, lc.leaf), votes=votes)
 
-    def accept_asserter_response(self, resp: ExecutorResponse) -> bool:
+    def accept_response(self, resp: ExecutorResponse) -> bool:
+        """Record the awaited slot's signed response; refuse (False) any other."""
         lc = self.lifecycles.get(resp.reqid)
-        if (lc is None or resp.node_index != lc.asserter
+        slot = None if lc is None else _awaited(lc, drawn=True)
+        if (slot is None or resp.node_index != lc.nodes[slot]
                 or not response_signed(self.executor_pks, resp)):
             return False
-        lc.asserter_response = resp
-        lc.advance(Phase.ASSERTED)
+        lc.responses = _put(lc.responses, slot, resp)
+        if not slot:
+            lc.advance(Phase.ASSERTED)
         return True
+
+    def handle_timeout(self, reqid: bytes) -> int:
+        """Penalize the awaited slot's silent node and return it; the slot is
+        redrawn with its attempt counter incremented."""
+        lc = self.lifecycles[reqid]
+        slot = _awaited(lc, drawn=True)
+        if slot is None:
+            raise ProtocolError(f"no executor response awaited in phase {lc.phase.value}")
+        node = lc.nodes[slot]
+        lc.nodes = _put(lc.nodes, slot, None)
+        lc.attempts = _put(lc.attempts, slot, lc.attempts[slot] + 1)
+        lc.advance(Phase.REASSIGNED)  # select moves it on
+        if slot:
+            lc.advance(Phase.CHALLENGED)
+        if self.config.timeout_penalty:
+            self.pending_deltas[reqid].append(LedgerDelta(
+                f"exec:{node}", -self.config.timeout_penalty, Reason.TIMEOUT_PENALTY, reqid))
+        return node
 
     def challenge_decision(self, reqid: bytes, tau_chal: bytes) -> bool:
         """Drawn strictly after the asserter response was accepted; on a
@@ -632,36 +677,22 @@ class Committee:
         if challenged:
             lc.advance(Phase.CHALLENGED)
         else:
-            self.pending_deltas[reqid].extend(payout(self.config, reqid, lc.asserter))
+            self.pending_deltas[reqid].extend(payout(self.config, reqid, lc.nodes[0]))
             lc.advance(Phase.UNCHALLENGED_DONE)
             self._finalize(reqid)
         return challenged
 
     # -- Challenge protocol ------------------------------------------------
 
-    def select_validator(self, reqid: bytes, tau_chal: bytes) -> int:
-        lc = self.lifecycles[reqid]
-        lc.validator = draw_validator(
-            tau_chal, selection_string(lc.prefix, reqid, lc.validate_attempt),
-            lc.asserter, self.config.executors)
-        return lc.validator
-
-    def accept_validator_response(self, resp: ExecutorResponse) -> bool:
-        lc = self.lifecycles.get(resp.reqid)
-        if (lc is None or resp.node_index != lc.validator
-                or not response_signed(self.executor_pks, resp)):
-            return False
-        lc.validator_response = resp
-        return True
-
     def compare_and_route(self, reqid: bytes) -> str:
-        """Byte-exact match rewards both parties; any mismatch escalates."""
+        """Byte-exact match rewards both parties; any mismatch escalates.
+        Needs the validator's response, accepted while Challenged."""
         lc = self.lifecycles[reqid]
-        y_i = lc.asserter_response.y_bytes
-        y_j = lc.validator_response.y_bytes
-        if y_i == y_j:
-            self.pending_deltas[reqid].extend(
-                payout(self.config, reqid, lc.asserter, lc.validator))
+        if lc.phase is not Phase.CHALLENGED or lc.responses[1] is None:
+            raise ProtocolError("comparing requires an accepted validator response")
+        asserted, validated = lc.responses
+        if asserted.y_bytes == validated.y_bytes:
+            self.pending_deltas[reqid].extend(payout(self.config, reqid, *lc.nodes))
             lc.advance(Phase.MATCHED_DONE)
             self._finalize(reqid)
             return "matched"
@@ -669,40 +700,18 @@ class Committee:
         return "arbitrate"
 
     def arbitration_request(self, reqid: bytes) -> ArbitrationRequest:
+        """The mismatch's evidence, for a request routed to arbitration."""
         lc = self.lifecycles[reqid]
-        request = ArbitrationRequest(x=lc.x, reqid=reqid, asserter=lc.asserter_response,
-                                     validator=lc.validator_response)
+        if lc.phase not in (Phase.ARBITRATING, Phase.ARBITRATED_DONE):
+            raise ProtocolError("an arbitration request requires a routed mismatch")
+        request = ArbitrationRequest(lc.x, reqid, *lc.responses)
         return replace(request, votes=self._votes(*request.tuple_fields()))
 
     def record_arbitration(self, outcome: ArbitrationOutcome) -> None:
         lc = self.lifecycles[outcome.reqid]
+        lc.advance(Phase.ARBITRATED_DONE)  # raises, changing nothing, unless Arbitrating
         self.pending_deltas[outcome.reqid].extend(outcome.deltas)
-        lc.advance(Phase.ARBITRATED_DONE)
         self._finalize(outcome.reqid)
-
-    # -- Timeouts ----------------------------------------------------------
-
-    def handle_timeout(self, reqid: bytes, role: str) -> int:
-        """Penalize the silent node and loop the lifecycle back for a fresh
-        selection with an incremented attempt counter.  Returns the node
-        penalized."""
-        lc = self.lifecycles[reqid]
-        if role == "asserter":
-            node = lc.asserter
-            lc.assert_attempt += 1
-            lc.advance(Phase.REASSIGNED)  # select_asserter moves it back
-        elif role == "validator":
-            node = lc.validator
-            lc.validate_attempt += 1
-            lc.advance(Phase.REASSIGNED)
-            lc.advance(Phase.CHALLENGED)
-        else:
-            raise ValueError(f"unknown role {role!r}")
-        if self.config.timeout_penalty:
-            self.pending_deltas[reqid].append(LedgerDelta(
-                f"exec:{node}", -self.config.timeout_penalty,
-                Reason.TIMEOUT_PENALTY, reqid))
-        return node
 
     # -- Settlement --------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .protocol import (
     NetworkConfig,
     Orchestrator,
     Phase,
+    ROLES,
     SettlementContract,
     draw_validator,
     payout,
@@ -57,9 +58,12 @@ STRATEGY_KINDS = (HONEST, ALWAYS_FRAUD, FRAUD_WITH_PROBABILITY, COLLUDE, UNRESPO
 
 MAX_ATTEMPTS = 64
 
+# Trace tags by slot (``protocol.ROLES``): a node drawn, and its response accepted.
+DRAW_TAGS, RESPONSE_TAGS = ("assign", "validator"), ("assert", "validate")
+
 # Input caps: past them a scenario is rejected (CLI exit 2), not run.  A run's
-# peak RSS grows by about 2.3 KiB per request (a ``mixed_adversaries`` run
-# peaked at 254.7 MiB at 100,000 requests and 30.9 MiB at 1,000, CPython 3.11
+# peak RSS grows by about 2.5 KiB per request (a ``mixed_adversaries`` run
+# peaked at 268.3 MiB at 100,000 requests and 31.0 MiB at 1,000, CPython 3.11
 # on x86-64 Linux), and a sweep keeps 8 bytes per trial (each
 # trial's challenge value u, ``estimate_strategy_payoff``), so at most 128 MiB.
 # The model cap counts the values drawn for the model's weights and biases
@@ -381,6 +385,7 @@ class _Simulation(_World):
         self.initial_balances = dict(self.settlement.balances)
 
         self.beacon = BeaconOracle(prf(master, b"beacon-root"))
+        self.waits = (net.t_assert, net.t_validate)  # each slot's response timeout
         self.metrics = MetricsReport()
         self.computations = [0] * net.executors
         self._trace = hashlib.sha256()
@@ -419,14 +424,6 @@ class _Simulation(_World):
 
     # -- request pipeline --------------------------------------------------
 
-    def execute(self, reqid: bytes, node: int, y: bytes, role: str) -> None:
-        """The node executes the request's task; the committee collects the
-        signed response (``ExecutorNode.response``) one epoch later."""
-        if not protocol.asserter_execute(
-                self.committee.task_message(reqid), self.executors[node],
-                self.committee.orch_pks, self.config.network.quorum, y):
-            raise protocol.ProtocolError(f"{role} failed to collect a task quorum")
-
     def submit(self, first: int) -> None:
         """The user's one signed message for the arrival epoch of request
         ``first``, the first of its epoch to wake.  Arrivals are at
@@ -438,18 +435,13 @@ class _Simulation(_World):
             [(self.x, k.to_bytes(8, "big")) for k in indices], self.user_keys))
         self._arrived.update(zip(indices, reqids))
 
-    def timeout(self, epoch: int, reqid: bytes, role: str, attempt: int) -> None:
-        if attempt > MAX_ATTEMPTS:
-            raise protocol.ProtocolError(f"no responsive {role} found")
-        node = self.committee.handle_timeout(reqid, role)
-        self.metrics.timeouts += 1
-        self.metrics.reassignments += 1
-        self.trace(f"timeout-{role}", epoch, reqid, node.to_bytes(4, "big"))
-
     def request(self, index: int) -> Generator[int, int, None]:
         """One request from submission to conclusion, in protocol order.
         Each ``yield n`` waits n epochs and resumes with the epoch it wakes
-        in; the first waits from epoch 0 to the request's arrival."""
+        in; the first waits from epoch 0 to the request's arrival.  One loop
+        serves both slots (``protocol.ROLES``): ``Committee.select`` draws
+        the node of the slot the phase awaits until one answers within the
+        slot's wait, and ``Committee.accept_response`` takes its response."""
         committee = self.committee
         epoch = yield 1 + index * self.config.arrival_spacing
         if index not in self._arrived:
@@ -460,52 +452,48 @@ class _Simulation(_World):
         lc = committee.lifecycles[reqid]
         epoch = yield 1
 
-        while True:
-            asserter = committee.select_asserter(reqid, self.beacon.tau(epoch))
-            self.trace("assign", epoch, reqid, asserter.to_bytes(4, "big"),
-                       lc.assert_attempt.to_bytes(4, "big"))
-            # a user colluding with the selected asserter gets a free wrong
-            # answer: the asserter skips computation entirely
-            y = (self.wrong[asserter] if asserter == self.config.user_colludes_with
-                 else self.node_output(asserter, reqid))
-            if y is not None:
-                break
-            epoch = yield self.config.network.t_assert
-            self.timeout(epoch, reqid, "asserter", lc.assert_attempt)
-            epoch = yield 1
-        self.execute(reqid, asserter, y, "asserter")
-        epoch = yield 1
-        resp = self.executors[asserter].response(reqid)
-        if not committee.accept_asserter_response(resp):
-            raise protocol.ProtocolError("asserter response rejected")
-        self.trace("assert", epoch, reqid, crypto.sha256(resp.y_bytes))
-
-        # the challenge is decided in the epoch after the response was
-        # accepted, so the beacon value deciding it cannot be known when
-        # asserting
-        epoch = yield 1
-        challenged = committee.challenge_decision(reqid, self.beacon.tau(epoch))
-        self.metrics.challenge_decisions += 1
-        self.trace("challenge", epoch, reqid, bytes([challenged]))
-        if challenged:
-            self.metrics.challenges += 1
-            leaked = resp.y_bytes if self.leak else None
+        leaked = None
+        for slot in (0, 1):
+            if slot:
+                # the challenge is decided in the epoch after the response
+                # was accepted, so the beacon value deciding it cannot be
+                # known when asserting
+                epoch = yield 1
+                challenged = committee.challenge_decision(reqid, self.beacon.tau(epoch))
+                self.metrics.challenge_decisions += 1
+                self.trace("challenge", epoch, reqid, bytes([challenged]))
+                if not challenged:
+                    break
+                self.metrics.challenges += 1
+                leaked = lc.responses[0].y_bytes if self.leak else None
             while True:
-                validator = committee.select_validator(reqid, self.beacon.tau(epoch))
-                self.trace("validator", epoch, reqid, validator.to_bytes(4, "big"),
-                           lc.validate_attempt.to_bytes(4, "big"))
-                y = self.node_output(validator, reqid, leaked)
+                node = committee.select(reqid, self.beacon.tau(epoch))
+                self.trace(DRAW_TAGS[slot], epoch, reqid, node.to_bytes(4, "big"),
+                           lc.attempts[slot].to_bytes(4, "big"))
+                # a user colluding with the selected asserter gets a free
+                # wrong answer: the asserter skips computation entirely
+                y = (self.wrong[node] if not slot and node == self.config.user_colludes_with
+                     else self.node_output(node, reqid, leaked))
                 if y is not None:
                     break
-                epoch = yield self.config.network.t_validate
-                self.timeout(epoch, reqid, "validator", lc.validate_attempt)
+                epoch = yield self.waits[slot]
+                if lc.attempts[slot] > MAX_ATTEMPTS:
+                    raise protocol.ProtocolError(f"no responsive {ROLES[slot]} found")
+                node = committee.handle_timeout(reqid)
+                self.metrics.timeouts += 1
+                self.metrics.reassignments += 1
+                self.trace(f"timeout-{ROLES[slot]}", epoch, reqid, node.to_bytes(4, "big"))
                 epoch = yield 1
-            self.execute(reqid, validator, y, "validator")
+            if not protocol.asserter_execute(committee.task_message(reqid), self.executors[node],
+                                             committee.orch_pks, committee.config.quorum, y):
+                raise protocol.ProtocolError(f"{ROLES[slot]} failed to collect a task quorum")
             epoch = yield 1
-            check = self.executors[validator].response(reqid)
-            if not committee.accept_validator_response(check):
-                raise protocol.ProtocolError("validator response rejected")
-            self.trace("validate", epoch, reqid, crypto.sha256(check.y_bytes))
+            resp = self.executors[node].response(reqid)
+            if not committee.accept_response(resp):
+                raise protocol.ProtocolError(f"{ROLES[slot]} response rejected")
+            self.trace(RESPONSE_TAGS[slot], epoch, reqid, crypto.sha256(resp.y_bytes))
+
+        if challenged:
             if committee.compare_and_route(reqid) == "matched":
                 self.metrics.matched_challenges += 1
             else:
@@ -516,7 +504,7 @@ class _Simulation(_World):
                 self.trace("arbitrate", epoch, reqid,
                            bytes([outcome.asserter_honest]), bytes([outcome.validator_honest]))
 
-        if resp.y_bytes != self.y_true_b:
+        if lc.responses[0].y_bytes != self.y_true_b:
             self.metrics.fraud_assertions += 1
             if lc.phase in (Phase.UNCHALLENGED_DONE, Phase.MATCHED_DONE):
                 self.metrics.undetected_frauds += 1

@@ -240,11 +240,10 @@ class TestAcceptance:
                     forward(result.model, decode_vector(lc.x)))
                 if truth != encode_vector(outcome.y_true):
                     violations += 1
+                asserted, validated = lc.responses
                 parties = {
-                    f"exec:{lc.asserter_response.node_index}":
-                        lc.asserter_response.y_bytes,
-                    f"exec:{lc.validator_response.node_index}":
-                        lc.validator_response.y_bytes,
+                    f"exec:{asserted.node_index}": asserted.y_bytes,
+                    f"exec:{validated.node_index}": validated.y_bytes,
                 }
                 for delta in outcome.deltas:
                     if delta.reason is Reason.SLASH:
@@ -254,11 +253,9 @@ class TestAcceptance:
                                           Reason.VALIDATOR_REWARD):
                         if parties.get(delta.account) != truth:
                             violations += 1
-                if (outcome.asserter_honest !=
-                        (lc.asserter_response.y_bytes == truth)):
+                if outcome.asserter_honest != (asserted.y_bytes == truth):
                     violations += 1
-                if (outcome.validator_honest !=
-                        (lc.validator_response.y_bytes == truth)):
+                if outcome.validator_honest != (validated.y_bytes == truth):
                     violations += 1
                 checked += 1
         ok = checked > 0 and violations == 0

@@ -1,6 +1,8 @@
 """Role state-machine tests: request acceptance, selection, quorum rules,
 challenge routing, arbitration verdicts, timeouts, and settlement audits."""
 
+import copy
+import dataclasses
 import hashlib
 import tracemalloc
 from collections import Counter
@@ -102,19 +104,19 @@ class World:
 
     def assert_output(self, reqid, y, epoch=1):
         tau = prf(SEED, b"tau" + epoch.to_bytes(4, "big"))
-        i = self.committee.select_asserter(reqid, tau)
+        i = self.committee.select(reqid, tau)
         resp = self.execute(reqid, i, encode_vector(y))
         assert resp is not None
-        assert self.committee.accept_asserter_response(resp)
+        assert self.committee.accept_response(resp)
         return i
 
     def validate_output(self, reqid, y):
         tau = prf(SEED, b"tau-chal")
         assert self.committee.challenge_decision(reqid, tau)
-        j = self.committee.select_validator(reqid, tau)
+        j = self.committee.select(reqid, tau)
         resp = self.execute(reqid, j, encode_vector(y))
         assert resp is not None
-        assert self.committee.accept_validator_response(resp)
+        assert self.committee.accept_response(resp)
         return j
 
 
@@ -153,9 +155,10 @@ class TestUserSubmit:
 
 
 def committee_state(committee):
-    """What accepting a request changes: lifecycles, debits and the
-    unbatched queue, copied."""
-    return (dict(committee.lifecycles),
+    """What a committee call may change: every lifecycle's fields, the
+    debits and the unbatched queue, copied."""
+    return ({reqid: [copy.copy(getattr(lc, f.name)) for f in dataclasses.fields(lc)]
+             for reqid, lc in committee.lifecycles.items()},
             {reqid: list(deltas) for reqid, deltas in committee.pending_deltas.items()},
             list(committee.unbatched))
 
@@ -245,7 +248,7 @@ class TestAcceptRule:
             assert reqid == crypto.derive_reqid(prefix, nonce)
             lc = w.committee.lifecycles[reqid]
             assert (lc.prefix, lc.x) == (prefix, x)
-            assert w.committee.select_asserter(reqid, tau) == crypto.bucket(
+            assert w.committee.select(reqid, tau) == crypto.bucket(
                 tau, selection_string(prefix, reqid), w.net.executors)
 
     def test_empty_message_rejected(self):
@@ -287,8 +290,7 @@ class TestSelection:
         w1, w2 = World(), World()
         r1, r2 = w1.submit(), w2.submit()
         tau = prf(SEED, b"tau")
-        assert w1.committee.select_asserter(r1, tau) == \
-            w2.committee.select_asserter(r2, tau)
+        assert w1.committee.select(r1, tau) == w2.committee.select(r2, tau)
 
     def test_selection_string_attempt_suffix(self):
         prefix = crypto.request_prefix(b"pk", b"x")
@@ -303,14 +305,19 @@ class TestSelection:
         reqid = w.submit()
         tau = prf(SEED, b"tau-collide")
         lc = w.committee.lifecycles[reqid]
-        drawn = crypto.bucket(tau, selection_string(lc.prefix, reqid),
-                              w.net.executors)
-        # force a collision: park the asserter on the drawn slot
-        lc.asserter = drawn
-        assert w.committee.select_validator(reqid, tau) == (drawn + 1) % w.net.executors
-        # and a non-collision: move the asserter elsewhere
-        lc.asserter = (drawn + 2) % w.net.executors
-        assert w.committee.select_validator(reqid, tau) == drawn
+        unique = selection_string(lc.prefix, reqid)
+        drawn = crypto.bucket(tau, unique, w.net.executors)
+        # force a collision: the asserter on the drawn node
+        assert protocol.draw_validator(tau, unique, drawn, w.net.executors) == \
+            (drawn + 1) % w.net.executors
+        # and a non-collision: the asserter elsewhere
+        assert protocol.draw_validator(tau, unique, (drawn + 2) % w.net.executors,
+                                       w.net.executors) == drawn
+        # the committee draws a challenged request's validator by this rule
+        w.assert_output(reqid, w.y_true)
+        assert w.committee.challenge_decision(reqid, tau)
+        assert w.committee.select(reqid, tau) == protocol.draw_validator(
+            tau, unique, lc.nodes[0], w.net.executors)
 
 
 class TestExecutorQuorum:
@@ -318,7 +325,7 @@ class TestExecutorQuorum:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau)
+        i = w.committee.select(reqid, tau)
         resp = w.execute(reqid, i, encode_vector(forward(w.model, w.x_vec)))
         assert resp is not None and resp.y_bytes == w.y_true_b
 
@@ -326,7 +333,7 @@ class TestExecutorQuorum:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau)
+        i = w.committee.select(reqid, tau)
         task = w.committee.task_message(reqid)
         resp = w.execute(reqid, i, w.y_true_b, replace(task, votes=task.votes[: w.net.quorum - 1]))
         assert resp is None
@@ -335,7 +342,7 @@ class TestExecutorQuorum:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau)
+        i = w.committee.select(reqid, tau)
         task = w.committee.task_message(reqid)
         forged = tuple((k, b"\x00" * 64) for k, _ in task.votes[: w.net.fault_bound])
         resp = w.execute(reqid, i, w.y_true_b, replace(task, votes=forged + task.votes))
@@ -345,7 +352,7 @@ class TestExecutorQuorum:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        i = w.committee.select_asserter(reqid, tau)
+        i = w.committee.select(reqid, tau)
         task = w.committee.task_message(reqid)
         resp = w.execute(reqid, i, w.y_true_b, replace(task, votes=task.votes[:1] * 5))
         assert resp is None
@@ -395,7 +402,7 @@ class TestOneQuorumRule:
     def test_verifying_stops_at_quorum(self, monkeypatch):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         task = w.committee.task_message(reqid)
         assert len(task.votes) == w.net.committee_size
         calls = count_checks(monkeypatch)
@@ -407,7 +414,7 @@ class TestOneQuorumRule:
     def test_real_verifying_stops_at_quorum(self, monkeypatch):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         task = w.committee.task_message(reqid)
         monkeypatch.setattr(crypto.PublicKey, "signed_here", lambda pk, sig, message: False)
         calls = count_checks(monkeypatch)
@@ -418,7 +425,7 @@ class TestOneQuorumRule:
     def test_equivocating_vote_not_verified_once_memo_reaches_quorum(self, monkeypatch):
         w = World(behaviors={0: protocol.ORCH_EQUIVOCATE})
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         task = w.committee.task_message(reqid)
         calls = count_checks(monkeypatch)
         assert asserter_execute(task, w.executors[i], w.committee.orch_pks,
@@ -428,7 +435,7 @@ class TestOneQuorumRule:
     def test_repeated_message_verified_once(self, monkeypatch):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         task = w.committee.task_message(reqid)
         calls = count_checks(monkeypatch)
         assert asserter_execute(replace(task, votes=task.votes[:1] * 5), w.executors[i],
@@ -542,7 +549,7 @@ class TestTaskBatch:
 
     def batch_of(self, w: World, size: int, tag: str = "n") -> list[bytes]:
         reqids = [w.submit(f"{tag}{k}".encode()) for k in range(size)]
-        w.committee.select_asserter(reqids[0], prf(SEED, b"tau"))
+        w.committee.select(reqids[0], prf(SEED, b"tau"))
         return reqids
 
     def answer(self, w: World, task):
@@ -751,35 +758,34 @@ class TestResponseBatch:
     def test_committee_accepts_batched_responses(self):
         w = World(p=1.0)
         reqids = [w.submit(f"n{k}".encode()) for k in range(5)]
-        asserters = [w.committee.select_asserter(reqid, prf(SEED, b"tau")) for reqid in reqids]
+        asserters = [w.committee.select(reqid, prf(SEED, b"tau")) for reqid in reqids]
         for reqid, node in zip(reqids, asserters):
             self.executed(w, node, [reqid])
         for reqid, node in zip(reqids, asserters):
-            assert w.committee.accept_asserter_response(w.executors[node].response(reqid))
+            assert w.committee.accept_response(w.executors[node].response(reqid))
 
     def test_response_from_another_node_is_refused(self):
         # validly signed, but not by the request's asserter or validator
         w = World(p=1.0)
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         other = w.execute(reqid, (i + 1) % w.net.executors, w.y_true_b)
         assert protocol.response_signed(w.committee.executor_pks, other)
-        assert not w.committee.accept_asserter_response(other)
-        assert w.committee.accept_asserter_response(w.execute(reqid, i, w.y_true_b))
+        assert not w.committee.accept_response(other)
+        assert w.committee.accept_response(w.execute(reqid, i, w.y_true_b))
         assert w.committee.challenge_decision(reqid, prf(SEED, b"tau-chal"))
-        j = w.committee.select_validator(reqid, prf(SEED, b"tau-chal"))
+        j = w.committee.select(reqid, prf(SEED, b"tau-chal"))
         stranger = next(k for k in range(w.net.executors) if k not in (i, j))
-        assert not w.committee.accept_validator_response(w.execute(reqid, stranger, w.y_true_b))
-        assert w.committee.accept_validator_response(w.execute(reqid, j, w.y_true_b))
+        assert not w.committee.accept_response(w.execute(reqid, stranger, w.y_true_b))
+        assert w.committee.accept_response(w.execute(reqid, j, w.y_true_b))
 
     def test_unknown_request_is_refused(self):
         w = World()
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         resp = w.execute(reqid, i, w.y_true_b)
-        assert not w.committee.accept_asserter_response(replace(resp, reqid=flip(reqid, 0)))
-        assert not w.committee.accept_validator_response(replace(resp, reqid=flip(reqid, 0)))
-        assert w.committee.accept_asserter_response(resp)
+        assert not w.committee.accept_response(replace(resp, reqid=flip(reqid, 0)))
+        assert w.committee.accept_response(resp)
 
 
 class TestSealRule:
@@ -913,10 +919,12 @@ class TestResponseProofs:
         reqid = reqids[target % size]
         wrong = encode_vector(corrupt(w.y_true))
         tau_chal = prf(SEED, b"tau-chal")
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        # drawn now, so the validator's response can be checked before the
-        # asserter's is accepted; the challenge below draws the same node
-        j = w.committee.select_validator(reqid, tau_chal)
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
+        # the node the challenge below draws, computed now so the validator
+        # can execute the batch before the asserter's response is accepted
+        j = protocol.draw_validator(
+            tau_chal, selection_string(w.committee.lifecycles[reqid].prefix, reqid), i,
+            w.net.executors)
         k = min({0, 1, 2} - {i, j})
 
         def batch(node, y_bytes):
@@ -935,8 +943,12 @@ class TestResponseProofs:
         bogus = altered_response(w, honest, change, at, by_role[role][neighbour].path,
                                  third[reqid].root)
         assert bogus != honest
-        accept = {"asserter": w.committee.accept_asserter_response,
-                  "validator": w.committee.accept_validator_response}[role]
+        if role == "validator":
+            # the validator's response is awaited once it is drawn after the
+            # challenge, so an altered one is refused for its alteration alone
+            assert w.committee.accept_response(by_role["asserter"][reqid])
+            assert w.committee.challenge_decision(reqid, tau_chal)
+            assert w.committee.select(reqid, tau_chal) == j
 
         def verdicts(request):
             """(accepted, arbitration under the honest votes, arbitration
@@ -949,10 +961,10 @@ class TestResponseProofs:
                 return "arbitrated"
             altered = replace(request, **{role: bogus})
             revoted = replace(altered, votes=w.committee._votes(*altered.tuple_fields()))
-            return (accept(bogus), arbitrate(altered), arbitrate(revoted))
+            return (w.committee.accept_response(bogus), arbitrate(altered), arbitrate(revoted))
 
-        # the committee's request, with the honest responses, before either is
-        # accepted: arbitration reads only the request
+        # the committee's request, with the honest responses, before the
+        # validator's is accepted: arbitration reads only the request
         request = protocol.ArbitrationRequest(
             x=w.x, reqid=reqid, asserter=by_role["asserter"][reqid],
             validator=by_role["validator"][reqid])
@@ -964,10 +976,11 @@ class TestResponseProofs:
         assert reqid not in w.arbitration.outcomes
 
         # the unaltered responses still go through
-        assert w.committee.accept_asserter_response(by_role["asserter"][reqid])
-        assert w.committee.challenge_decision(reqid, tau_chal)
-        assert w.committee.select_validator(reqid, tau_chal) == j
-        assert w.committee.accept_validator_response(by_role["validator"][reqid])
+        if role == "asserter":
+            assert w.committee.accept_response(by_role["asserter"][reqid])
+            assert w.committee.challenge_decision(reqid, tau_chal)
+            assert w.committee.select(reqid, tau_chal) == j
+        assert w.committee.accept_response(by_role["validator"][reqid])
         assert w.committee.compare_and_route(reqid) == "arbitrate"
         outcome = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
         assert not outcome.asserter_honest and outcome.validator_honest
@@ -1106,9 +1119,9 @@ class TestArbitration:
         assert not outcome.asserter_honest and outcome.validator_honest
         lc = w.committee.lifecycles[reqid]
         by_reason = {d.reason: d for d in outcome.deltas}
-        assert by_reason[Reason.SLASH].account == f"exec:{lc.asserter}"
+        assert by_reason[Reason.SLASH].account == f"exec:{lc.nodes[0]}"
         assert by_reason[Reason.SLASH].amount == -w.net.slash_s
-        assert by_reason[Reason.VALIDATOR_REWARD].account == f"exec:{lc.validator}"
+        assert by_reason[Reason.VALIDATOR_REWARD].account == f"exec:{lc.nodes[1]}"
         assert by_reason[Reason.VALIDATOR_REWARD].amount == w.net.reward_r
         assert by_reason[Reason.SLASH_REDISTRIBUTION].amount == w.net.slash_s
 
@@ -1118,8 +1131,8 @@ class TestArbitration:
         assert outcome.asserter_honest and not outcome.validator_honest
         lc = w.committee.lifecycles[reqid]
         by_reason = {d.reason: d for d in outcome.deltas}
-        assert by_reason[Reason.SLASH].account == f"exec:{lc.validator}"
-        assert by_reason[Reason.ASSERTER_REWARD].account == f"exec:{lc.asserter}"
+        assert by_reason[Reason.SLASH].account == f"exec:{lc.nodes[1]}"
+        assert by_reason[Reason.ASSERTER_REWARD].account == f"exec:{lc.nodes[0]}"
 
     def test_both_wrong_no_redistribution(self):
         w = World(p=1.0)
@@ -1186,7 +1199,7 @@ class TestArbitration:
         w.validate_output(reqid, w.y_true)
         w.committee.compare_and_route(reqid)
         lc = w.committee.lifecycles[reqid]
-        lc.asserter_response = replace(lc.asserter_response, signature=b"\x00" * 64)
+        lc.responses = (replace(lc.responses[0], signature=b"\x00" * 64), lc.responses[1])
         with pytest.raises(InvalidSignatureError):
             w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
 
@@ -1195,9 +1208,9 @@ class TestArbitration:
         # accepted, routed to arbitration and judged unequal to the truth
         w = World(p=1.0)
         reqid = w.submit()
-        i = w.committee.select_asserter(reqid, prf(SEED, b"tau"))
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
         resp = w.execute(reqid, i, b"\x00" * 7)
-        assert w.committee.accept_asserter_response(resp)
+        assert w.committee.accept_response(resp)
         w.validate_output(reqid, w.y_true)
         assert w.committee.compare_and_route(reqid) == "arbitrate"
         outcome = w.arbitration.arbitrate(w.committee.arbitration_request(reqid))
@@ -1217,20 +1230,20 @@ class TestTimeouts:
         w = World()
         reqid = w.submit()
         tau = prf(SEED, b"tau")
-        first = w.committee.select_asserter(reqid, tau)
-        node = w.committee.handle_timeout(reqid, "asserter")
+        first = w.committee.select(reqid, tau)
+        node = w.committee.handle_timeout(reqid)
         assert node == first
         lc = w.committee.lifecycles[reqid]
-        assert lc.phase is Phase.REASSIGNED and lc.assert_attempt == 2
+        assert lc.phase is Phase.REASSIGNED and lc.attempts[0] == 2
         penalty = [d for d in w.committee.pending_deltas[reqid]
                    if d.reason is Reason.TIMEOUT_PENALTY]
         assert len(penalty) == 1 and penalty[0].amount == -w.net.timeout_penalty
-        w.committee.select_asserter(reqid, tau)
+        w.committee.select(reqid, tau)
         assert lc.phase is Phase.ASSIGNED
         # the attempt-suffixed string redraws independently of attempt 1
         redrawn = crypto.bucket(
             tau, selection_string(lc.prefix, reqid, 2), w.net.executors)
-        assert lc.asserter == redrawn
+        assert lc.nodes[0] == redrawn
 
     def test_validator_timeout_back_to_challenged(self):
         w = World(p=1.0)
@@ -1238,26 +1251,146 @@ class TestTimeouts:
         w.assert_output(reqid, w.y_true)
         tau = prf(SEED, b"tau-chal")
         assert w.committee.challenge_decision(reqid, tau)
-        silent = w.committee.select_validator(reqid, tau)
-        node = w.committee.handle_timeout(reqid, "validator")
+        silent = w.committee.select(reqid, tau)
+        node = w.committee.handle_timeout(reqid)
         assert node == silent
         lc = w.committee.lifecycles[reqid]
-        assert lc.phase is Phase.CHALLENGED and lc.validate_attempt == 2
+        assert lc.phase is Phase.CHALLENGED and lc.attempts[1] == 2
 
     def test_zero_penalty_config(self):
         w = World(timeout_penalty=0)
         reqid = w.submit()
-        w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        w.committee.handle_timeout(reqid, "asserter")
+        w.committee.select(reqid, prf(SEED, b"tau"))
+        w.committee.handle_timeout(reqid)
         assert not any(d.reason is Reason.TIMEOUT_PENALTY
                        for d in w.committee.pending_deltas[reqid])
 
-    def test_unknown_role_rejected(self):
+    @pytest.mark.parametrize("phase", [Phase.SUBMITTED, Phase.REASSIGNED, Phase.ASSERTED,
+                                       Phase.UNCHALLENGED_DONE], ids=lambda phase: phase.value)
+    def test_timeout_awaiting_no_response_rejected(self, phase):
+        # no role argument: the phase names the slot, and these await none
         w = World()
         reqid = w.submit()
-        w.committee.select_asserter(reqid, prf(SEED, b"tau"))
-        with pytest.raises(ValueError):
-            w.committee.handle_timeout(reqid, "user")
+        if phase is Phase.REASSIGNED:
+            w.committee.select(reqid, prf(SEED, b"tau"))
+            w.committee.handle_timeout(reqid)
+        elif phase is not Phase.SUBMITTED:
+            w.assert_output(reqid, w.y_true)
+            if phase is Phase.UNCHALLENGED_DONE:
+                assert not w.committee.challenge_decision(reqid, prf(SEED, b"t"))
+        assert w.committee.lifecycles[reqid].phase is phase
+        before = committee_state(w.committee)
+        with pytest.raises(ProtocolError):
+            w.committee.handle_timeout(reqid)
+        assert committee_state(w.committee) == before
+
+
+class TestCallsThePhaseDoesNotAwait:
+    """A committee call in a phase that does not await it changes neither
+    the lifecycle nor the pending deltas: ``accept_response`` returns False
+    and the other calls raise ProtocolError."""
+
+    def test_second_asserter_response_refused(self):
+        w = World(p=1.0)
+        reqid = w.submit()
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
+        assert w.committee.accept_response(w.execute(reqid, i, w.y_true_b))
+        # the asserter answers again, wrongly, in a batch of its own
+        second = w.execute(reqid, i, encode_vector(corrupt(w.y_true)))
+        assert protocol.response_signed(w.committee.executor_pks, second)
+        before = committee_state(w.committee)
+        assert w.committee.accept_response(second) is False
+        assert committee_state(w.committee) == before
+        # the first response stands, so an honest validator matches it
+        w.validate_output(reqid, w.y_true)
+        assert w.committee.compare_and_route(reqid) == "matched"
+
+    def test_validator_response_after_match_refused(self):
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, w.y_true)
+        j = w.validate_output(reqid, w.y_true)
+        assert w.committee.compare_and_route(reqid) == "matched"
+        wrong = w.execute(reqid, j, encode_vector(corrupt(w.y_true)))
+        assert protocol.response_signed(w.committee.executor_pks, wrong)
+        before = committee_state(w.committee)
+        assert w.committee.accept_response(wrong) is False
+        assert committee_state(w.committee) == before
+        assert w.committee.lifecycles[reqid].responses[1].y_bytes == w.y_true_b
+
+    def test_timeout_while_assigned_is_the_asserters(self):
+        # an Assigned request awaits its asserter alone: a timeout never
+        # reaches the validator's slot, never skips to Challenged and never
+        # penalizes an account of no node
+        w = World(p=1.0)
+        reqid = w.submit()
+        i = w.committee.select(reqid, prf(SEED, b"tau"))
+        assert w.committee.handle_timeout(reqid) == i
+        lc = w.committee.lifecycles[reqid]
+        assert lc.history == [Phase.SUBMITTED, Phase.ASSIGNED, Phase.REASSIGNED]
+        assert (lc.nodes, lc.attempts) == ((None, None), (2, 1))
+        assert [d.account for d in w.committee.pending_deltas[reqid]
+                if d.reason is Reason.TIMEOUT_PENALTY] == [f"exec:{i}"]
+
+    @pytest.mark.parametrize("step", ["undrawn", "responded"])
+    def test_validator_timeout_not_awaited(self, step):
+        # Challenged awaits the validator's response only once it is drawn
+        # and until it is accepted
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, w.y_true)
+        if step == "undrawn":
+            assert w.committee.challenge_decision(reqid, prf(SEED, b"tau-chal"))
+        else:
+            w.validate_output(reqid, w.y_true)
+        before = committee_state(w.committee)
+        with pytest.raises(ProtocolError):
+            w.committee.handle_timeout(reqid)
+        assert committee_state(w.committee) == before
+
+    @pytest.mark.parametrize("step", ["asserted", "challenged", "drawn"])
+    @pytest.mark.parametrize("call", ["compare_and_route", "arbitration_request"])
+    def test_routing_before_the_validator_responds(self, call, step):
+        w = World(p=1.0)
+        reqid = w.submit()
+        w.assert_output(reqid, corrupt(w.y_true))
+        if step != "asserted":
+            assert w.committee.challenge_decision(reqid, prf(SEED, b"tau-chal"))
+        if step == "drawn":
+            w.committee.select(reqid, prf(SEED, b"tau-chal"))
+        before = committee_state(w.committee)
+        with pytest.raises(ProtocolError):
+            getattr(w.committee, call)(reqid)
+        assert committee_state(w.committee) == before
+
+    @pytest.mark.parametrize("step", ["assigned", "asserted", "validator-drawn"])
+    def test_select_without_a_slot_to_draw(self, step):
+        w = World(p=1.0)
+        reqid = w.submit()
+        if step == "assigned":
+            w.committee.select(reqid, prf(SEED, b"tau"))
+        else:
+            w.assert_output(reqid, w.y_true)
+        if step == "validator-drawn":
+            assert w.committee.challenge_decision(reqid, prf(SEED, b"tau-chal"))
+            w.committee.select(reqid, prf(SEED, b"tau-chal"))
+        before = committee_state(w.committee)
+        with pytest.raises(ProtocolError):
+            w.committee.select(reqid, prf(SEED, b"tau-again"))
+        assert committee_state(w.committee) == before
+
+    def test_arbitration_recorded_only_when_routed(self):
+        w = World(p=1.0)
+        reqid = w.submit()
+        i = w.assert_output(reqid, corrupt(w.y_true))
+        j = w.validate_output(reqid, w.y_true)
+        outcome = protocol.ArbitrationOutcome(
+            reqid=reqid, y_true=w.y_true, asserter_honest=False, validator_honest=True,
+            deltas=tuple(protocol.payout(w.net, reqid, i, j, (False, True))))
+        before = committee_state(w.committee)
+        with pytest.raises(ProtocolError):
+            w.committee.record_arbitration(outcome)
+        assert committee_state(w.committee) == before
 
 
 class TestPhaseGraph:

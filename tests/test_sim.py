@@ -236,6 +236,14 @@ class TestRunInvariants:
         m = result.metrics
         assert m.challenges == m.matched_challenges + m.arbitrations
 
+    def test_lifecycle_repr_is_small(self):
+        # a failing test's traceback reprs its lifecycles; each must print in
+        # a few lines, not with its task batch's whole Merkle tree
+        data = json.loads((SCENARIOS / "mixed_adversaries.json").read_text())
+        result = sim.run(sim.ScenarioConfig.from_dict({**data, "requests": 1000}))
+        assert len(result.lifecycles) == 1000
+        assert max(len(repr(lc)) for lc in result.lifecycles.values()) < 4096
+
 
 class TestScenarioConfig:
     def test_from_dict_reads_every_field(self):
@@ -373,7 +381,7 @@ class TestRun:
         cfg = config(p=1.0, requests=60,
                      executor_overrides={2: sim.ExecStrategy(kind=sim.ALWAYS_FRAUD)})
         result = sim.run(cfg)
-        fraud_requests = [lc for lc in result.lifecycles.values() if lc.asserter == 2]
+        fraud_requests = [lc for lc in result.lifecycles.values() if lc.nodes[0] == 2]
         assert fraud_requests
         for lc in fraud_requests:
             assert lc.phase is Phase.ARBITRATED_DONE
@@ -410,14 +418,14 @@ class TestRun:
         cfg = config(p=1.0, requests=120, executor_overrides={
             0: sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY, fraud_probability=0.5)})
         result = sim.run(cfg)
-        asserted = [lc for lc in result.lifecycles.values() if lc.asserter == 0]
+        asserted = [lc for lc in result.lifecycles.values() if lc.nodes[0] == 0]
         outcomes = {lc.phase for lc in asserted}
         assert Phase.ARBITRATED_DONE in outcomes and Phase.MATCHED_DONE in outcomes
 
     def test_user_collusion_counts_undetected_fraud(self):
         cfg = config(p=0.0, requests=60, user_colludes_with=3)
         result = sim.run(cfg)
-        colluded = [lc for lc in result.lifecycles.values() if lc.asserter == 3]
+        colluded = [lc for lc in result.lifecycles.values() if lc.nodes[0] == 3]
         assert colluded
         assert result.metrics.fraud_assertions == len(colluded)
         assert result.metrics.undetected_frauds == len(colluded)
@@ -481,11 +489,11 @@ class TestLeakAttack:
         result = sim.run(cfg)
         # every honest assertion settles as matched even when the free-riding
         # Byzantine node validates: it copies the correct leaked result
-        honest_asserted = [lc for lc in result.lifecycles.values() if lc.asserter != 1]
+        honest_asserted = [lc for lc in result.lifecycles.values() if lc.nodes[0] != 1]
         assert honest_asserted
         assert all(lc.phase is Phase.MATCHED_DONE for lc in honest_asserted)
         assert result.metrics.arbitrations == sum(
-            1 for lc in result.lifecycles.values() if lc.asserter == 1)
+            1 for lc in result.lifecycles.values() if lc.nodes[0] == 1)
 
     def test_fraudulent_asserter_free_rider_is_undetected_fraud(self):
         cfg = config(p=1.0, requests=80,
@@ -494,7 +502,7 @@ class TestLeakAttack:
                      orchestrator_overrides={0: protocol.ORCH_LEAK})
         result = sim.run(cfg)
         free_ridden = [lc for lc in result.lifecycles.values()
-                       if lc.asserter in (1, 2) and lc.validator in (1, 2)]
+                       if lc.nodes[0] in (1, 2) and lc.nodes[1] in (1, 2)]
         assert free_ridden
         assert all(lc.phase is Phase.MATCHED_DONE for lc in free_ridden)
         assert result.metrics.undetected_frauds >= len(free_ridden)

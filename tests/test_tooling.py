@@ -1,8 +1,8 @@
 """The test settings, the package's import footprint and its documented
 input schema: a failing property test must report its falsifying example
 under the repository's pytest configuration, the CLI loads no module it does
-not use, README names every key an input record takes, and README's sweep
-memory bound matches the code."""
+not use, README names every key an input record takes and every public
+``Committee`` method, and README's sweep memory bound matches the code."""
 
 import dataclasses
 import inspect
@@ -59,16 +59,25 @@ def test_cli_import_skips_key_serialization():
     assert run.stdout.strip() == "False"
 
 
-def test_readme_names_every_input_key():
-    # the words inside backtick spans, outside fenced code blocks
+def readme_names() -> set[str]:
+    """The words inside README's backtick spans, outside fenced code blocks."""
     text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
-    named = {word for span in re.findall(r"`([^`]+)`", text)
-             for word in re.findall(r"\w+", span)}
+    return {word for span in re.findall(r"`([^`]+)`", text)
+            for word in re.findall(r"\w+", span)}
+
+
+def test_readme_names_every_input_key():
     keys = {f.name for record in (sim.ScenarioConfig, protocol.NetworkConfig, sim.ExecStrategy,
                                   econ.EconomicParams)
             for f in dataclasses.fields(record)}
     keys |= set(inspect.signature(econ.EconomicParams.single_validator).parameters)
-    assert keys - named == set()
+    assert keys - readme_names() == set()
+
+
+def test_readme_names_every_committee_method():
+    methods = {name for name, member in vars(protocol.Committee).items()
+               if not name.startswith("_") and inspect.isfunction(member)}
+    assert methods - readme_names() == set()
 
 
 def test_readme_states_the_sweep_memory_bound():
