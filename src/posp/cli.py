@@ -83,11 +83,10 @@ def cmd_analyze(args) -> int:
     holds, violations = econ.check_stake_assumptions(params)
     matrix = econ.validator_payoff_matrix(params)
     min_p = econ.min_challenge_probability(params)
-    single_p = None  # the shorthand bound applies only to single-validator records
-    if params.n == 1 and params.R_A == params.R_V == params.U1 and params.U2 == 2 * params.R_A:
-        single_p = econ.single_validator_min_p(params.C, params.S, params.R_A, params.r)
-        if single_p is None:
-            single_p = "infeasible"
+    shown_min_p = "infeasible" if min_p is None else min_p
+    # a single-validator record's shorthand bound is its min_p
+    single = (params.n == 1 and params.R_A == params.R_V == params.U1
+              and params.U2 == 2 * params.R_A)
     fraud_proof = None
     if params.R_C + params.C > 0 and params.S + params.R_A > 0:
         fraud_proof = econ.fraud_proof_undetected_fraud_probability(
@@ -101,8 +100,8 @@ def cmd_analyze(args) -> int:
         "stake_assumptions": {"holds": holds, "violations": violations},
         "validator_payoff_matrix": asdict(matrix),
         "dominance_margin": margin,
-        "min_challenge_probability": "infeasible" if min_p is None else min_p,
-        "single_validator_min_p": single_p,
+        "min_challenge_probability": shown_min_p,
+        "single_validator_min_p": shown_min_p if single else None,
         "fraud_proof_undetected_fraud_probability": fraud_proof,
         "cheat_pass_probability": econ.cheat_pass_probability(params.p, params.r, params.n),
         "equilibrium_holds": equilibrium,

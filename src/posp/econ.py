@@ -190,14 +190,12 @@ def min_challenge_probability(params: EconomicParams) -> Optional[float]:
 
 
 def single_validator_min_p(C: float, S: float, R: float, r: float) -> Optional[float]:
-    """Single-validator bound C / ((1-r)S + (1-2r)R); None if the
-    denominator is not positive (infeasible)."""
-    if not all(map(_finite, (C, S, R, r))) or min(C, S, R) < 0 or not 0.0 <= r < 1.0:
-        raise ValueError("require finite C, S, R >= 0 and r in [0, 1)")
-    denom = (1.0 - r) * S + (1.0 - 2.0 * r) * R
-    if denom <= 0.0:
-        return None
-    return C / denom
+    """``min_challenge_probability`` of the shorthand record
+    ``EconomicParams.single_validator(C=C, S=S, R=R, r=r)``: the bound
+    C / ((1-r)S + (1-2r)R) where it lies in [0, 1], else None (infeasible).
+    Raises ValueError where that record is invalid, including R above
+    float max / 3, whose default B = 3R overflows."""
+    return min_challenge_probability(EconomicParams.single_validator(C=C, S=S, R=R, r=r))
 
 
 def fraud_proof_undetected_fraud_probability(C: float, S: float, R: float, R_C: float) -> float:

@@ -18,11 +18,13 @@ import gc
 import hashlib
 import heapq
 import logging
+import math
 import mmap
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from itertools import compress, count, repeat
+from fractions import Fraction
+from itertools import compress, count
 from typing import Generator, Optional
 
 from . import crypto, protocol
@@ -583,39 +585,36 @@ class StrategyEstimate:
 
 @dataclass(slots=True)
 class _Tally:
-    """One focal strategy's output and running payoff sums."""
+    """One focal strategy's output and exact payoff sums.  A trial's payoff
+    is an integer sum of ledger deltas minus ``cost``, so the tally sums the
+    challenged trials' deltas and squared deltas as integers, and keeps
+    ``unchallenged``, the delta every unchallenged trial earns."""
 
     strategy: ExecStrategy
     output: bytes
     cost: float
-    unchallenged: float
-    total: float = 0.0
-    total_sq: float = 0.0
+    unchallenged: int
+    total: int = 0
+    total_sq: int = 0
     arbitrations: int = 0
 
-    def add(self, payoff: float) -> None:
-        self.total += payoff
-        self.total_sq += payoff * payoff
-
-    def add_unchallenged(self, k: int) -> None:
-        """``add(self.unchallenged)`` k times: the same float additions in
-        the same order, in one tight loop.  A product ``k * c`` or a
-        compensated sum would round differently."""
-        c = self.unchallenged
-        c_sq = c * c
-        total, total_sq = self.total, self.total_sq
-        for _ in repeat(None, k):
-            total += c
-            total_sq += c_sq
-        self.total, self.total_sq = total, total_sq
+    def add(self, delta: int) -> None:
+        self.total += delta
+        self.total_sq += delta * delta
 
     def estimate(self, trials: int, challenges: int) -> StrategyEstimate:
-        mean = self.total / trials
-        var = max(0.0, self.total_sq / trials - mean * mean)
+        """The mean, rounded once from its exact value, and the standard
+        error from the exact variance, which the cost does not change;
+        neither depends on the order of the trials."""
+        k = trials - challenges
+        total = self.total + k * self.unchallenged
+        total_sq = self.total_sq + k * self.unchallenged ** 2
+        var = Fraction(total_sq * trials - total ** 2, trials ** 2)
         fraud = self.strategy.adversarial
         return StrategyEstimate(
-            strategy=self.strategy.kind, trials=trials, mean=mean,
-            stderr=(var / trials) ** 0.5, challenges=challenges,
+            strategy=self.strategy.kind, trials=trials,
+            mean=float(Fraction(total, trials) - Fraction(self.cost)),
+            stderr=math.sqrt(var / trials), challenges=challenges,
             arbitrations=self.arbitrations,
             fraud_assertions=trials if fraud else 0,
             fraud_passes=trials - self.arbitrations if fraud else 0)
@@ -669,12 +668,11 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     caller runs a second thread.  Every row, the first included, then finds
     the trials its p challenges in one C-level scan of the map and
     re-derives only those trials' draws.  Every unchallenged trial pays the
-    same, so the run of unchallenged trials between two challenged ones
-    reaches each strategy's sums through one tight loop that makes the same
-    float additions, in the same order, as adding them one by one.  That
-    loop still runs once per unchallenged trial and strategy, so a row's
-    work is O(trials) per strategy, at a much smaller constant than a full
-    draw.  Rows are scored one after another, each from its own world, so
+    same, so the sums are exact integers that take the unchallenged trials
+    as one product; the mean is rounded once from its exact value and the
+    standard error comes from the exact variance, so no result depends on
+    the order of the trials.  A row costs one scan of u plus its challenged
+    trials.  Rows are scored one after another, each from its own world, so
     memory is one world plus 8 bytes of u per trial.  Each estimate is
     exactly what a call with that row and that strategy alone gives.
     """
@@ -770,7 +768,7 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
                   prefix: bytes, us: memoryview) -> list[StrategyEstimate]:
     """One row of ``estimate_strategy_payoff``, scored in ``world``: it scans
     every trial's u in ``us`` for the trials its p challenges and redraws
-    only those."""
+    only those, adding each one's focal ledger delta to every tally."""
     config = world.config
     net = config.network
     master = config.master_seed
@@ -780,26 +778,21 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
     y_true_b = world.y_true_b
     threshold = crypto.sample_threshold(net.challenge_probability)
 
-    def focal_payoff(deltas, cost: float) -> float:
-        return sum(d.amount for d in deltas if d.account == account) - cost
+    def focal_delta(deltas) -> int:
+        return sum(d.amount for d in deltas if d.account == account)
 
     tallies = []
     for strategy in strategies:
         fraud = strategy.adversarial
-        cost = 0.0 if fraud else net.compute_cost
         output = world.wrong_output(strategy, focal) if fraud else y_true_b
         # an unchallenged request pays the same whatever its id
-        tallies.append(_Tally(strategy, output, cost,
-                              focal_payoff(payout(net, b"", focal), cost)))
+        tallies.append(_Tally(strategy, output, 0.0 if fraud else net.compute_cost,
+                              focal_delta(payout(net, b"", focal))))
 
     challenges = 0
-    scored = 0  # trials before this index are in every tally
-    # the trials this row's p challenges, as ``crypto.sampled`` decides, in order
+    # the trials this row's p challenges, as ``crypto.sampled`` decides
     for t in compress(count(), map(threshold.__gt__, us)):
         reqid, tau_chal, s = _trial_draws(master, prefix, t)
-        for tally in tallies:
-            tally.add_unchallenged(t - scored)
-        scored = t + 1
         challenges += 1
         attempt = 1
         j = draw_validator(tau_chal, s, focal, net.executors)
@@ -820,8 +813,5 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
                 tally.arbitrations += 1
                 deltas = payout(net, reqid, focal, j,
                                 (not tally.strategy.adversarial, y_j == y_true_b))
-            tally.add(focal_payoff(deltas, tally.cost))
-    for tally in tallies:
-        tally.add_unchallenged(trials - scored)
-
+            tally.add(focal_delta(deltas))
     return [tally.estimate(trials, challenges) for tally in tallies]

@@ -110,6 +110,19 @@ class TestAnalyze:
         assert report["min_challenge_probability"] == pytest.approx(0.00736, abs=5e-6)
         assert report["single_validator_min_p"] is None
 
+    @pytest.mark.parametrize("data", [
+        {"C": 40, "S": 10, "R": 5, "r": 0.5},
+        # shorthand-shaped, but a shorthand record rebuilt from it overflows B = 3R
+        {"B": 1.7e308, "R_A": 8e307, "R_V": 8e307, "U1": 8e307, "U2": 1.6e308,
+         "S": 10, "C": 1, "p": 0.1, "r": 0.1},
+    ], ids=["infeasible", "huge-R"])
+    def test_single_validator_bound_is_the_min_p(self, tmp_path, capsys, data):
+        path = write_json(tmp_path / "s.json", data)
+        code, out, err = run_cli(["analyze", "--params", path], capsys)
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert report["single_validator_min_p"] == report["min_challenge_probability"]
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -584,11 +597,11 @@ class TestGoldenOutputs:
 
     SWEEP_DIGESTS = {
         ("mixed_adversaries.json", "p", "0.01", "0.2", "3"):
-            "ded82adb8b8db54fc712b35903db026836eba9dbe5bf2efb7bb73aae3a22773f",
+            "4e140533ba0b70fe74d12bd945bb3f0ab077d1df84e189cde29daa40480d556b",
         ("mixed_adversaries.json", "r", "0.1", "0.4", "4"):
-            "ac742e73e14bba172440bc12079150cc1b54422074c8cedccf15d3ed86507f48",
+            "efd5267d70cbc1fad9e9c7410b288aeed73666d31438d6be836509aefb4290cf",
         ("leak_attack.json", "S", "200", "3000", "4"):
-            "43daf7cee6bbb373181876066373fdb924c438dcd0b26bc5591f50abd45f40f4",
+            "1b8ffc79c0dc346048833e96c568d2312cfeb7a91fabde3b1c7e130237497f68",
     }
 
     @pytest.mark.parametrize("sweep", list(SWEEP_DIGESTS), ids=["p", "r", "S"])
@@ -601,9 +614,9 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[sweep]
 
     ANALYZE_DIGESTS = {
-        "params_baseline": "908b0acb85aaf6dde96aedab70c15f2f2500e4a2cc3842a8b1ff8d10e7c0cfab",
+        "params_baseline": "9fdde045fc0dd76e1816d2dfffe6460554d34f49932c7ec853933f48626368e9",
         "full": "a72576e8a90becd083281cd8df7887c79e9ce660563ecbcd609895576138b2d2",
-        "shorthand": "6b23f177ebf781fa9b36ccdbc4787677cb4ca4d1d7c90449befde573c2e072ca",
+        "shorthand": "0f1079c42debe8bb80c546495e201b346eb670ed2bf9f6b321fb792b49cb3a36",
     }
 
     @pytest.mark.parametrize("name", list(ANALYZE_DIGESTS))

@@ -160,6 +160,9 @@ class TestMinChallengeProbability:
         assert econ.min_challenge_probability(params) is None
 
 
+NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "huge-int": 10**400}
+
+
 class TestSingleValidatorMinP:
     def test_reference_value(self):
         assert econ.single_validator_min_p(1.0, 150.0, 1.2, 0.1) == pytest.approx(1.0 / 135.96)
@@ -177,9 +180,12 @@ class TestSingleValidatorMinP:
         with pytest.raises(ValueError):
             econ.single_validator_min_p(-1.0, 1.0, 1.0, 0.1)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
-                             ids=["nan", "inf", "huge-int"])
-    @pytest.mark.parametrize("at", range(4))
+    @pytest.mark.parametrize("at,value", [
+        *(pytest.param(at, value, id=f"{at}-{name}") for at in range(4)
+          for name, value in NON_FINITE.items()),
+        # finite, but the shorthand record's default B = 3R overflows
+        pytest.param(2, 1e308, id="2-R-above-max-over-3"),
+    ])
     def test_rejects_non_finite_inputs(self, at, value):
         args = [1.0, 150.0, 1.2, 0.1]
         args[at] = value
@@ -313,11 +319,15 @@ class TestProperties:
     def test_min_p_matches_single_validator_form(self, C, S, R, r):
         params = EconomicParams.single_validator(C=C, S=S, R=R, r=r)
         general = econ.min_challenge_probability(params)
-        special = econ.single_validator_min_p(C, S, R, r)
-        if special is None or not 0.0 <= special <= 1.0:
-            assert general is None or general == pytest.approx(special or 0.0)
-        else:
-            assert general == pytest.approx(special, rel=1e-12)
+        assert econ.single_validator_min_p(C, S, R, r) == general
+        # the reference: the closed form C / ((1-r)S + (1-2r)R), infeasible
+        # where its denominator is not positive or it exceeds 1
+        denom = (1.0 - r) * S + (1.0 - 2.0 * r) * R
+        reference = C / denom if denom > 0.0 else None
+        if reference is None or reference > 1.0 + 1e-9:
+            assert general is None
+        elif reference < 1.0 - 1e-9:
+            assert general == pytest.approx(reference, rel=1e-12)
 
     @settings(max_examples=200)
     @given(params_strategy())

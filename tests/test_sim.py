@@ -7,6 +7,7 @@ import os
 import threading
 import tracemalloc
 from dataclasses import MISSING, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -880,6 +881,14 @@ PINNED_ESTIMATES = [
 ]
 
 
+def sweep_rows_at_cost(cost):
+    """The sweep scenario at 0.5, 1 and 2 times its threshold p*, with
+    ``compute_cost`` set to ``cost``."""
+    p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+    rows = [sweep_scenario(factor * p_star) for factor in (0.5, 1.0, 2.0)]
+    return [replace(row, network=replace(row.network, compute_cost=cost)) for row in rows]
+
+
 class TestPinnedEstimates:
     @pytest.mark.parametrize("factor,kind,expected", PINNED_ESTIMATES)
     def test_sweep_scenario(self, factor, kind, expected):
@@ -905,14 +914,24 @@ class TestPinnedEstimates:
         [[est]] = sim.estimate_strategy_payoff([cfg], [kind], trials=2000)
         assert est.to_dict() == {"strategy": kind, "trials": 2000, **expected}
 
-    def test_unchallenged_trials_add_in_order(self):
-        # Recorded while every trial was added to the sums one at a time.  At
-        # compute_cost 10.3 every honest payoff is non-integer, so the order
-        # and kind of the additions show in the last bits: adding the
-        # unchallenged trials as k * c gives an honest mean of
-        # 2.0749999999999993.
-        honest = {"strategy": "honest", "trials": 4000, "mean": 2.074999999999897,
-                  "stderr": 0.37495312206994735, "arbitrations": 1,
+    def test_sums_are_exact_at_any_cost(self):
+        # A trial's payoff is an integer delta minus the compute cost, so an
+        # honest mean is the exact integer total over the trials, less the
+        # cost, rounded once; the cost shifts every payoff alike, so the
+        # standard error and the fraud estimate do not move with it.
+        focals = (sim.HONEST, sim.ALWAYS_FRAUD)
+        free = sim.estimate_strategy_payoff(sweep_rows_at_cost(0.0), focals, 4000)
+        for cost in (10.3, 0.1, 1 / 3):
+            costly = sim.estimate_strategy_payoff(sweep_rows_at_cost(cost), focals, 4000)
+            for (honest_free, fraud_free), (honest, fraud) in zip(free, costly):
+                total = round(Fraction(honest_free.mean) * 4000)
+                assert honest.mean == float(Fraction(total, 4000) - Fraction(cost))
+                assert honest.stderr == honest_free.stderr
+                assert fraud == fraud_free
+
+    def test_each_row_alone_equals_the_rows_together(self):
+        honest = {"strategy": "honest", "trials": 4000, "mean": 2.0749999999999993,
+                  "stderr": 0.37495312206994624, "arbitrations": 1,
                   "fraud_assertions": 0, "fraud_passes": 0}
         fraud = {"strategy": "always-fraud", "trials": 4000}
         pinned = {
@@ -920,17 +939,13 @@ class TestPinnedEstimates:
                   {**fraud, "mean": 7.086, "stderr": 1.3606818698726018, "challenges": 13,
                    "arbitrations": 13, "fraud_assertions": 4000, "fraud_passes": 3987}],
             1.0: [{**honest, "challenges": 22},
-                  {**fraud, "mean": 3.684, "stderr": 1.7680947474612327, "challenges": 22,
+                  {**fraud, "mean": 3.684, "stderr": 1.7680947474612325, "challenges": 22,
                    "arbitrations": 22, "fraud_assertions": 4000, "fraud_passes": 3978}],
             2.0: [{**honest, "challenges": 42},
                   {**fraud, "mean": -3.876, "stderr": 2.4368250154658213, "challenges": 42,
                    "arbitrations": 42, "fraud_assertions": 4000, "fraud_passes": 3958}],
         }
-        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
-        rows = []
-        for factor in pinned:
-            cfg = sweep_scenario(factor * p_star)
-            rows.append(replace(cfg, network=replace(cfg.network, compute_cost=10.3)))
+        rows = sweep_rows_at_cost(10.3)
         focals = (sim.HONEST, sim.ALWAYS_FRAUD)
         # each row alone is a first row; together, the later two scan its u
         alone = [sim.estimate_strategy_payoff([row], focals, 4000)[0] for row in rows]
