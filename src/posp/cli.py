@@ -4,7 +4,8 @@ sweeps, and deterministic replay verification.
 All inputs and reports are JSON with sorted keys, so outputs are diffable
 and golden files are stable.  Exit codes: 0 success (and, for analyze,
 equilibrium holds), 1 replay mismatch / equilibrium fails, 2 validation
-error, 3 internal invariant violation: any protocol invariant failure in
+error (including a scenario whose model or wrong outputs overflow Q16.16),
+3 internal invariant violation: any protocol invariant failure in
 simulate, replay or sweep, such as a conservation violation or no
 responsive asserter or validator.
 """
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import econ, sim
+from .model import FixedOverflowError
 from .protocol import ProtocolError
 
 EXIT_OK = 0
@@ -265,6 +267,10 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol invariant violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except FixedOverflowError as exc:
+        # the scenario's model, or a liar's wrong output, leaves Q16.16
+        print(f"invalid scenario: Q16.16 overflow: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -179,11 +179,12 @@ def dominance_margin(params: EconomicParams) -> float:
 def min_challenge_probability(params: EconomicParams) -> Optional[float]:
     """Smallest p satisfying the dominance inequality, or None if no p in
     [0, 1] does (infeasible).  Solved from dominance_margin(p) = 0:
-    p* = (U1 + C - R_A) / (S + U1 - r^n (U2 + S))."""
+    p* = ((U1 - R_A) + C) / (S + U1 - r^n (U2 + S)).  U1 - R_A is taken
+    first, so a C far smaller than U1 and R_A is not rounded away."""
     denom = params.S + params.U1 - params.r**params.n * (params.U2 + params.S)
     if denom <= 0.0:
         return None
-    p_star = (params.U1 + params.C - params.R_A) / denom
+    p_star = ((params.U1 - params.R_A) + params.C) / denom
     if not 0.0 <= p_star <= 1.0:
         return None
     return p_star

@@ -83,7 +83,7 @@ MAX_MODEL_VALUES = 1 << 16
 # settlement comes one epoch after the last event.  So every epoch is < 2^50.
 MAX_ARRIVAL_SPACING = 1 << 32
 # A collusion group's wrong output is the true output offset by
-# 1,000,000 + group raw Q16.16 units (`_World.wrong_output`); groups stay far
+# 1,000,000 + group raw Q16.16 units (`_wrong_amount`); groups stay far
 # below the signed 64-bit raw range, which a larger one could overflow.
 MAX_GROUP = 1 << 32
 # A sweep forks a worker to draw challenge values only for at least this many
@@ -326,11 +326,22 @@ def _derive_input(master_seed: bytes, dim: int) -> tuple[Fixed, ...]:
     return tuple(_weight_stream(seed, dim, start=dim * dim))
 
 
+def _wrong_amount(strategy: ExecStrategy, node: int) -> int:
+    """The raw Q16.16 amount that ``corrupt`` adds to every value of the true
+    output when ``node`` lies under ``strategy``: one per collusion group,
+    and one per node for every other node.  It is never 0, and the true
+    output is never empty, so two wrong outputs are equal exactly when their
+    amounts are, and none equals the true output."""
+    return 1_000_000 + strategy.group if strategy.group is not None else node + 1
+
+
 class _World:
     """What a scenario fixes before any request, derived once for the
     simulator and the estimator alike: the strategy table, the model, the
-    input, the true output, each node's encoded wrong output, the user key
-    and whether an orchestrator leaks."""
+    input, the true output, the user key and whether an orchestrator leaks.
+    It holds no wrong output: ``wrong_output`` encodes a liar's only when the
+    simulator returns it, and the estimator compares wrong results by their
+    ``_wrong_amount``."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -342,17 +353,11 @@ class _World:
         self.x = encode_vector(self.x_vec)
         self.y_true = forward(self.model, self.x_vec)
         self.y_true_b = encode_vector(self.y_true)
-        # only adversarial nodes and the user's colluder ever return one
-        self.wrong = [self.wrong_output(strategy, i)
-                      if strategy.adversarial or i == config.user_colludes_with else None
-                      for i, strategy in enumerate(self.strategies)]
         self.user_keys = KeyPair.from_seed(prf(master, b"user-key"))
         self.leak = protocol.ORCH_LEAK in config.orchestrator_overrides.values()
 
     def wrong_output(self, strategy: ExecStrategy, node: int) -> bytes:
-        # distinct groups (and ungrouped nodes) produce distinct wrong results
-        amount = 1_000_000 + strategy.group if strategy.group is not None else node + 1
-        return encode_vector(corrupt(self.y_true, amount))
+        return encode_vector(corrupt(self.y_true, _wrong_amount(strategy, node)))
 
 
 class _Simulation(_World):
@@ -420,7 +425,7 @@ class _Simulation(_World):
             # free-ride on the leaked asserter result: no computation at all
             return leaked
         if _lies(self.config.master_seed, strategy, node, reqid):
-            return self.wrong[node]
+            return self.wrong_output(strategy, node)
         self.computations[node] += 1
         return encode_vector(forward(self.model, self.x_vec))
 
@@ -474,7 +479,8 @@ class _Simulation(_World):
                            lc.attempts[slot].to_bytes(4, "big"))
                 # a user colluding with the selected asserter gets a free
                 # wrong answer: the asserter skips computation entirely
-                y = (self.wrong[node] if not slot and node == self.config.user_colludes_with
+                y = (self.wrong_output(self.strategies[node], node)
+                     if not slot and node == self.config.user_colludes_with
                      else self.node_output(node, reqid, leaked))
                 if y is not None:
                     break
@@ -585,13 +591,14 @@ class StrategyEstimate:
 
 @dataclass(slots=True)
 class _Tally:
-    """One focal strategy's output and exact payoff sums.  A trial's payoff
-    is an integer sum of ledger deltas minus ``cost``, so the tally sums the
+    """One focal strategy's output and exact payoff sums.  ``output`` is the
+    output's ``_wrong_amount``, 0 for the true output.  A trial's payoff is
+    an integer sum of ledger deltas minus ``cost``, so the tally sums the
     challenged trials' deltas and squared deltas as integers, and keeps
     ``unchallenged``, the delta every unchallenged trial earns."""
 
     strategy: ExecStrategy
-    output: bytes
+    output: int
     cost: float
     unchallenged: int
     total: int = 0
@@ -641,11 +648,15 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     independent sub-seed PRF(master, trial-index).  The challenge and
     validator draws, the nodes' fraud decisions, free-riding on a leaking
     orchestrator, and the payouts are the protocol's own rules; only the
-    signature plumbing is elided, since it cannot change any payoff.  The
-    redraw past an unresponsive validator keeps the protocol's attempt
-    suffix but reuses the trial's challenge beacon ``tau_chal`` for every
-    attempt, where the simulator uses the beacon of the epoch the redraw
-    happens in: the draws have the same distribution, not the same values.
+    signature plumbing and the output encodings are elided, since neither
+    can change any payoff.  An output is named by its ``_wrong_amount``, 0
+    for the true output: two outputs are equal exactly when their amounts
+    are, so comparing amounts gives every verdict that comparing the encoded
+    outputs would, and no output is encoded.  The redraw past an
+    unresponsive validator keeps the protocol's attempt suffix but reuses
+    the trial's challenge beacon ``tau_chal`` for every attempt, where the
+    simulator uses the beacon of the epoch the redraw happens in: the draws
+    have the same distribution, not the same values.
     The payoff is the sum of the focal account's ledger deltas minus its
     compute cost.  ``user_colludes_with`` plays no part: each strategy
     already fixes what the focal asserter returns.
@@ -720,10 +731,11 @@ def _draw_challenge_values(master: bytes, prefix: bytes, us: memoryview) -> None
     leaves through ``os._exit``, so it never returns into the caller's code,
     flushes no stdio buffer and runs no atexit hook.  Every worker is
     reaped, and this process's own CPUs restored, before this returns or
-    raises; a worker that failed raises RuntimeError.  Nothing forks where
-    ``os.fork`` is missing or the caller runs a second thread, since a child
-    forked from a threaded process can deadlock on a lock another thread
-    held."""
+    raises; a worker that failed raises RuntimeError.  A fork that fails
+    (``OSError``, say ``EAGAIN``) ends the forking, and this process draws
+    every slice no worker took.  Nothing forks where ``os.fork`` is missing
+    or the caller runs a second thread, since a child forked from a threaded
+    process can deadlock on a lock another thread held."""
     trials = len(us)
     cpus = []
     if hasattr(os, "fork") and threading.active_count() == 1:
@@ -734,7 +746,10 @@ def _draw_challenge_values(master: bytes, prefix: bytes, us: memoryview) -> None
     pids = []
     try:
         for cpu, lo, hi in zip(cpus[1:], bounds[1:-1], bounds[2:]):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                break  # no more workers: this process draws what is left
             if pid == 0:
                 code = 1
                 try:
@@ -748,6 +763,8 @@ def _draw_challenge_values(master: bytes, prefix: bytes, us: memoryview) -> None
         if pids:
             _run_on({cpus[0]})
         _draw_slice(master, prefix, us, bounds[0], bounds[1])
+        # the slices after the workers' ones, if a fork failed
+        _draw_slice(master, prefix, us, bounds[len(pids) + 1], trials)
     finally:
         if pids:
             _run_on(set(cpus))
@@ -774,8 +791,7 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
     master = config.master_seed
     focal = config.focal_executor
     account = f"exec:{focal}"
-    table, leak, wrong_b = world.strategies, world.leak, world.wrong
-    y_true_b = world.y_true_b
+    table, leak = world.strategies, world.leak
     threshold = crypto.sample_threshold(net.challenge_probability)
 
     def focal_delta(deltas) -> int:
@@ -784,7 +800,7 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
     tallies = []
     for strategy in strategies:
         fraud = strategy.adversarial
-        output = world.wrong_output(strategy, focal) if fraud else y_true_b
+        output = _wrong_amount(strategy, focal) if fraud else 0
         # an unchallenged request pays the same whatever its id
         tallies.append(_Tally(strategy, output, 0.0 if fraud else net.compute_cost,
                               focal_delta(payout(net, b"", focal))))
@@ -805,13 +821,13 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
         # a free-riding validator copies whatever the focal node asserted
         copied = leak and table[j].adversarial
         y_j = None if copied else (
-            wrong_b[j] if _lies(master, table[j], j, reqid) else y_true_b)
+            _wrong_amount(table[j], j) if _lies(master, table[j], j, reqid) else 0)
         for tally in tallies:
             if copied or y_j == tally.output:
                 deltas = payout(net, reqid, focal, j)
             else:
                 tally.arbitrations += 1
                 deltas = payout(net, reqid, focal, j,
-                                (not tally.strategy.adversarial, y_j == y_true_b))
+                                (not tally.strategy.adversarial, y_j == 0))
             tally.add(focal_delta(deltas))
     return [tally.estimate(trials, challenges) for tally in tallies]

@@ -530,6 +530,31 @@ class TestScenarioValidation:
             assert code == 2 and repr(key) in err and "Traceback" not in err
         assert estimator_calls == []
 
+    def test_model_that_overflows_exits_2(self, tmp_path, capsys):
+        # valid dims (63,360 values), but forward leaves the signed 64-bit range
+        scenario = json.loads((SCENARIOS / "all_honest.json").read_text())
+        path = write_json(tmp_path / "s.json", {**scenario, "model_dims": [32] * 60,
+                                                "requests": 3})
+        for argv in COMMANDS.values():
+            code, out, err = run_cli(argv(path, tmp_path), capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("invalid") and err.count("\n") == 1
+
+    def test_wrong_output_that_overflows_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the simulator derives a liar's output when the node returns it; the
+        # estimator compares amounts and never derives one
+        monkeypatch.setattr(sim, "_wrong_amount", lambda strategy, node: 1 << 63)
+        path = write_json(tmp_path / "s.json", {
+            "network": NETWORK, "master_seed": "17" * 32, "requests": 4,
+            "sweep_trials": 10,
+            "executor_overrides": {str(i): "always-fraud" for i in range(1, 8)}})
+        codes = []
+        for argv in COMMANDS.values():
+            code, _, err = run_cli(argv(path, tmp_path), capsys)
+            codes.append(code)
+            assert code == 0 or (err.startswith("invalid") and err.count("\n") == 1)
+        assert codes == [2, 2, 0]
+
     def test_largest_group_runs(self, tmp_path, capsys):
         scenario = {"executor_overrides": {"1": {"kind": "collude", "group": sim.MAX_GROUP - 1}},
                     "user_colludes_with": 7, "focal_executor": 7}
@@ -614,9 +639,9 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_DIGESTS[sweep]
 
     ANALYZE_DIGESTS = {
-        "params_baseline": "9fdde045fc0dd76e1816d2dfffe6460554d34f49932c7ec853933f48626368e9",
+        "params_baseline": "4d48ca861f16abc2a08fc2b2b7d2e9d3c635455fc77988aa71ba89c207c311ae",
         "full": "a72576e8a90becd083281cd8df7887c79e9ce660563ecbcd609895576138b2d2",
-        "shorthand": "0f1079c42debe8bb80c546495e201b346eb670ed2bf9f6b321fb792b49cb3a36",
+        "shorthand": "91952a72803914e4cb749bf4534771b059ae2bcb3d256b010ab5eb408fd6ae05",
     }
 
     @pytest.mark.parametrize("name", list(ANALYZE_DIGESTS))

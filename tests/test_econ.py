@@ -159,6 +159,13 @@ class TestMinChallengeProbability:
         params = EconomicParams.single_validator(C=1.0, S=1.0, R=1.0, r=0.9)
         assert econ.min_challenge_probability(params) is None
 
+    def test_cost_is_kept_beside_huge_rewards(self):
+        # U1 + C rounds to U1 at R = 1e17; U1 - R_A = 0 exactly keeps C
+        params = EconomicParams.single_validator(C=1.0, S=10.0, R=1e17, r=0.1)
+        # C / (S + U1 - r (U2 + S)) = 1 / (8e16 + 9)
+        assert econ.min_challenge_probability(params) == pytest.approx(
+            1 / (8e16 + 9), rel=1e-12, abs=0)
+
 
 NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "huge-int": 10**400}
 

@@ -2,6 +2,7 @@
 estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
+import errno
 import json
 import os
 import threading
@@ -356,6 +357,49 @@ class TestAssignAdversaries:
         a = world.wrong_output(strat, 1)
         b = world.wrong_output(strat, 2)
         assert a != b
+
+
+class TestWrongOutputs:
+    """A world derives no wrong output up front, and the estimator compares
+    wrong results by their ``_wrong_amount``."""
+
+    @pytest.mark.parametrize("name", ["mixed_adversaries", "leak_attack"])
+    def test_bytes_equal_exactly_when_amounts_do(self, name):
+        world = sim._World(sim.ScenarioConfig.from_dict(
+            json.loads((SCENARIOS / f"{name}.json").read_text())))
+        group = sim.ExecStrategy(kind=sim.COLLUDE, group=9)
+        liars = [*enumerate(world.strategies), (1, group), (2, group)]
+        named = [(sim._wrong_amount(strategy, node), world.wrong_output(strategy, node))
+                 for node, strategy in liars]
+        assert all(y != world.y_true_b for _, y in named)
+        for amount, y in named:
+            for other_amount, other_y in named:
+                assert (y == other_y) == (amount == other_amount)
+
+    def test_world_memory_does_not_scale_with_liars(self):
+        # 253 liars with 16,384 outputs each: 32 MiB of wrong outputs if encoded
+        cfg = replace(config(executors=256, requests=0, byzantine_fraction=0.99),
+                      model_dims=(1, 16384))
+        tracemalloc.start()
+        try:
+            world = sim._World(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(s.adversarial for s in world.strategies) == 253
+        assert peak < 16 * 1024 * 1024
+
+    def test_estimator_encodes_no_wrong_output(self, monkeypatch):
+        rows = benchmark_sweep_rows()
+        focals = (sim.HONEST, sim.ALWAYS_FRAUD, sim.ExecStrategy(kind=sim.COLLUDE, group=0))
+        expected = sim.estimate_strategy_payoff(rows, focals, 2000)
+
+        def corrupt(y, amount=1):
+            raise AssertionError("encoded a wrong output")
+        monkeypatch.setattr(sim, "corrupt", corrupt)
+        for row in rows:
+            sim._World(row)
+        assert sim.estimate_strategy_payoff(rows, focals, 2000) == expected
 
 
 class TestRun:
@@ -825,6 +869,27 @@ class TestChallengeValueWorkers:
         self.cpus(monkeypatch, 2)
         with pytest.raises(error):
             self.estimates(20_000)
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("cpus,failing", [(2, 1), (3, 2)], ids=["first", "second"])
+    def test_a_failed_fork_leaves_the_slices_to_this_process(self, monkeypatch, cpus,
+                                                             failing):
+        with monkeypatch.context() as serial:
+            self.cpus(serial, 1)
+            self.no_fork(serial)
+            expected = self.estimates(20_000)
+        forks = []
+        fork = os.fork
+
+        def flaky_fork():
+            forks.append(None)
+            if len(forks) == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(os, "fork", flaky_fork)
+        self.cpus(monkeypatch, cpus)
+        assert self.estimates(20_000) == expected
+        assert len(forks) == failing  # no fork after the failed one
         self.assert_no_child()
 
     def test_caller_keeps_its_cpus(self):
