@@ -1,6 +1,7 @@
 """Bit-exact deterministic primitives: a PRF (HMAC-SHA-256 computed from
 two SHA-256 calls by its RFC 2104 definition, bit-identical to
-``hmac.digest`` at about 70% of its cost), bucket/Bernoulli sampling, request-id
+``hmac.digest`` at about 70% of its cost, and a keyed form that hashes one
+seed's key blocks once for many inputs), bucket/Bernoulli sampling, request-id
 derivation from the encoded (pk_user, x) prefix, Merkle inclusion proofs,
 and Ed25519 signatures over a canonical encoding.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -64,9 +65,28 @@ def encode_fields(*fields: bytes) -> bytes:
 def prf(seed: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 keyed by a 32-byte seed; deterministic and bit-exact.
     ``sha256(seed ^ opad || sha256(seed ^ ipad || data))`` per RFC 2104."""
-    _check_seed(seed)
+    # the seed check of ``_check_seed``, inline: every sampling draw pays it
+    if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
+        raise ValueError(f"seed must be {SEED_LEN} raw bytes")
     inner = hashlib.sha256(seed.translate(_IPAD) + _IPAD_FILL + data).digest()
     return hashlib.sha256(seed.translate(_OPAD) + _OPAD_FILL + inner).digest()
+
+
+def keyed_prf(seed: bytes) -> Callable[[bytes], bytes]:
+    """``prf(seed, ·)`` for many inputs under one seed: the seed is checked
+    once and its two key blocks are hashed once, so each call hashes only
+    its data and the inner digest (the precomputation of RFC 2104 section 4)."""
+    _check_seed(seed)
+    inner = hashlib.sha256(seed.translate(_IPAD) + _IPAD_FILL).copy
+    outer = hashlib.sha256(seed.translate(_OPAD) + _OPAD_FILL).copy
+
+    def keyed(data: bytes) -> bytes:
+        h = inner()
+        h.update(data)
+        o = outer()
+        o.update(h.digest())
+        return o.digest()
+    return keyed
 
 
 def prf_u64(seed: bytes, data: bytes) -> int:

@@ -438,9 +438,16 @@ def selection_string(prefix: bytes, reqid: bytes, attempt: int = 1) -> bytes:
 
 
 def draw_validator(tau_chal: bytes, unique_string: bytes, asserter: Optional[int], n: int) -> int:
-    """Bucket draw over the n executors; a draw that lands on the asserter
-    moves to the next node, so the validator is never the asserter."""
-    j = crypto.bucket(tau_chal, unique_string, n)
+    """Bucket draw over the n executors, moved off the asserter
+    (``validator_of``)."""
+    return validator_of(crypto.bucket(tau_chal, unique_string, n), asserter, n)
+
+
+def validator_of(value: int, asserter: Optional[int], n: int) -> int:
+    """The validator that a sampling value draws: its bucket ``value % n``,
+    moved to the next node when it lands on the asserter, so the validator
+    is never the asserter."""
+    j = value % n
     return (j + 1) % n if j == asserter else j
 
 

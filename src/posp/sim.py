@@ -13,6 +13,7 @@ same scenario produce byte-identical trace hashes.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import gc
 import hashlib
@@ -25,7 +26,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import compress, count
-from typing import Generator, Optional
+from typing import Generator, Iterable, Iterator, Optional
 
 from . import crypto, protocol
 from .crypto import KeyPair, encode_fields, prf
@@ -46,6 +47,7 @@ from .protocol import (
     payout,
     selection_string,
     user_submit,
+    validator_of,
 )
 
 log = logging.getLogger("posp.sim")
@@ -89,7 +91,7 @@ MAX_GROUP = 1 << 32
 # A sweep forks a worker to draw challenge values only for at least this many
 # trials per worker.  Forking a worker from a ~28 MiB process and reaping it
 # costs about 4 ms (median of 50 fork/_exit/waitpid cycles, CPython 3.11 on
-# x86-64 Linux); drawing 4,096 trials' u takes about 30 ms (7.5 us a trial).
+# x86-64 Linux); drawing 4,096 trials' u takes about 19 ms (4.6 us a trial).
 MIN_TRIALS_PER_WORKER = 4096
 
 
@@ -589,6 +591,22 @@ class StrategyEstimate:
         return asdict(self)
 
 
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), for integers num >= 0 and den > 0, rounded once to
+    the nearest float.  The integer square root of num / den scaled by 4^k
+    has at least 55 bits, so its lowest bit lies below the rounding bit;
+    setting that bit when the root is inexact (a sticky bit) makes
+    ``float`` round it as it would round the exact root."""
+    if num == 0:
+        return 0.0
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * k
+    root = math.isqrt(scaled // den)
+    if root * root * den != scaled:
+        root |= 1
+    return math.ldexp(float(root), -k)
+
+
 @dataclass(slots=True)
 class _Tally:
     """One focal strategy's output and exact payoff sums.  ``output`` is the
@@ -610,31 +628,47 @@ class _Tally:
         self.total_sq += delta * delta
 
     def estimate(self, trials: int, challenges: int) -> StrategyEstimate:
-        """The mean, rounded once from its exact value, and the standard
-        error from the exact variance, which the cost does not change;
-        neither depends on the order of the trials."""
+        """The mean and the standard error, each rounded once from its exact
+        value; the variance does not depend on the cost, and neither result
+        depends on the order of the trials."""
         k = trials - challenges
         total = self.total + k * self.unchallenged
         total_sq = self.total_sq + k * self.unchallenged ** 2
-        var = Fraction(total_sq * trials - total ** 2, trials ** 2)
         fraud = self.strategy.adversarial
         return StrategyEstimate(
             strategy=self.strategy.kind, trials=trials,
             mean=float(Fraction(total, trials) - Fraction(self.cost)),
-            stderr=math.sqrt(var / trials), challenges=challenges,
+            # sqrt(var / trials), var = (total_sq * trials - total^2) / trials^2
+            stderr=_sqrt_ratio(total_sq * trials - total ** 2, trials ** 3),
+            challenges=challenges,
             arbitrations=self.arbitrations,
             fraud_assertions=trials if fraud else 0,
             fraud_passes=trials - self.arbitrations if fraud else 0)
 
 
-def _trial_draws(master: bytes, prefix: bytes, t: int) -> tuple[bytes, bytes, bytes]:
-    """Trial ``t``'s request id, challenge beacon ``tau_chal`` and selection
-    string.  They depend on the master seed, the input (through ``prefix``)
-    and ``t`` alone, so every sweep row draws the same ones."""
-    nonce = t.to_bytes(8, "big")
-    sub = prf(master, b"trial" + nonce)
-    reqid = crypto.derive_reqid(prefix, nonce)
-    return reqid, prf(sub, b"tau-chal"), selection_string(prefix, reqid)
+def _trial_draws(master: bytes, prefix: bytes, ts: Iterable[int],
+                 ) -> Iterator[tuple[bytes, bytes, bytes, int]]:
+    """For each trial index t of ``ts``, in order, trial t's request id,
+    challenge beacon ``tau_chal``, selection string s and challenge value
+    u = ``crypto.prf_u64(tau_chal, s)``: the value that the challenge
+    compares with ``sample_threshold(p)`` and whose bucket is the first
+    validator drawn.  They depend on the master seed, the input (through
+    ``prefix``) and t alone, so every sweep row draws the same ones.
+
+    The rules are ``crypto.derive_reqid``, ``protocol.selection_string`` and
+    three PRFs.  The master seed's key blocks (``crypto.keyed_prf``) and the
+    preimages' constant heads are made once per call, so a trial hashes only
+    its own bytes, and ``prf`` is the one helper it calls."""
+    sub_seed = crypto.keyed_prf(master)
+    # encode_fields(nonce) and encode_fields(reqid): a 4-byte length, then the bytes
+    reqid_head = prefix + encode_fields(bytes(8))[:4]
+    selection_head = prefix + encode_fields(bytes(32))[:4]
+    for t in ts:
+        nonce = t.to_bytes(8, "big")
+        reqid = hashlib.sha256(reqid_head + nonce).digest()
+        s = selection_head + reqid
+        tau_chal = prf(sub_seed(b"trial" + nonce), b"tau-chal")
+        yield reqid, tau_chal, s, int.from_bytes(prf(tau_chal, s)[:8], "big")
 
 
 def estimate_strategy_payoff(rows, strategies, trials: int,
@@ -676,19 +710,24 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     into one contiguous slice per available CPU, this process draws the
     first and a forked worker each other one.  One process draws them all
     on one CPU, below ``2 * MIN_TRIALS_PER_WORKER`` trials, or when the
-    caller runs a second thread.  Every row, the first included, then finds
-    the trials its p challenges in one C-level scan of the map and
-    re-derives only those trials' draws.  Every unchallenged trial pays the
-    same, so the sums are exact integers that take the unchallenged trials
-    as one product; the mean is rounded once from its exact value and the
-    standard error comes from the exact variance, so no result depends on
-    the order of the trials.  A row costs one scan of u plus its challenged
-    trials.  Rows are scored one after another, each from its own world, so
-    memory is one world plus 8 bytes of u per trial.  Each estimate is
-    exactly what a call with that row and that strategy alone gives.
+    caller runs a second thread.  Then one C-level scan of the map, at the
+    largest row threshold, finds the candidates: every trial that some row
+    challenges.  Each candidate's index, packed with the number of distinct
+    row thresholds above its u, moves into the front of the same map
+    (``_pack_candidates``), so no row rescans every u.  Each row, in the
+    order given, takes the candidates its p challenges, in trial order, and
+    re-derives only those trials' draws (``_trial_draws``).  Every
+    unchallenged trial pays the same, so the sums are exact integers that
+    take the unchallenged trials as one product; the mean and the standard
+    error are each rounded once from their exact values, so no result
+    depends on the order of the trials.  A row costs its challenged trials
+    plus one C-level pass over the candidates.  Rows are scored one after
+    another, each from its own world, so memory is one world plus 8 bytes
+    per trial.  Each estimate is exactly what a call with that row and that
+    strategy alone gives.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_SWEEP_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_SWEEP_TRIALS}]")
     if isinstance(strategies, (str, ExecStrategy)):
         raise TypeError("strategies must be a sequence of focal strategies")
     strategies = [ExecStrategy(kind=s) if isinstance(s, str) else s for s in strategies]
@@ -703,28 +742,66 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
                          "and focal_executor")
     if not rows:
         return []
+    thresholds = [crypto.sample_threshold(row.network.challenge_probability)
+                  for row in rows]
+    levels = sorted(set(thresholds), reverse=True)
+    # the row at the i-th largest threshold challenges the candidates whose u
+    # lies below at least i levels: those packed at least i << _TRIAL_BITS
+    least = {level: i << _TRIAL_BITS for i, level in enumerate(levels, 1)}
     world = _World(rows[0])
     # every trial's request id and selection string begin with these bytes
     prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
     with (mmap.mmap(-1, 8 * trials) as shared, memoryview(shared) as raw,
           raw.cast("Q") as us):
         _draw_challenge_values(rows[0].master_seed, prefix, us)
-        estimates = [_estimate_row(world, strategies, trials, prefix, us)]
-        del world  # one world at a time: each later row builds its own
-        estimates += (_estimate_row(_World(row), strategies, trials, prefix, us)
-                      for row in rows[1:])
+        with us[:_pack_candidates(us, levels)] as candidates:
+            estimates = []
+            for row, threshold in zip(rows, thresholds):
+                challenged = map(_TRIAL_MASK.__and__, compress(
+                    candidates, map(least[threshold].__le__, candidates)))
+                if world is None:
+                    world = _World(row)
+                estimates.append(_estimate_row(world, strategies, trials, prefix,
+                                               challenged))
+                world = None  # one world at a time: each later row builds its own
     return estimates
+
+
+# A packed candidate (``_pack_candidates``): the trial index in the low bits,
+# which hold any index below MAX_SWEEP_TRIALS, and above them the number of
+# distinct row thresholds its u lies below.
+_TRIAL_BITS = (MAX_SWEEP_TRIALS - 1).bit_length()
+_TRIAL_MASK = (1 << _TRIAL_BITS) - 1
+
+
+def _pack_candidates(us: memoryview, levels: list[int]) -> int:
+    """Move every trial that the largest threshold ``levels[0]`` challenges
+    to the front of ``us``, in trial order, and return how many there are.
+    Each takes one slot, its index packed with the number of ``levels``
+    (distinct thresholds, largest first) above its u; the row at
+    ``levels[i]`` challenges exactly the candidates whose u lies below at
+    least i + 1 of them.
+    One C-level scan finds them; a candidate's slot is never past its own,
+    so each u is read before it is overwritten."""
+    ascending = levels[::-1]
+    found = 0
+    for t in compress(count(), map(levels[0].__gt__, us)):
+        above = len(ascending) - bisect.bisect_right(ascending, us[t])
+        us[found] = above << _TRIAL_BITS | t
+        found += 1
+    return found
 
 
 def _draw_slice(master: bytes, prefix: bytes, us: memoryview, lo: int, hi: int) -> None:
     """Write the challenge value u of trials ``lo`` to ``hi`` into ``us``."""
-    for t in range(lo, hi):
-        _reqid, tau_chal, s = _trial_draws(master, prefix, t)
-        us[t] = crypto.prf_u64(tau_chal, s)
+    for t, (_reqid, _tau_chal, _s, u) in enumerate(
+            _trial_draws(master, prefix, range(lo, hi)), lo):
+        us[t] = u
 
 
 def _draw_challenge_values(master: bytes, prefix: bytes, us: memoryview) -> None:
-    """Fill ``us``, a view of a shared map, with every trial's u.  The trials
+    """Fill ``us``, a view of a shared map, with every trial's u, each drawn
+    by ``_trial_draws`` (through ``_draw_slice``).  The trials
     are split into k contiguous slices, k = min(available CPUs, trials //
     MIN_TRIALS_PER_WORKER), at least 1.  This process draws the first slice
     and a forked worker each other one, each held to its own CPU; a worker
@@ -782,17 +859,18 @@ def _run_on(cpus: set[int]) -> None:
 
 
 def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
-                  prefix: bytes, us: memoryview) -> list[StrategyEstimate]:
-    """One row of ``estimate_strategy_payoff``, scored in ``world``: it scans
-    every trial's u in ``us`` for the trials its p challenges and redraws
-    only those, adding each one's focal ledger delta to every tally."""
+                  prefix: bytes, challenged: Iterable[int]) -> list[StrategyEstimate]:
+    """One row of ``estimate_strategy_payoff``, scored in ``world``: it
+    redraws only ``challenged``, the indices of the trials its p challenges
+    (the candidates of one scan that fall below its threshold), through
+    ``_trial_draws``, and adds each one's focal ledger delta to every tally;
+    every other trial pays the unchallenged delta."""
     config = world.config
     net = config.network
     master = config.master_seed
     focal = config.focal_executor
     account = f"exec:{focal}"
     table, leak = world.strategies, world.leak
-    threshold = crypto.sample_threshold(net.challenge_probability)
 
     def focal_delta(deltas) -> int:
         return sum(d.amount for d in deltas if d.account == account)
@@ -806,12 +884,11 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
                               focal_delta(payout(net, b"", focal))))
 
     challenges = 0
-    # the trials this row's p challenges, as ``crypto.sampled`` decides
-    for t in compress(count(), map(threshold.__gt__, us)):
-        reqid, tau_chal, s = _trial_draws(master, prefix, t)
+    for reqid, tau_chal, s, u in _trial_draws(master, prefix, challenged):
         challenges += 1
         attempt = 1
-        j = draw_validator(tau_chal, s, focal, net.executors)
+        # the first draw is ``draw_validator(tau_chal, s, ...)``, whose PRF value is u
+        j = validator_of(u, focal, net.executors)
         while table[j].kind == UNRESPONSIVE:
             if attempt > MAX_ATTEMPTS:
                 raise protocol.ProtocolError("no responsive validator found")

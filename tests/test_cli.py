@@ -313,21 +313,27 @@ class TestSweep:
         step = rows[1]["value"] - rows[0]["value"]
         assert any(abs(v - p_star) <= step for v in flip_values)
 
-    # counted with hmac.digest as the PRF: each Monte Carlo draw is one call,
-    # so a faster PRF must come from cheaper calls, not from fewer.  Every
-    # row redraws its challenged trials, the first row's 85 included.
+    # PRF evaluations, counted as when each was one hmac.digest call: each
+    # Monte Carlo draw is one evaluation, through ``crypto.prf`` or a
+    # ``crypto.keyed_prf`` function, so a faster PRF must come from cheaper
+    # evaluations, not from fewer.  Every row redraws its challenged trials,
+    # the first row's 85 included.
     PRF_CALLS = 62949
 
     def test_prf_calls_per_sweep(self, tmp_path, monkeypatch, capsys):
         calls = []
-        prf = crypto.prf
 
-        def counted(seed, data):
-            calls.append(None)
-            return prf(seed, data)
+        def counted(prf):
+            def evaluate(*args):
+                calls.append(None)
+                return prf(*args)
+            return evaluate
         # sim binds prf by name; crypto's own callers look it up in crypto
-        monkeypatch.setattr(crypto, "prf", counted)
-        monkeypatch.setattr(sim, "prf", counted)
+        prf = counted(crypto.prf)
+        monkeypatch.setattr(crypto, "prf", prf)
+        monkeypatch.setattr(sim, "prf", prf)
+        keyed_prf = crypto.keyed_prf
+        monkeypatch.setattr(crypto, "keyed_prf", lambda seed: counted(keyed_prf(seed)))
         # one CPU: a forked worker's calls would never reach this counter
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         code, _, _ = run_cli(
@@ -622,11 +628,11 @@ class TestGoldenOutputs:
 
     SWEEP_DIGESTS = {
         ("mixed_adversaries.json", "p", "0.01", "0.2", "3"):
-            "4e140533ba0b70fe74d12bd945bb3f0ab077d1df84e189cde29daa40480d556b",
+            "c72011343fde258b21629a2a5b1ef493ba5bf00b01b091f9e9600e8aa0185d76",
         ("mixed_adversaries.json", "r", "0.1", "0.4", "4"):
             "efd5267d70cbc1fad9e9c7410b288aeed73666d31438d6be836509aefb4290cf",
         ("leak_attack.json", "S", "200", "3000", "4"):
-            "1b8ffc79c0dc346048833e96c568d2312cfeb7a91fabde3b1c7e130237497f68",
+            "6f093d4bab1ce3cd411afb44d4d7f73f121989cb3ec8fa02261983f7390029a2",
     }
 
     @pytest.mark.parametrize("sweep", list(SWEEP_DIGESTS), ids=["p", "r", "S"])

@@ -98,6 +98,27 @@ class TestPrf:
             seed, data = bytearray(seed), bytearray(data)
         assert crypto.prf(seed, data) == expected
 
+    @given(seed=st.binary(min_size=32, max_size=32), data=st.binary(max_size=200),
+           mutable=st.booleans())
+    def test_keyed_prf_is_the_prf(self, seed, data, mutable):
+        expected = hmac.digest(seed, data, "sha256")
+        if mutable:
+            seed, data = bytearray(seed), bytearray(data)
+        keyed = crypto.keyed_prf(seed)
+        assert keyed(data) == crypto.prf(seed, data) == expected
+        # an evaluation leaves the hashed key blocks as they were
+        assert keyed(data) == expected
+
+    @pytest.mark.parametrize("seed", [b"short", bytes(33), bytearray(31), memoryview(SEED_A),
+                                      "k" * 32, list(SEED_A), None],
+                             ids=["short", "long", "short-bytearray", "memoryview", "str",
+                                  "list-of-ints", "none"])
+    def test_bad_seeds_are_refused_by_both_forms(self, seed):
+        with pytest.raises(ValueError):
+            crypto.prf(seed, b"data")
+        with pytest.raises(ValueError):
+            crypto.keyed_prf(seed)
+
 
 class TestBucket:
     def test_n_one_always_zero(self):

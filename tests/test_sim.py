@@ -4,6 +4,7 @@ orchestrators."""
 
 import errno
 import json
+import math
 import os
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from posp import cli, crypto, econ, protocol, sim
 from posp.model import generate_model
@@ -583,6 +584,11 @@ class TestEstimateStrategyPayoff:
         with pytest.raises(ValueError):
             sim.estimate_strategy_payoff([config()], [sim.HONEST], trials=0)
 
+    def test_rejects_more_trials_than_a_packed_candidate_holds(self):
+        with pytest.raises(ValueError):
+            sim.estimate_strategy_payoff([config()], [sim.HONEST],
+                                         trials=sim.MAX_SWEEP_TRIALS + 1)
+
     def test_rejects_unresponsive_focal(self):
         with pytest.raises(ValueError):
             sim.estimate_strategy_payoff([config()], [sim.UNRESPONSIVE], trials=10)
@@ -700,6 +706,47 @@ def benchmark_sweep_rows():
     return along(sweep_scenario(0.01), "p", cli._axis_values(0.5 * p_star, 2 * p_star, 7))
 
 
+class TestTrialDraws:
+    """``_trial_draws`` makes each trial's draws by the protocol's rules,
+    with the master seed's key blocks hashed once per call."""
+
+    TRIALS = [0, 1, 255, 256, 1 << 16, sim.MAX_SWEEP_TRIALS - 1]
+
+    def test_draws_follow_the_protocol_rules(self):
+        world = sim._World(sweep_scenario(0.01))
+        master, focal = world.config.master_seed, world.config.focal_executor
+        prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
+        draws = list(sim._trial_draws(master, prefix, iter(self.TRIALS)))
+        assert len(draws) == len(self.TRIALS)
+        for t, (reqid, tau_chal, s, u) in zip(self.TRIALS, draws):
+            nonce = t.to_bytes(8, "big")
+            assert reqid == crypto.derive_reqid(prefix, nonce)
+            assert tau_chal == crypto.prf(crypto.prf(master, b"trial" + nonce), b"tau-chal")
+            assert s == protocol.selection_string(prefix, reqid)
+            assert u == crypto.prf_u64(tau_chal, s)
+            # the estimator's first validator is the protocol's first draw,
+            # also when that draw lands on the asserter
+            for asserter in (focal, u % 50):
+                assert (protocol.validator_of(u, asserter, 50)
+                        == protocol.draw_validator(tau_chal, s, asserter, 50))
+
+    @pytest.mark.parametrize("factors", [
+        (float("inf"), 2.0, 1.0, 1.0, 0.5, 0.0),
+        (1.0, 0.0, float("inf"), 0.5, 1.0, 2.0),
+    ], ids=["descending", "unsorted"])
+    def test_each_row_equals_a_one_row_call(self, factors):
+        # inf stands for p = 1, where every trial is challenged; each list
+        # repeats p* and holds p = 0, where none is
+        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+        rows = [sweep_scenario(1.0 if f == float("inf") else f * p_star) for f in factors]
+        focals = (sim.HONEST, sim.ALWAYS_FRAUD)
+        together = sim.estimate_strategy_payoff(rows, focals, 2000)
+        alone = [sim.estimate_strategy_payoff([row], focals, 2000)[0] for row in rows]
+        assert together == alone
+        challenges = {f: honest.challenges for f, (honest, _) in zip(factors, together)}
+        assert challenges[float("inf")] == 2000 and challenges[0.0] == 0
+
+
 class TestEstimateOnePass:
     """One pass over the trials scores several focal strategies and several
     sweep rows, each exactly as a call with that row and that strategy
@@ -739,7 +786,8 @@ class TestEstimateOnePass:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """PRF and payout calls made after the fixture."""
+        """PRF and payout calls made after the fixture; each evaluation of a
+        ``crypto.keyed_prf`` function is one PRF."""
         counts = {"prf": 0, "payout": 0}
 
         def counted(key, fn):
@@ -750,6 +798,9 @@ class TestEstimateOnePass:
         prf = counted("prf", crypto.prf)
         monkeypatch.setattr(crypto, "prf", prf)
         monkeypatch.setattr(sim, "prf", prf)
+        keyed_prf = crypto.keyed_prf
+        monkeypatch.setattr(crypto, "keyed_prf",
+                            lambda seed: counted("prf", keyed_prf(seed)))
         monkeypatch.setattr(sim, "payout", counted("payout", sim.payout))
         return counts
 
@@ -860,10 +911,14 @@ class TestChallengeValueWorkers:
     def test_a_failed_slice_raises_and_leaves_no_child(self, monkeypatch, failing, error):
         draws = sim._trial_draws
 
-        def trial_draws(master, prefix, t):
-            if failing(t):
-                raise KeyError(t)
-            return draws(master, prefix, t)
+        def checked(ts):
+            for t in ts:
+                if failing(t):
+                    raise KeyError(t)
+                yield t
+
+        def trial_draws(master, prefix, ts):
+            return draws(master, prefix, checked(ts))
         # the forked worker inherits the patch
         monkeypatch.setattr(sim, "_trial_draws", trial_draws)
         self.cpus(monkeypatch, 2)
@@ -968,7 +1023,7 @@ class TestPinnedEstimates:
         ("honest", {"mean": 146.75, "stderr": 9.90384868371887,
                     "challenges": 1023, "arbitrations": 193,
                     "fraud_assertions": 0, "fraud_passes": 0}),
-        ("always-fraud", {"mean": -761.388, "stderr": 16.900202032165176,
+        ("always-fraud", {"mean": -761.388, "stderr": 16.90020203216518,
                           "challenges": 1023, "arbitrations": 1023,
                           "fraud_assertions": 2000, "fraud_passes": 977}),
     ])
@@ -1004,7 +1059,7 @@ class TestPinnedEstimates:
                   {**fraud, "mean": 7.086, "stderr": 1.3606818698726018, "challenges": 13,
                    "arbitrations": 13, "fraud_assertions": 4000, "fraud_passes": 3987}],
             1.0: [{**honest, "challenges": 22},
-                  {**fraud, "mean": 3.684, "stderr": 1.7680947474612325, "challenges": 22,
+                  {**fraud, "mean": 3.684, "stderr": 1.7680947474612327, "challenges": 22,
                    "arbitrations": 22, "fraud_assertions": 4000, "fraud_passes": 3978}],
             2.0: [{**honest, "challenges": 42},
                   {**fraud, "mean": -3.876, "stderr": 2.4368250154658213, "challenges": 42,
@@ -1017,6 +1072,48 @@ class TestPinnedEstimates:
         together = sim.estimate_strategy_payoff(rows, focals, 4000)
         for estimates in (alone, together):
             assert [[e.to_dict() for e in row] for row in estimates] == list(pinned.values())
+
+
+class TestStandardError:
+    """The standard error is the exact sqrt(var / trials), rounded once."""
+
+    @staticmethod
+    def assert_nearest(x, target):
+        """x is a float nearest to sqrt(target): the midpoints between x and
+        its float neighbours, squared, bracket ``target``."""
+        below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+        above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        assert max(below, 0) ** 2 <= target <= above ** 2
+
+    @given(deltas=st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=40),
+           unchallenged=st.integers(-10 ** 20, 10 ** 20), others=st.integers(0, 10 ** 9))
+    @example(deltas=[1, 2], unchallenged=0, others=0)  # var / trials = 1/8
+    def test_stderr_is_correctly_rounded(self, deltas, unchallenged, others):
+        trials = len(deltas) + others
+        assume(trials > 0)
+        tally = sim._Tally(sim.HONEST_STRATEGY, 0, 0.0, unchallenged)
+        for delta in deltas:
+            tally.add(delta)
+        estimate = tally.estimate(trials, len(deltas))
+        mean = Fraction(sum(deltas) + others * unchallenged, trials)
+        squares = sum((d - mean) ** 2 for d in deltas) + others * (unchallenged - mean) ** 2
+        self.assert_nearest(estimate.stderr, squares / trials ** 2)
+
+    @pytest.mark.parametrize("num,den,root", [
+        ((2 ** 53 + 1) ** 2, 1, 2.0 ** 53),  # a tie, to even
+        ((2 ** 53 + 1) ** 2 + 1, 1, 2.0 ** 53 + 2),  # just past the tie: up
+        ((2 ** 53 + 1) ** 2 * 3 - 1, 3, 2.0 ** 53),  # just short of it: down
+    ])
+    def test_roots_at_a_tie(self, num, den, root):
+        assert sim._sqrt_ratio(num, den) == root
+
+    def test_rounding_twice_missed_the_nearest_float(self):
+        # the fraud stderr at p* on the sweep scenario: sqrt of the float
+        # var / trials gave 1.7680947474612325, one float below the nearest
+        p_star = econ.single_validator_min_p(10.0, 1500.0, 12.0, 0.1)
+        [[fraud]] = sim.estimate_strategy_payoff(
+            [sweep_scenario(p_star)], [sim.ALWAYS_FRAUD], 4000)
+        assert fraud.stderr == 1.7680947474612327
 
 
 class TestDeriveInput:
