@@ -1,15 +1,16 @@
 """Deterministic stand-in for the outsourced function: a small feed-forward
 network evaluated entirely in Q16.16 fixed point, so two independent
 evaluations on any platform are byte-identical.  `Fixed`, `fixed_mul` and
-`relu` specify the arithmetic; `forward` runs it on raw ints, range-checking
-every product and partial sum.  Also provides the wrong-result generator
-used by simulated adversaries.
+`relu` specify the arithmetic; `ToyModel` holds its parameters as raw ints,
+and `forward` runs on them, range-checking every product and partial sum.
+Also provides the wrong-result generator used by simulated adversaries.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from . import crypto
@@ -82,23 +83,19 @@ def relu(a: Fixed) -> Fixed:
 
 @dataclass(frozen=True)
 class ToyModel:
-    """Immutable network: alternating affine layers and exact ReLUs.
+    """Immutable network: alternating affine layers and exact ReLUs, held as
+    raw Q16.16 ints in the one layout ``forward`` reads.
 
-    ``weights[l][i][j]`` connects input i to output j of layer l;
-    ``biases[l][j]`` is added to output j.
+    ``layers[l]`` is ``(columns, biases)``: ``columns[j][i]`` connects input
+    i to output j of layer l, and ``biases[j]`` is added to output j.  The
+    values are taken as given: `generate_model` makes each an ``int`` in
+    [-1, 1), and a hand-built model must keep each within the signed 64-bit
+    range, as a `Fixed` would.
     """
 
     dims: tuple[int, ...]
-    weights: tuple[tuple[tuple[Fixed, ...], ...], ...]
-    biases: tuple[tuple[Fixed, ...], ...]
+    layers: tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
     seed: bytes
-    # per layer, the raw weight column into each output and the raw biases
-    _layers: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_layers", tuple(
-            (tuple(tuple(v.raw for v in col) for col in zip(*w)), tuple(v.raw for v in b))
-            for w, b in zip(self.weights, self.biases)))
 
     @property
     def input_dim(self) -> int:
@@ -106,8 +103,8 @@ class ToyModel:
 
 
 def _weight_stream(seed: bytes, count: int, start: int = 0):
-    """PRF counter stream mapped to Fixed in [-1, 1): its values start to
-    start + count - 1, eight to a PRF block."""
+    """PRF counter stream mapped to raw Q16.16 values in [-1, 1): its values
+    start to start + count - 1, eight to a PRF block."""
     produced = start
     end = start + count
     block_index, first = divmod(start, 8)
@@ -118,7 +115,7 @@ def _weight_stream(seed: bytes, count: int, start: int = 0):
             if produced == end:
                 break
             u = int.from_bytes(block[off : off + 4], "big")
-            yield Fixed((u % (1 << (FRAC_BITS + 1))) - ONE)
+            yield (u % (1 << (FRAC_BITS + 1))) - ONE
             produced += 1
         first = 0
 
@@ -129,19 +126,19 @@ def param_count(dims: Sequence[int]) -> int:
 
 
 def generate_model(seed: bytes, dims: Sequence[int]) -> ToyModel:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError("dims must list at least two sizes, all >= 1")
+    """The model of these layer sizes that ``seed``'s stream fixes: per
+    layer, its weights row by row (input i's weight into each output in
+    turn), then its biases."""
+    dims = tuple(dims)
+    if len(dims) < 2 or any(type(d) is not int or d < 1 for d in dims):
+        raise ValueError("dims must list at least two integers >= 1")
     stream = _weight_stream(seed, param_count(dims))
-    weights = []
-    biases = []
-    for l in range(len(dims) - 1):
-        n_in, n_out = dims[l], dims[l + 1]
-        weights.append(
-            tuple(tuple(next(stream) for _ in range(n_out)) for _ in range(n_in))
-        )
-        biases.append(tuple(next(stream) for _ in range(n_out)))
-    return ToyModel(dims=dims, weights=tuple(weights), biases=tuple(biases), seed=bytes(seed))
+    layers = []
+    for n_in, n_out in zip(dims, dims[1:]):
+        rows = tuple(islice(stream, n_in * n_out))
+        layers.append((tuple(rows[j::n_out] for j in range(n_out)),
+                       tuple(islice(stream, n_out))))
+    return ToyModel(dims=dims, layers=tuple(layers), seed=bytes(seed))
 
 
 def forward(model: ToyModel, x: Sequence[Fixed]) -> tuple[Fixed, ...]:
@@ -152,8 +149,8 @@ def forward(model: ToyModel, x: Sequence[Fixed]) -> tuple[Fixed, ...]:
         raise ValueError(f"expected input of length {model.input_dim}, got {len(x)}")
     lo, hi, frac = _RAW_MIN, _RAW_MAX, FRAC_BITS
     activ = [v.raw for v in x]
-    last = len(model._layers) - 1
-    for l, (columns, biases) in enumerate(model._layers):
+    last = len(model.layers) - 1
+    for l, (columns, biases) in enumerate(model.layers):
         out = []
         for column, acc in zip(columns, biases):
             for w, a in zip(column, activ):

@@ -321,11 +321,11 @@ def _lies(master_seed: bytes, strategy: ExecStrategy, node: int, reqid: bytes) -
 
 
 def _derive_input(master_seed: bytes, dim: int) -> tuple[Fixed, ...]:
-    """The biases of a (dim, dim) model generated from the input seed: the
-    dim stream values after its dim * dim weights, drawn without the
-    weights."""
+    """The biases of a (dim, dim) model generated from the input seed, boxed
+    for ``forward``: the dim stream values after its dim * dim weights,
+    drawn without the weights."""
     seed = prf(master_seed, b"input-seed")
-    return tuple(_weight_stream(seed, dim, start=dim * dim))
+    return tuple(map(Fixed, _weight_stream(seed, dim, start=dim * dim)))
 
 
 def _wrong_amount(strategy: ExecStrategy, node: int) -> int:
@@ -564,8 +564,13 @@ class _Simulation(_World):
 
 
 def run(config: ScenarioConfig) -> SimResult:
-    """Execute the full protocol for every request in the scenario."""
-    return _Simulation(config).run()
+    """Execute the full protocol for every request in the scenario, and log
+    one INFO line that sums the run up."""
+    result = _Simulation(config).run()
+    m = result.metrics
+    log.info("run: %d requests, %d challenges, %d arbitrations, %d timeouts, trace %s",
+             m.requests, m.challenges, m.arbitrations, m.timeouts, m.trace_hash)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -673,6 +673,24 @@ class TestLogging:
         assert code == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
+    def test_summary_logs_one_line_per_run(self, small_scenario, tmp_path, capsys,
+                                           monkeypatch):
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        code, _, err = run_cli(["simulate", "--scenario", small_scenario, "--out", str(quiet)],
+                               capsys)
+        assert code == 0 and err == ""
+        monkeypatch.setenv("POSP_LOG", "summary")
+        code, _, err = run_cli(["simulate", "--scenario", small_scenario, "--out", str(loud)],
+                               capsys)
+        assert code == 0
+        [line] = err.splitlines()
+        report = json.loads((loud / "report.json").read_text())
+        assert line.startswith("posp.sim INFO run: ")
+        assert (f"{report['requests']} requests, {report['challenges']} challenges, "
+                f"{report['arbitrations']} arbitrations, {report['timeouts']} timeouts, "
+                f"trace {report['trace_hash']}") in line
+        assert (quiet / "report.json").read_bytes() == (loud / "report.json").read_bytes()
+
     def test_repeated_calls_keep_one_handler(self, baseline_params, capsys, monkeypatch):
         monkeypatch.setenv("POSP_LOG", "summary")
         for _ in range(3):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,21 +97,36 @@ class TestGenerateModel:
     def test_different_seed_differs(self):
         m1 = model.generate_model(self.SEED, (4, 8, 2))
         m2 = model.generate_model(bytes([8] * 32), (4, 8, 2))
-        assert m1.weights != m2.weights
+        assert [c for c, _ in m1.layers] != [c for c, _ in m2.layers]
 
     def test_shapes(self):
+        # columns[j][i] connects input i to output j
         m = model.generate_model(self.SEED, (4, 8, 2))
-        assert len(m.weights[0]) == 4 and len(m.weights[0][0]) == 8
-        assert len(m.biases[0]) == 8
-        assert len(m.weights[1]) == 8 and len(m.weights[1][0]) == 2
-        assert len(m.biases[1]) == 2
+        (columns0, biases0), (columns1, biases1) = m.layers
+        assert len(columns0) == 8 and {len(c) for c in columns0} == {4}
+        assert len(biases0) == 8
+        assert len(columns1) == 2 and {len(c) for c in columns1} == {8}
+        assert len(biases1) == 2
 
     def test_weights_in_range(self):
         m = model.generate_model(self.SEED, (4, 8, 2))
-        for layer in m.weights:
-            for row in layer:
-                for w in row:
-                    assert -ONE <= w.raw < ONE
+        for columns, _ in m.layers:
+            for column in columns:
+                for w in column:
+                    assert type(w) is int and -ONE <= w < ONE
+
+    def test_layers_follow_the_stream(self):
+        # per layer, the weights row by row (input i into each output in
+        # turn), then the biases
+        dims = (3, 5, 2)
+        stream = list(model._weight_stream(self.SEED, model.param_count(dims)))
+        for columns, biases in model.generate_model(self.SEED, dims).layers:
+            n_out, n_in = len(columns), len(columns[0])
+            assert [columns[j][i] for i in range(n_in) for j in range(n_out)] == \
+                stream[:n_in * n_out]
+            assert list(biases) == stream[n_in * n_out:n_in * n_out + n_out]
+            del stream[:n_in * n_out + n_out]
+        assert stream == []
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -118,17 +134,51 @@ class TestGenerateModel:
         with pytest.raises(ValueError):
             model.generate_model(self.SEED, (4, 0, 2))
 
+    @pytest.mark.parametrize("dims", [(4.9, 2), (4, "2"), (True, 2)],
+                             ids=["float", "str", "bool"])
+    def test_rejects_dims_that_are_not_ints(self, dims):
+        # coerced with int(), these would build (4, 2) and (1, 2) models
+        with pytest.raises(ValueError):
+            model.generate_model(self.SEED, dims)
+
+    def test_memory_is_one_layout(self):
+        # the widest model the caps allow: 16,384 outputs of one input
+        tracemalloc.start()
+        try:
+            m = model.generate_model(self.SEED, (1, 16384))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2.1 MiB with raw ints alone; 3.5 MiB when each value was also kept
+        # as a `Fixed` (CPython 3.11 on x86-64 Linux)
+        assert peak < 2.75 * 1024 * 1024
+        assert len(m.layers[0][0]) == 16384
+
+
+def fixed_model(weights, biases):
+    """A one-layer model from `Fixed` values: ``weights[i][j]`` connects
+    input i to output j, and ``biases[j]`` is added to output j.  The values
+    come boxed, so one that is no Q16.16 value fails in `Fixed` before any
+    model is built."""
+    return model.ToyModel(
+        dims=(len(weights), len(biases)),
+        layers=((tuple(tuple(row[j].raw for row in weights) for j in range(len(biases))),
+                 tuple(b.raw for b in biases)),),
+        seed=bytes(32),
+    )
+
 
 def reference_forward(m, x):
-    """`forward` spelled with the public Q16.16 operations, row-major."""
+    """`forward` spelled with the public Q16.16 operations on the boxed raw
+    parameters, row-major."""
     activ = tuple(x)
-    last = len(m.weights) - 1
-    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
+    last = len(m.layers) - 1
+    for l, (columns, b) in enumerate(m.layers):
         out = []
         for j in range(len(b)):
-            acc = b[j]
+            acc = Fixed(b[j])
             for i in range(len(activ)):
-                acc = acc + fixed_mul(w[i][j], activ[i])
+                acc = acc + fixed_mul(Fixed(columns[j][i]), activ[i])
             out.append(acc)
         activ = tuple(out) if l == last else tuple(relu(v) for v in out)
     return activ
@@ -150,9 +200,8 @@ def models_and_inputs(draw):
     shift = draw(st.sampled_from([0, 0, 8, 16, 24]))
     m = model.ToyModel(
         dims=dims,
-        weights=tuple(tuple(tuple(Fixed(w.raw << shift) for w in row) for row in layer)
-                      for layer in seeded.weights),
-        biases=seeded.biases,
+        layers=tuple((tuple(tuple(w << shift for w in column) for column in columns), biases)
+                     for columns, biases in seeded.layers),
         seed=seeded.seed,
     )
     raw = st.one_of(st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 63), (1 << 63) - 1))
@@ -164,23 +213,13 @@ class TestForward:
     def test_zero_weights_returns_bias(self):
         z = Fixed(0)
         bias = (Fixed.from_float(1.5), Fixed.from_float(-2.0))
-        m = model.ToyModel(
-            dims=(3, 2),
-            weights=(((z, z), (z, z), (z, z)),),
-            biases=(bias,),
-            seed=bytes(32),
-        )
+        m = fixed_model(((z, z), (z, z), (z, z)), bias)
         x = tuple(Fixed.from_int(v) for v in (1, 2, 3))
         assert model.forward(m, x) == bias
 
     def test_identity_single_layer(self):
         one, z = Fixed.from_int(1), Fixed(0)
-        m = model.ToyModel(
-            dims=(2, 2),
-            weights=(((one, z), (z, one)),),
-            biases=((z, z),),
-            seed=bytes(32),
-        )
+        m = fixed_model(((one, z), (z, one)), (z, z))
         x = (Fixed.from_float(0.25), Fixed.from_float(-3.5))
         assert model.forward(m, x) == x
 
@@ -208,12 +247,7 @@ class TestForward:
         (-(1 << 62), (2 * ONE,), (1 << 62,)),
     ], ids=["partial-sum", "product"])
     def test_out_of_range_step_raises_even_if_the_total_fits(self, bias, weights, x):
-        m = model.ToyModel(
-            dims=(len(x), 1),
-            weights=(tuple((Fixed(w),) for w in weights),),
-            biases=((Fixed(bias),),),
-            seed=bytes(32),
-        )
+        m = fixed_model(tuple((Fixed(w),) for w in weights), (Fixed(bias),))
         x = tuple(Fixed(v) for v in x)
         for fn in (model.forward, reference_forward):
             with pytest.raises(FixedOverflowError):
@@ -222,15 +256,13 @@ class TestForward:
     def test_out_of_range_parameter_cannot_be_built(self):
         # input -1.0 would bring the first partial sum back into range
         with pytest.raises(FixedOverflowError):
-            m = model.ToyModel(dims=(1, 1), weights=(((Fixed.from_float(1.0),),),),
-                               biases=((Fixed(1 << 63),),), seed=bytes(32))
+            m = fixed_model(((Fixed.from_float(1.0),),), (Fixed(1 << 63),))
             model.forward(m, (Fixed.from_float(-1.0),))
 
     def test_non_int_parameter_cannot_be_built(self):
         # a float bias would make forward return Fixed(raw=65536.5) on input 1.0
         with pytest.raises(TypeError):
-            m = model.ToyModel(dims=(1, 1), weights=(((Fixed.from_float(1.0),),),),
-                               biases=((Fixed(0.5),),), seed=bytes(32))
+            m = fixed_model(((Fixed.from_float(1.0),),), (Fixed(0.5),))
             model.forward(m, (Fixed.from_float(1.0),))
 
     def test_deterministic_hash(self):

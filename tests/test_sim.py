@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from posp import cli, crypto, econ, protocol, sim
-from posp.model import generate_model
+from posp.model import Fixed, generate_model
 from posp.protocol import NetworkConfig, Phase
 
 SEED = bytes([42] * 32)
@@ -1120,8 +1120,8 @@ class TestDeriveInput:
     def test_matches_the_biases_of_a_whole_model(self):
         seed = crypto.prf(SEED, b"input-seed")
         for dim in range(1, 41):
-            whole = generate_model(seed, (dim, dim)).biases[0]
-            assert sim._derive_input(SEED, dim) == whole
+            [(_, whole)] = generate_model(seed, (dim, dim)).layers
+            assert sim._derive_input(SEED, dim) == tuple(map(Fixed, whole))
 
     def test_draws_only_the_blocks_it_uses(self, monkeypatch):
         calls = []
