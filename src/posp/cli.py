@@ -59,8 +59,13 @@ def _dump(data) -> str:
 
 
 def _load_json(path: str):
+    """The JSON record at ``path``.  A record nested deeper than the parser's
+    recursion allows is invalid input (ValueError), not a crash."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def _params_from_file(data: dict) -> econ.EconomicParams:

@@ -23,6 +23,7 @@ import math
 import mmap
 import os
 import threading
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import compress, count
@@ -617,7 +618,8 @@ class _Tally:
     """One focal strategy's output and exact payoff sums.  ``output`` is the
     output's ``_wrong_amount``, 0 for the true output.  A trial's payoff is
     an integer sum of ledger deltas minus ``cost``, so the tally sums the
-    challenged trials' deltas and squared deltas as integers, and keeps
+    challenged trials' deltas and squared deltas as integers, a count of
+    trials that earn the same delta at a time (``add``), and keeps
     ``unchallenged``, the delta every unchallenged trial earns."""
 
     strategy: ExecStrategy
@@ -628,9 +630,10 @@ class _Tally:
     total_sq: int = 0
     arbitrations: int = 0
 
-    def add(self, delta: int) -> None:
-        self.total += delta
-        self.total_sq += delta * delta
+    def add(self, delta: int, trials: int = 1) -> None:
+        """Add ``trials`` challenged trials that each earn ``delta``."""
+        self.total += trials * delta
+        self.total_sq += trials * delta * delta
 
     def estimate(self, trials: int, challenges: int) -> StrategyEstimate:
         """The mean and the standard error, each rounded once from its exact
@@ -717,19 +720,29 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     on one CPU, below ``2 * MIN_TRIALS_PER_WORKER`` trials, or when the
     caller runs a second thread.  Then one C-level scan of the map, at the
     largest row threshold, finds the candidates: every trial that some row
-    challenges.  Each candidate's index, packed with the number of distinct
-    row thresholds above its u, moves into the front of the same map
-    (``_pack_candidates``), so no row rescans every u.  Each row, in the
-    order given, takes the candidates its p challenges, in trial order, and
-    re-derives only those trials' draws (``_trial_draws``).  Every
-    unchallenged trial pays the same, so the sums are exact integers that
-    take the unchallenged trials as one product; the mean and the standard
-    error are each rounded once from their exact values, so no result
-    depends on the order of the trials.  A row costs its challenged trials
-    plus one C-level pass over the candidates.  Rows are scored one after
-    another, each from its own world, so memory is one world plus 8 bytes
-    per trial.  Each estimate is exactly what a call with that row and that
-    strategy alone gives.
+    challenges.  Each candidate moves into the front of the same map
+    (``_pack_candidates``), packed as its index, its first validator's
+    bucket ``u % network.executors`` and the number of distinct row
+    thresholds above its u, so no row rescans every u; fewer than
+    ``_RANK_LIMIT`` distinct thresholds fit.
+
+    Each row, in the order given, counts the candidates its p challenges
+    per bucket in one streaming pass (``_estimate_row``).  A responsive
+    first validator that decides the same way for every request fixes its
+    trials' outcome class: a leaked copy, the true output or its wrong
+    output.  Only the trials whose first validator reads the request, an
+    unresponsive one (redrawn with the attempt suffix) or a
+    fraud-with-probability one, are re-derived (``_trial_draws``) and
+    classed one by one.  Each strategy then pays each class once: the focal
+    node's delta depends on the verdict alone, never on which validator
+    or request it was.  Every unchallenged trial pays the same too, so the
+    sums are exact integers, and the mean and the standard error are each
+    rounded once from their exact values; no result depends on the order
+    of the trials.  A row costs one C-level pass over the candidates, one
+    step per challenged trial and a redraw only where a validator reads
+    the request.  Rows are scored one after another, each from its own
+    world, so memory is one world plus 8 bytes per trial.  Each estimate is
+    exactly what a call with that row and that strategy alone gives.
     """
     if not 1 <= trials <= MAX_SWEEP_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_SWEEP_TRIALS}]")
@@ -750,49 +763,62 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     thresholds = [crypto.sample_threshold(row.network.challenge_probability)
                   for row in rows]
     levels = sorted(set(thresholds), reverse=True)
+    if len(levels) >= _RANK_LIMIT:
+        raise ValueError(f"rows must have fewer than {_RANK_LIMIT} distinct "
+                         "challenge probabilities")
     # the row at the i-th largest threshold challenges the candidates whose u
-    # lies below at least i levels: those packed at least i << _TRIAL_BITS
-    least = {level: i << _TRIAL_BITS for i, level in enumerate(levels, 1)}
+    # lies below at least i levels: those packed at least i << _RANK_SHIFT
+    least = {level: i << _RANK_SHIFT for i, level in enumerate(levels, 1)}
     world = _World(rows[0])
     # every trial's request id and selection string begin with these bytes
     prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
     with (mmap.mmap(-1, 8 * trials) as shared, memoryview(shared) as raw,
           raw.cast("Q") as us):
         _draw_challenge_values(rows[0].master_seed, prefix, us)
-        with us[:_pack_candidates(us, levels)] as candidates:
+        found = _pack_candidates(us, levels, rows[0].network.executors)
+        with us[:found] as candidates:
             estimates = []
             for row, threshold in zip(rows, thresholds):
-                challenged = map(_TRIAL_MASK.__and__, compress(
-                    candidates, map(least[threshold].__le__, candidates)))
                 if world is None:
                     world = _World(row)
                 estimates.append(_estimate_row(world, strategies, trials, prefix,
-                                               challenged))
+                                               candidates, least[threshold]))
                 world = None  # one world at a time: each later row builds its own
     return estimates
 
 
-# A packed candidate (``_pack_candidates``): the trial index in the low bits,
-# which hold any index below MAX_SWEEP_TRIALS, and above them the number of
-# distinct row thresholds its u lies below.
+# A packed candidate (``_pack_candidates``), from the low bits up: the trial
+# index, which holds any index below MAX_SWEEP_TRIALS; the bucket of its first
+# validator, u % executors, which holds any bucket below
+# ``protocol.MAX_EXECUTORS``; and in the bits left, its rank, the number of
+# distinct row thresholds its u lies below, so fewer than _RANK_LIMIT of them.
 _TRIAL_BITS = (MAX_SWEEP_TRIALS - 1).bit_length()
 _TRIAL_MASK = (1 << _TRIAL_BITS) - 1
+_BUCKET_MASK = (1 << (protocol.MAX_EXECUTORS - 1).bit_length()) - 1
+_RANK_SHIFT = _TRIAL_BITS + _BUCKET_MASK.bit_length()
+_RANK_LIMIT = 1 << (64 - _RANK_SHIFT)
+# The kinds of first validator whose answer depends on the request: an
+# unresponsive one is redrawn with the request's attempt suffix, and a
+# fraud-with-probability one decides from the request id (``_lies``).
+_PER_REQUEST = (UNRESPONSIVE, FRAUD_WITH_PROBABILITY)
 
 
-def _pack_candidates(us: memoryview, levels: list[int]) -> int:
+def _pack_candidates(us: memoryview, levels: list[int], executors: int) -> int:
     """Move every trial that the largest threshold ``levels[0]`` challenges
     to the front of ``us``, in trial order, and return how many there are.
-    Each takes one slot, its index packed with the number of ``levels``
-    (distinct thresholds, largest first) above its u; the row at
-    ``levels[i]`` challenges exactly the candidates whose u lies below at
-    least i + 1 of them.
+    Each takes one slot: its index, its first validator's bucket
+    ``u % executors`` and its rank, the number of ``levels`` (distinct
+    thresholds, largest first) above its u, packed as ``_RANK_SHIFT`` and
+    ``_TRIAL_BITS`` lay out.  The row at ``levels[i]`` challenges exactly
+    the candidates whose u lies below at least i + 1 of them.
     One C-level scan finds them; a candidate's slot is never past its own,
     so each u is read before it is overwritten."""
     ascending = levels[::-1]
     found = 0
     for t in compress(count(), map(levels[0].__gt__, us)):
-        above = len(ascending) - bisect.bisect_right(ascending, us[t])
-        us[found] = above << _TRIAL_BITS | t
+        u = us[t]
+        above = len(ascending) - bisect.bisect_right(ascending, u)
+        us[found] = above << _RANK_SHIFT | u % executors << _TRIAL_BITS | t
         found += 1
     return found
 
@@ -864,12 +890,22 @@ def _run_on(cpus: set[int]) -> None:
 
 
 def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
-                  prefix: bytes, challenged: Iterable[int]) -> list[StrategyEstimate]:
-    """One row of ``estimate_strategy_payoff``, scored in ``world``: it
-    redraws only ``challenged``, the indices of the trials its p challenges
-    (the candidates of one scan that fall below its threshold), through
-    ``_trial_draws``, and adds each one's focal ledger delta to every tally;
-    every other trial pays the unchallenged delta."""
+                  prefix: bytes, candidates: memoryview, least: int,
+                  ) -> list[StrategyEstimate]:
+    """One row of ``estimate_strategy_payoff``, scored in ``world``.  The row
+    challenges the ``candidates`` (``_pack_candidates``) packed at ``least``
+    or more.  One streaming pass counts them per first-validator bucket.  A
+    bucket whose validator is not ``_PER_REQUEST`` fixes its trials' outcome
+    class, by the rules the simulator follows: a leaked copy where a
+    leaking orchestrator feeds an adversarial validator, else the
+    validator's output under ``_lies``, which reads no request id for such
+    a validator.  A second pass re-derives only the other buckets' trials
+    through ``_trial_draws`` and classes each one: the redraw past an
+    unresponsive validator, then ``_lies`` on the trial's request id.
+    Each strategy then takes one payout per class, with the class's first
+    validator seen and no request id, since the focal node's delta depends
+    only on the verdict, and adds it once per trial of the class; every
+    other trial pays the unchallenged delta."""
     config = world.config
     net = config.network
     master = config.master_seed
@@ -888,28 +924,48 @@ def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
         tallies.append(_Tally(strategy, output, 0.0 if fraud else net.compute_cost,
                               focal_delta(payout(net, b"", focal))))
 
-    challenges = 0
-    for reqid, tau_chal, s, u in _trial_draws(master, prefix, challenged):
-        challenges += 1
-        attempt = 1
-        # the first draw is ``draw_validator(tau_chal, s, ...)``, whose PRF value is u
-        j = validator_of(u, focal, net.executors)
-        while table[j].kind == UNRESPONSIVE:
-            if attempt > MAX_ATTEMPTS:
-                raise protocol.ProtocolError("no responsive validator found")
-            attempt += 1
-            j = draw_validator(tau_chal, selection_string(prefix, reqid, attempt),
-                               focal, net.executors)
-        # a free-riding validator copies whatever the focal node asserted
+    # the first validator is ``draw_validator(tau_chal, s, ...)``, whose PRF
+    # value is u, so its bucket is u % executors
+    buckets = Counter(map(_BUCKET_MASK.__and__, map(_TRIAL_BITS.__rrshift__, compress(
+        candidates, map(least.__le__, candidates)))))
+    classes: dict[Optional[int], list[int]] = {}  # output -> [first validator, trials]
+
+    def add(j: int, reqid: bytes, k: int) -> None:
+        """Class ``k`` trials answered by validator ``j``: ``None`` when it
+        copies whatever the focal node asserted, else its output's
+        ``_wrong_amount``, 0 for the true output."""
         copied = leak and table[j].adversarial
         y_j = None if copied else (
             _wrong_amount(table[j], j) if _lies(master, table[j], j, reqid) else 0)
+        classes.setdefault(y_j, [j, 0])[1] += k
+
+    per_request = set()
+    for bucket, k in buckets.items():
+        j = validator_of(bucket, focal, net.executors)
+        if table[j].kind in _PER_REQUEST:
+            per_request.add(bucket)
+        else:
+            add(j, b"", k)
+    if per_request:
+        redrawn = (c & _TRIAL_MASK for c in candidates
+                   if c >= least and c >> _TRIAL_BITS & _BUCKET_MASK in per_request)
+        for reqid, tau_chal, s, u in _trial_draws(master, prefix, redrawn):
+            attempt = 1
+            j = validator_of(u, focal, net.executors)
+            while table[j].kind == UNRESPONSIVE:
+                if attempt > MAX_ATTEMPTS:
+                    raise protocol.ProtocolError("no responsive validator found")
+                attempt += 1
+                j = draw_validator(tau_chal, selection_string(prefix, reqid, attempt),
+                                   focal, net.executors)
+            add(j, reqid, 1)
+
+    for y_j, (j, k) in classes.items():
         for tally in tallies:
-            if copied or y_j == tally.output:
-                deltas = payout(net, reqid, focal, j)
+            if y_j is None or y_j == tally.output:
+                deltas = payout(net, b"", focal, j)
             else:
-                tally.arbitrations += 1
-                deltas = payout(net, reqid, focal, j,
-                                (not tally.strategy.adversarial, y_j == 0))
-            tally.add(focal_delta(deltas))
-    return [tally.estimate(trials, challenges) for tally in tallies]
+                tally.arbitrations += k
+                deltas = payout(net, b"", focal, j, (not tally.strategy.adversarial, y_j == 0))
+            tally.add(focal_delta(deltas), k)
+    return [tally.estimate(trials, sum(buckets.values())) for tally in tallies]

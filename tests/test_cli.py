@@ -316,9 +316,10 @@ class TestSweep:
     # PRF evaluations, counted as when each was one hmac.digest call: each
     # Monte Carlo draw is one evaluation, through ``crypto.prf`` or a
     # ``crypto.keyed_prf`` function, so a faster PRF must come from cheaper
-    # evaluations, not from fewer.  Every row redraws its challenged trials,
-    # the first row's 85 included.
-    PRF_CALLS = 62949
+    # evaluations, not from fewer.  No validator of this scenario reads the
+    # request, so no row redraws a trial: 62,949 - 3 * 831 = 60,456, where
+    # the four rows' 831 challenges cost 3 PRFs each to redraw.
+    PRF_CALLS = 60456
 
     def test_prf_calls_per_sweep(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -560,6 +561,20 @@ class TestScenarioValidation:
             codes.append(code)
             assert code == 0 or (err.startswith("invalid") and err.count("\n") == 1)
         assert codes == [2, 2, 0]
+
+    @pytest.mark.parametrize("shape", ["array", "object"])
+    @pytest.mark.parametrize("command", ["analyze", *COMMANDS])
+    def test_deeply_nested_record_exits_2(self, tmp_path, capsys, command, shape):
+        # 1,200 levels, deeper than the JSON parser's recursion allows
+        depth = 1200
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth if shape == "array"
+                        else '{"a": ' * depth + "1" + "}" * depth)
+        argv = (["analyze", "--params", str(path)] if command == "analyze"
+                else COMMANDS[command](str(path), tmp_path))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid") and err.count("\n") == 1
 
     def test_largest_group_runs(self, tmp_path, capsys):
         scenario = {"executor_overrides": {"1": {"kind": "collude", "group": sim.MAX_GROUP - 1}},

@@ -8,6 +8,7 @@ import math
 import os
 import threading
 import tracemalloc
+from array import array
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -589,6 +590,24 @@ class TestEstimateStrategyPayoff:
             sim.estimate_strategy_payoff([config()], [sim.HONEST],
                                          trials=sim.MAX_SWEEP_TRIALS + 1)
 
+    def test_rejects_more_thresholds_than_a_packed_rank_holds(self, monkeypatch):
+        # a packed candidate leaves 64 - 24 - 12 = 28 bits for its rank
+        assert sim._RANK_LIMIT == 1 << 28
+        monkeypatch.setattr(sim, "_RANK_LIMIT", 2)
+
+        def no_world(config):
+            raise AssertionError("built a world")
+        monkeypatch.setattr(sim, "_World", no_world)
+        rows = [config(p=0.1), config(p=0.2)]
+        with pytest.raises(ValueError, match="fewer than 2 distinct"):
+            sim.estimate_strategy_payoff(rows, [sim.HONEST], trials=10)
+
+    def test_repeated_thresholds_count_once(self, monkeypatch):
+        monkeypatch.setattr(sim, "_RANK_LIMIT", 2)
+        rows = [config(p=0.3), config(p=0.3)]
+        first, second = sim.estimate_strategy_payoff(rows, [sim.HONEST], trials=10)
+        assert first == second
+
     def test_rejects_unresponsive_focal(self):
         with pytest.raises(ValueError):
             sim.estimate_strategy_payoff([config()], [sim.UNRESPONSIVE], trials=10)
@@ -807,32 +826,36 @@ class TestEstimateOnePass:
     def test_sweep_row_work_is_exact(self, counts):
         """PRF and payout calls of one honest/fraud estimate on the `posp
         sweep` scenario, at 2,000 trials, too few to fork a worker: three
-        PRFs per trial to draw its u, three per challenge to redraw the
-        trial (its sub-seed, its challenge beacon and the validator draw)
-        and 63 to set up; one payout per strategy for all the unchallenged
-        trials together, and one per strategy per challenge."""
+        PRFs per trial to draw its u and 63 to set up, and no redraw, since
+        no validator of this scenario reads the request; one payout per
+        strategy for all the unchallenged trials together, and one per
+        strategy per outcome class.  All 12 challenges go to honest
+        validators, one class.  Redrawing each challenged trial took
+        6,000 + 3 * 12 + 63 = 6,099 PRFs, and one payout per strategy per
+        challenge 2 + 2 * 12 = 26 payouts."""
         [[honest, fraud]] = sim.estimate_strategy_payoff(
             [sweep_scenario(0.01)], (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
         assert honest.challenges == fraud.challenges == 12
-        assert counts == {"prf": 3 * 2000 + 3 * 12 + 63, "payout": 2 + 2 * 12}
+        assert counts == {"prf": 3 * 2000 + 63, "payout": 2 + 2 * 1}
 
     def test_sweep_work_is_exact(self, counts):
         """The same counts for the benchmark's seven-row p sweep, 0.5 p* to
         2 p*, at 2,000 trials, so one process draws every u.  Each trial's u
         costs 3 PRFs, drawn once for every row.  Each row, the first
         included, scans those values, so it pays 63 to set up its world and
-        then 3 PRFs per challenge only (the trial's sub-seed, its challenge
-        beacon and the validator draw).  Payouts are per row as in one-row
-        calls."""
+        counts its challenges per first validator, all of them honest here:
+        no PRF to redraw a trial, and one outcome class.  Payouts are per
+        row as in one-row calls."""
         estimates = sim.estimate_strategy_payoff(
             benchmark_sweep_rows(), (sim.HONEST, sim.ALWAYS_FRAUD), 2000)
         assert [(h.challenges, f.challenges) for h, f in estimates] == [
             (c, c) for c in (6, 8, 10, 12, 13, 18, 20)]
-        # PRFs: every u 3 * 2000 = 6000; the rows 7 * 63 = 441 to set up and
-        # 3 * (6 + 8 + 10 + 12 + 13 + 18 + 20) = 3 * 87 = 261 to redraw.
-        # Payouts: 2 per row and 2 per challenge, 7 * 2 + 2 * 87 = 188.
-        # Drawing every row afresh took 7 * (3 * 2000 + 63) + 87 = 42,528 PRFs.
-        assert counts == {"prf": 6000 + 441 + 261, "payout": 188}
+        # PRFs: every u 3 * 2000 = 6000 and the rows 7 * 63 = 441 to set up.
+        # Payouts: per row 2 unchallenged and 2 for its one class, 7 * 4 = 28.
+        # Redrawing each row's challenges took 3 * 87 = 261 more PRFs, and
+        # one payout per strategy per challenge 7 * 2 + 2 * 87 = 188 payouts;
+        # drawing every row afresh took 7 * (3 * 2000 + 63) + 87 = 42,528 PRFs.
+        assert counts == {"prf": 6000 + 441, "payout": 28}
 
     def test_memory_is_the_kept_challenge_values(self):
         """At p = 1 every trial is challenged, yet the estimate keeps only
@@ -848,6 +871,173 @@ class TestEstimateOnePass:
             tracemalloc.stop()
         assert honest.challenges == fraud.challenges == trials
         assert peak < 8 * trials + 256 * 1024
+
+
+class TestPackCandidates:
+    """``_pack_candidates`` moves the trials below the largest threshold to
+    the front of the map, in trial order, each packed as its rank, its first
+    validator's bucket and its index."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_candidates_unpack_to_rank_bucket_and_trial(self, data):
+        levels = sorted(data.draw(st.lists(st.integers(0, 1 << 64), min_size=1, max_size=5,
+                                           unique=True)), reverse=True)
+        # besides any u, one at a level and one just below it
+        near = st.sampled_from(levels).flatmap(lambda level: st.sampled_from(
+            [level, level - 1])).filter(lambda u: 0 <= u < 1 << 64)
+        values = data.draw(st.lists(st.integers(0, (1 << 64) - 1) | near, max_size=60))
+        n = data.draw(st.sampled_from([2, 3, 50, protocol.MAX_EXECUTORS]))
+        us = array("Q", values)
+        found = sim._pack_candidates(memoryview(us), levels, n)
+        trials = [t for t, u in enumerate(values) if u < levels[0]]
+        assert [c & sim._TRIAL_MASK for c in us[:found]] == trials
+        for packed, t in zip(us[:found], trials):
+            u = values[t]
+            assert packed >> sim._TRIAL_BITS & sim._BUCKET_MASK == u % n
+            assert packed >> sim._RANK_SHIFT == sum(level > u for level in levels)
+
+
+def reference_row(row, strategies, trials):
+    """One row's estimates scored trial by trial, as the estimator did
+    before it counted challenged trials per first validator: every trial
+    whose u lies below the row's threshold is redrawn through
+    ``_trial_draws``, classed by its own validator, and pays each strategy
+    its own payout."""
+    world = sim._World(row)
+    net = row.network
+    master, focal = row.master_seed, row.focal_executor
+    account = f"exec:{focal}"
+    table, leak = world.strategies, world.leak
+    prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
+    threshold = crypto.sample_threshold(net.challenge_probability)
+    challenged = [t for t, (_, _, _, u) in enumerate(
+        sim._trial_draws(master, prefix, range(trials))) if u < threshold]
+
+    def focal_delta(deltas):
+        return sum(d.amount for d in deltas if d.account == account)
+
+    tallies = []
+    for strategy in strategies:
+        fraud = strategy.adversarial
+        output = sim._wrong_amount(strategy, focal) if fraud else 0
+        tallies.append(sim._Tally(strategy, output, 0.0 if fraud else net.compute_cost,
+                                  focal_delta(protocol.payout(net, b"", focal))))
+    for reqid, tau_chal, s, u in sim._trial_draws(master, prefix, challenged):
+        attempt = 1
+        j = protocol.validator_of(u, focal, net.executors)
+        while table[j].kind == sim.UNRESPONSIVE:
+            if attempt > sim.MAX_ATTEMPTS:
+                raise protocol.ProtocolError("no responsive validator found")
+            attempt += 1
+            j = protocol.draw_validator(
+                tau_chal, protocol.selection_string(prefix, reqid, attempt),
+                focal, net.executors)
+        copied = leak and table[j].adversarial
+        y_j = None if copied else (
+            sim._wrong_amount(table[j], j) if sim._lies(master, table[j], j, reqid) else 0)
+        for tally in tallies:
+            if copied or y_j == tally.output:
+                deltas = protocol.payout(net, reqid, focal, j)
+            else:
+                tally.arbitrations += 1
+                deltas = protocol.payout(net, reqid, focal, j,
+                                         (not tally.strategy.adversarial, y_j == 0))
+            tally.add(focal_delta(deltas))
+    return [tally.estimate(trials, len(challenged)) for tally in tallies]
+
+
+def per_request_challenges(row, trials):
+    """How many trials the row challenges whose first validator reads the
+    request: an unresponsive or a fraud-with-probability one."""
+    world = sim._World(row)
+    net = row.network
+    prefix = crypto.request_prefix(world.user_keys.public.raw, world.x)
+    threshold = crypto.sample_threshold(net.challenge_probability)
+    return sum(
+        u < threshold and world.strategies[protocol.validator_of(
+            u, row.focal_executor, net.executors)].kind in sim._PER_REQUEST
+        for _, _, _, u in sim._trial_draws(row.master_seed, prefix, range(trials)))
+
+
+def redrawn_estimates(monkeypatch, rows, strategies, trials):
+    """The estimator's answer, and how many trials it drew through
+    ``_trial_draws`` beyond every trial's one u draw."""
+    drawn = []
+    draws = sim._trial_draws
+
+    def counted(master, prefix, ts):
+        for draw in draws(master, prefix, ts):
+            drawn.append(None)
+            yield draw
+    with monkeypatch.context() as patched:
+        # one CPU: a forked worker's draws would never reach this counter
+        patched.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        patched.setattr(sim, "_trial_draws", counted)
+        estimates = sim.estimate_strategy_payoff(rows, strategies, trials)
+    return estimates, len(drawn) - trials
+
+
+def golden_scenario(name):
+    return sim.ScenarioConfig.from_dict(json.loads((SCENARIOS / f"{name}.json").read_text()))
+
+
+class TestCountingOracle:
+    """Counting a row's challenged trials per first validator gives exactly
+    what scoring each challenged trial on its own gave, and redraws only the
+    trials whose first validator reads the request."""
+
+    FOCALS = (sim.HONEST_STRATEGY, sim.ExecStrategy(kind=sim.ALWAYS_FRAUD),
+              sim.ExecStrategy(kind=sim.COLLUDE, group=0),
+              sim.ExecStrategy(kind=sim.COLLUDE, group=1))
+    PS = (0.0, 0.01, 0.3, 1.0)
+
+    @pytest.mark.parametrize("name", ["mixed_adversaries", "leak_attack", "sweep"])
+    def test_equals_the_per_trial_scorer(self, monkeypatch, name):
+        base = sweep_scenario(0.01) if name == "sweep" else golden_scenario(name)
+        rows = along(base, "p", self.PS)
+        trials = 2000
+        expected = [reference_row(row, self.FOCALS, trials) for row in rows]
+        for row, reference in zip(rows, expected):
+            alone, redraws = redrawn_estimates(monkeypatch, [row], self.FOCALS, trials)
+            assert alone == [reference]
+            assert redraws == per_request_challenges(row, trials)
+        assert sim.estimate_strategy_payoff(rows, self.FOCALS, trials) == expected
+        # p = 1 challenges every trial, and each scenario reaches its path
+        assert expected[-1][0].challenges == trials
+        if name == "mixed_adversaries":
+            # unresponsive and fraud-with-probability validators are redrawn
+            assert per_request_challenges(rows[-1], trials) > 0
+        elif name == "leak_attack":
+            # a validator that copies the leaked result lets fraud pass
+            fraud = expected[-1][1]
+            assert 0 < fraud.arbitrations < trials
+        else:
+            # no validator reads the request
+            assert redrawn_estimates(monkeypatch, rows, self.FOCALS, trials)[1] == 0
+
+    @settings(max_examples=60)
+    @given(estimator_cases())
+    @example((along(LEAK_REDRAW_FRAUD_COLLUDE, "p", [1.0, 0.3, 0.0, 0.7]), 200))
+    @example((along(FRAUD_WITH_PROBABILITY_HALF, "r", [0.5, 0.2, 0.0, 0.84]), 200))
+    def test_small_worlds_equal_the_per_trial_scorer(self, case):
+        rows, trials = case
+        expected, per_request = [], 0
+        for row in rows:
+            try:
+                expected.append(reference_row(row, self.FOCALS, trials))
+            except protocol.ProtocolError as exc:
+                expected = repr(exc)  # the call stops at its first failing row
+                break
+            per_request += per_request_challenges(row, trials)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            try:
+                actual, redraws = redrawn_estimates(monkeypatch, rows, self.FOCALS, trials)
+            except protocol.ProtocolError as exc:
+                actual = redraws = repr(exc)
+        assert actual == expected
+        if not isinstance(expected, str):
+            assert redraws == per_request
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
@@ -876,8 +1066,9 @@ class TestChallengeValueWorkers:
             raise AssertionError("forked a worker")
         monkeypatch.setattr(os, "fork", fork)
 
-    def estimates(self, trials):
-        rows = sim.estimate_strategy_payoff(benchmark_sweep_rows(), self.FOCALS, trials)
+    def estimates(self, trials, rows=None):
+        """The benchmark sweep's estimates, or those of ``rows``, as dicts."""
+        rows = sim.estimate_strategy_payoff(rows or benchmark_sweep_rows(), self.FOCALS, trials)
         return [[e.to_dict() for e in row] for row in rows]
 
     @staticmethod
@@ -887,14 +1078,16 @@ class TestChallengeValueWorkers:
 
     @pytest.mark.parametrize("trials", [20_000, 20_011])
     def test_parallel_equals_serial(self, monkeypatch, trials):
-        # 20,011 is prime, so no worker count splits it evenly
+        # 20,011 is prime, so no worker count splits it evenly; the
+        # mixed_adversaries rows send trials back through the per-trial redraw
+        sweeps = [None, along(golden_scenario("mixed_adversaries"), "p", [0.0, 0.5, 1.0])]
         with monkeypatch.context() as serial:
             self.cpus(serial, 1)
             self.no_fork(serial)
-            expected = self.estimates(trials)
+            expected = [self.estimates(trials, rows) for rows in sweeps]
         for n in (2, 3):
             self.cpus(monkeypatch, n)
-            assert self.estimates(trials) == expected
+            assert [self.estimates(trials, rows) for rows in sweeps] == expected
             self.assert_no_child()
 
     @pytest.mark.parametrize("cpus,trials", [(1, 20_000),
