@@ -7,7 +7,8 @@ equilibrium holds), 1 replay mismatch / equilibrium fails, 2 validation
 error (including a scenario whose model or wrong outputs overflow Q16.16),
 3 internal invariant violation: any protocol invariant failure in
 simulate, replay or sweep, such as a conservation violation or no
-responsive asserter or validator.
+responsive asserter or validator.  An exit 2 prints one line to stderr of
+at most ``MAX_REFUSAL`` characters (``_refuse``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
+# The longest refusal line printed to stderr, in characters.
+MAX_REFUSAL = 240
 
 
 _LOG_LEVELS = {"events": logging.DEBUG, "summary": logging.INFO}
@@ -55,7 +58,21 @@ def _setup_logging() -> None:
 
 
 def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+    """Strict JSON: a non-finite number raises ValueError."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _refuse(label: str, reason) -> int:
+    """Print ``label: reason`` to stderr as one line and return
+    EXIT_VALIDATION.  A character that is not printable, a line break
+    among them, is escaped as in a repr, and a line longer than
+    ``MAX_REFUSAL`` is cut to that length, its last character ``…``."""
+    line = f"{label}: {reason}"[:MAX_REFUSAL + 1]
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
+    if len(line) > MAX_REFUSAL:
+        line = line[:MAX_REFUSAL - 1] + "…"
+    print(line, file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 def _load_json(path: str):
@@ -84,8 +101,7 @@ def cmd_analyze(args) -> int:
         data = _load_json(args.params)
         params = _params_from_file(data)
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"invalid params file: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("invalid params file", exc)
 
     holds, violations = econ.check_stake_assumptions(params)
     matrix = econ.validator_payoff_matrix(params)
@@ -113,7 +129,12 @@ def cmd_analyze(args) -> int:
         "cheat_pass_probability": econ.cheat_pass_probability(params.p, params.r, params.n),
         "equilibrium_holds": equilibrium,
     }
-    print(_dump(report))
+    try:
+        text = _dump(report)
+    except ValueError:
+        # an amount so large that a derived quantity overflows to infinity
+        return _refuse("invalid params file", "the report would hold a non-finite number")
+    print(text)
     return EXIT_OK if equilibrium else EXIT_MISMATCH
 
 
@@ -125,8 +146,7 @@ def cmd_simulate(args) -> int:
     try:
         config = _load_scenario(args.scenario)
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("invalid scenario", exc)
     out = Path(args.out)
     try:
         # made before the run, so an unusable path fails before any work
@@ -135,8 +155,7 @@ def cmd_simulate(args) -> int:
         (out / "report.json").write_text(_dump(result.metrics.to_dict()) + "\n")
         (out / "ledger.json").write_text(_dump(result.ledger) + "\n")
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("cannot write output", exc)
     print(result.metrics.trace_hash)
     return EXIT_OK
 
@@ -184,8 +203,7 @@ def cmd_sweep(args) -> int:
         # every row's scenario is checked before any row is estimated
         scns = [_apply_axis(config, args.axis, value, penalty) for value in values]
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"invalid sweep: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("invalid sweep", exc)
 
     estimates = sim.estimate_strategy_payoff(
         scns, (sim.HONEST, sim.ALWAYS_FRAUD), config.sweep_trials)
@@ -213,8 +231,7 @@ def cmd_sweep(args) -> int:
                 "fraud_advantage": fraud.mean - honest.mean,
             })
     except (ValueError, TypeError) as exc:
-        print(f"invalid sweep: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("invalid sweep", exc)
     print(_dump({"rows": rows}))
     return EXIT_OK
 
@@ -223,8 +240,7 @@ def cmd_replay(args) -> int:
     try:
         config = _load_scenario(args.scenario)
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("invalid scenario", exc)
     result = sim.run(config)
     actual = result.metrics.trace_hash
     if actual == args.hash.lower():
@@ -274,8 +290,7 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except FixedOverflowError as exc:
         # the scenario's model, or a liar's wrong output, leaves Q16.16
-        print(f"invalid scenario: Q16.16 overflow: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse("invalid scenario", f"Q16.16 overflow: {exc}")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ be audited exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -193,9 +192,10 @@ class NetworkConfig:
             object.__setattr__(self, "timeout_penalty", self.slash_s // 10)
         if type(self.timeout_penalty) is not int or not 0 <= self.timeout_penalty <= self.slash_s:
             raise ValueError("timeout_penalty must be an integer in [0, slash_s]")
+        # capped like the ledger amounts, so every payoff it enters stays finite
         if (type(self.compute_cost) not in (int, float)
-                or not 0 <= self.compute_cost < math.inf):
-            raise ValueError("compute_cost must be a finite number >= 0")
+                or not 0 <= self.compute_cost <= MAX_AMOUNT):
+            raise ValueError(f"compute_cost must be a number in [0, {MAX_AMOUNT}]")
 
     @property
     def committee_size(self) -> int:

@@ -126,7 +126,7 @@ class ExecStrategy:
         if isinstance(data, str):
             return cls(kind=data)
         if not isinstance(data, dict):
-            raise ValueError(f"an executor strategy is a kind or an object, not {data!r}")
+            raise ValueError(f"a strategy is a kind or an object, not {type(data).__name__}")
         return cls(**data)
 
 
@@ -613,45 +613,27 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return math.ldexp(float(root), -k)
 
 
-@dataclass(slots=True)
-class _Tally:
-    """One focal strategy's output and exact payoff sums.  ``output`` is the
-    output's ``_wrong_amount``, 0 for the true output.  A trial's payoff is
-    an integer sum of ledger deltas minus ``cost``, so the tally sums the
-    challenged trials' deltas and squared deltas as integers, a count of
-    trials that earn the same delta at a time (``add``), and keeps
-    ``unchallenged``, the delta every unchallenged trial earns."""
-
-    strategy: ExecStrategy
-    output: int
-    cost: float
-    unchallenged: int
-    total: int = 0
-    total_sq: int = 0
-    arbitrations: int = 0
-
-    def add(self, delta: int, trials: int = 1) -> None:
-        """Add ``trials`` challenged trials that each earn ``delta``."""
-        self.total += trials * delta
-        self.total_sq += trials * delta * delta
-
-    def estimate(self, trials: int, challenges: int) -> StrategyEstimate:
-        """The mean and the standard error, each rounded once from its exact
-        value; the variance does not depend on the cost, and neither result
-        depends on the order of the trials."""
-        k = trials - challenges
-        total = self.total + k * self.unchallenged
-        total_sq = self.total_sq + k * self.unchallenged ** 2
-        fraud = self.strategy.adversarial
-        return StrategyEstimate(
-            strategy=self.strategy.kind, trials=trials,
-            mean=float(Fraction(total, trials) - Fraction(self.cost)),
-            # sqrt(var / trials), var = (total_sq * trials - total^2) / trials^2
-            stderr=_sqrt_ratio(total_sq * trials - total ** 2, trials ** 3),
-            challenges=challenges,
-            arbitrations=self.arbitrations,
-            fraud_assertions=trials if fraud else 0,
-            fraud_passes=trials - self.arbitrations if fraud else 0)
+def _estimate(strategy: ExecStrategy, trials: int, challenges: int, arbitrations: int,
+              paid: list[tuple[int, int]], cost: float) -> StrategyEstimate:
+    """One focal strategy's estimate over ``trials`` trials, ``paid`` as
+    (delta, weight) pairs: ``weight`` trials each earn the integer sum of
+    ledger deltas ``delta``, and every trial pays ``cost``.  The sums are
+    exact integers, and the mean and the standard error are each rounded
+    once from their exact values; the variance does not depend on the cost,
+    and neither result depends on how the trials are grouped into pairs or
+    in what order."""
+    total = sum(k * delta for delta, k in paid)
+    total_sq = sum(k * delta * delta for delta, k in paid)
+    fraud = strategy.adversarial
+    return StrategyEstimate(
+        strategy=strategy.kind, trials=trials,
+        mean=float(Fraction(total, trials) - Fraction(cost)),
+        # sqrt(var / trials), var = (total_sq * trials - total^2) / trials^2
+        stderr=_sqrt_ratio(total_sq * trials - total ** 2, trials ** 3),
+        challenges=challenges,
+        arbitrations=arbitrations,
+        fraud_assertions=trials if fraud else 0,
+        fraud_passes=trials - arbitrations if fraud else 0)
 
 
 def _trial_draws(master: bytes, prefix: bytes, ts: Iterable[int],
@@ -712,37 +694,16 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
     string and the 64-bit PRF value u that the challenge compares with
     ``sample_threshold(p)`` depend only on the master seed, the input and
     the trial index, so the rows must agree on ``master_seed``,
-    ``model_dims``, ``network.executors`` and ``focal_executor``.  Each
-    trial's u is drawn once, before any row, into one anonymous shared map
-    of 8 bytes per trial (``_draw_challenge_values``): the trials are split
-    into one contiguous slice per available CPU, this process draws the
-    first and a forked worker each other one.  One process draws them all
-    on one CPU, below ``2 * MIN_TRIALS_PER_WORKER`` trials, or when the
-    caller runs a second thread.  Then one C-level scan of the map, at the
-    largest row threshold, finds the candidates: every trial that some row
-    challenges.  Each candidate moves into the front of the same map
-    (``_pack_candidates``), packed as its index, its first validator's
-    bucket ``u % network.executors`` and the number of distinct row
-    thresholds above its u, so no row rescans every u; fewer than
-    ``_RANK_LIMIT`` distinct thresholds fit.
-
-    Each row, in the order given, counts the candidates its p challenges
-    per bucket in one streaming pass (``_estimate_row``).  A responsive
-    first validator that decides the same way for every request fixes its
-    trials' outcome class: a leaked copy, the true output or its wrong
-    output.  Only the trials whose first validator reads the request, an
-    unresponsive one (redrawn with the attempt suffix) or a
-    fraud-with-probability one, are re-derived (``_trial_draws``) and
-    classed one by one.  Each strategy then pays each class once: the focal
-    node's delta depends on the verdict alone, never on which validator
-    or request it was.  Every unchallenged trial pays the same too, so the
-    sums are exact integers, and the mean and the standard error are each
-    rounded once from their exact values; no result depends on the order
-    of the trials.  A row costs one C-level pass over the candidates, one
-    step per challenged trial and a redraw only where a validator reads
-    the request.  Rows are scored one after another, each from its own
-    world, so memory is one world plus 8 bytes per trial.  Each estimate is
-    exactly what a call with that row and that strategy alone gives.
+    ``model_dims``, ``network.executors`` and ``focal_executor``, and fewer
+    than ``_RANK_LIMIT`` distinct challenge probabilities fit.  A call draws
+    every trial's u once (``_draw_challenge_values``), packs the trials that
+    some row challenges (``_pack_candidates``), then takes the rows in the
+    order given, each in its own world: it classes the row's challenged
+    trials by the answer they meet (``_outcome_classes``, ``_answer``) and
+    pays each strategy each class once (``_score_row``, ``_estimate``).
+    Memory is one world plus 8 bytes per trial.  No result depends on the
+    order of the trials, and each estimate is exactly what a call with that
+    row and that strategy alone gives.
     """
     if not 1 <= trials <= MAX_SWEEP_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_SWEEP_TRIALS}]")
@@ -781,8 +742,8 @@ def estimate_strategy_payoff(rows, strategies, trials: int,
             for row, threshold in zip(rows, thresholds):
                 if world is None:
                     world = _World(row)
-                estimates.append(_estimate_row(world, strategies, trials, prefix,
-                                               candidates, least[threshold]))
+                challenges, classes = _outcome_classes(world, prefix, candidates, least[threshold])
+                estimates.append(_score_row(row, strategies, trials, challenges, classes))
                 world = None  # one world at a time: each later row builds its own
     return estimates
 
@@ -889,83 +850,88 @@ def _run_on(cpus: set[int]) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _estimate_row(world: _World, strategies: list[ExecStrategy], trials: int,
-                  prefix: bytes, candidates: memoryview, least: int,
-                  ) -> list[StrategyEstimate]:
-    """One row of ``estimate_strategy_payoff``, scored in ``world``.  The row
-    challenges the ``candidates`` (``_pack_candidates``) packed at ``least``
-    or more.  One streaming pass counts them per first-validator bucket.  A
-    bucket whose validator is not ``_PER_REQUEST`` fixes its trials' outcome
-    class, by the rules the simulator follows: a leaked copy where a
-    leaking orchestrator feeds an adversarial validator, else the
-    validator's output under ``_lies``, which reads no request id for such
-    a validator.  A second pass re-derives only the other buckets' trials
-    through ``_trial_draws`` and classes each one: the redraw past an
-    unresponsive validator, then ``_lies`` on the trial's request id.
-    Each strategy then takes one payout per class, with the class's first
-    validator seen and no request id, since the focal node's delta depends
-    only on the verdict, and adds it once per trial of the class; every
-    other trial pays the unchallenged delta."""
+def _answer(world: _World, prefix: bytes, u: int, reqid: bytes = b"",
+            tau_chal: bytes = b"") -> tuple[int, Optional[int]]:
+    """The validator that answers a challenged trial whose first draw is
+    ``u``, and its answer, by the rules the simulator follows: the first
+    validator is ``validator_of(u)``, each unresponsive one is redrawn with
+    the request's next attempt suffix from ``tau_chal``, and the responsive
+    one returns ``None`` when it copies whatever the focal node asserted (a
+    leaking orchestrator feeds an adversarial validator), else its output's
+    ``_wrong_amount`` when it lies (``_lies``) and 0 for the true output.
+    A first validator that is not ``_PER_REQUEST`` reads neither the request
+    id nor ``tau_chal``, so ``u`` may be its bucket alone."""
     config = world.config
-    net = config.network
-    master = config.master_seed
-    focal = config.focal_executor
-    account = f"exec:{focal}"
-    table, leak = world.strategies, world.leak
+    focal, n = config.focal_executor, config.network.executors
+    table = world.strategies
+    attempt = 1
+    j = validator_of(u, focal, n)
+    while table[j].kind == UNRESPONSIVE:
+        if attempt > MAX_ATTEMPTS:
+            raise protocol.ProtocolError("no responsive validator found")
+        attempt += 1
+        j = draw_validator(tau_chal, selection_string(prefix, reqid, attempt), focal, n)
+    if world.leak and table[j].adversarial:
+        return j, None
+    return j, _wrong_amount(table[j], j) if _lies(config.master_seed, table[j], j, reqid) else 0
 
-    def focal_delta(deltas) -> int:
-        return sum(d.amount for d in deltas if d.account == account)
 
-    tallies = []
-    for strategy in strategies:
-        fraud = strategy.adversarial
-        output = _wrong_amount(strategy, focal) if fraud else 0
-        # an unchallenged request pays the same whatever its id
-        tallies.append(_Tally(strategy, output, 0.0 if fraud else net.compute_cost,
-                              focal_delta(payout(net, b"", focal))))
-
+def _outcome_classes(world: _World, prefix: bytes, candidates: memoryview, least: int,
+                     ) -> tuple[int, dict[Optional[int], list[int]]]:
+    """How many trials the row challenges, and its class table: each
+    ``_answer`` -> [the first validator seen giving it, its trials].  The
+    row challenges the ``candidates`` (``_pack_candidates``) packed at
+    ``least`` or more.  One streaming pass counts them per first-validator
+    bucket; a bucket whose validator is not ``_PER_REQUEST`` answers every
+    one of its trials alike.  Only the other buckets' trials are re-derived
+    through ``_trial_draws`` and answered one by one."""
+    config = world.config
+    focal, n = config.focal_executor, config.network.executors
     # the first validator is ``draw_validator(tau_chal, s, ...)``, whose PRF
     # value is u, so its bucket is u % executors
     buckets = Counter(map(_BUCKET_MASK.__and__, map(_TRIAL_BITS.__rrshift__, compress(
         candidates, map(least.__le__, candidates)))))
-    classes: dict[Optional[int], list[int]] = {}  # output -> [first validator, trials]
-
-    def add(j: int, reqid: bytes, k: int) -> None:
-        """Class ``k`` trials answered by validator ``j``: ``None`` when it
-        copies whatever the focal node asserted, else its output's
-        ``_wrong_amount``, 0 for the true output."""
-        copied = leak and table[j].adversarial
-        y_j = None if copied else (
-            _wrong_amount(table[j], j) if _lies(master, table[j], j, reqid) else 0)
-        classes.setdefault(y_j, [j, 0])[1] += k
-
-    per_request = set()
-    for bucket, k in buckets.items():
-        j = validator_of(bucket, focal, net.executors)
-        if table[j].kind in _PER_REQUEST:
-            per_request.add(bucket)
-        else:
-            add(j, b"", k)
+    per_request = {bucket for bucket in buckets
+                   if world.strategies[validator_of(bucket, focal, n)].kind in _PER_REQUEST}
+    answers = [(_answer(world, prefix, bucket), k)
+               for bucket, k in buckets.items() if bucket not in per_request]
     if per_request:
         redrawn = (c & _TRIAL_MASK for c in candidates
                    if c >= least and c >> _TRIAL_BITS & _BUCKET_MASK in per_request)
-        for reqid, tau_chal, s, u in _trial_draws(master, prefix, redrawn):
-            attempt = 1
-            j = validator_of(u, focal, net.executors)
-            while table[j].kind == UNRESPONSIVE:
-                if attempt > MAX_ATTEMPTS:
-                    raise protocol.ProtocolError("no responsive validator found")
-                attempt += 1
-                j = draw_validator(tau_chal, selection_string(prefix, reqid, attempt),
-                                   focal, net.executors)
-            add(j, reqid, 1)
+        answers += ((_answer(world, prefix, u, reqid, tau_chal), 1) for reqid, tau_chal, _s, u
+                    in _trial_draws(config.master_seed, prefix, redrawn))
+    classes: dict[Optional[int], list[int]] = {}
+    for (j, answer), k in answers:
+        classes.setdefault(answer, [j, 0])[1] += k
+    return sum(buckets.values()), classes
 
-    for y_j, (j, k) in classes.items():
-        for tally in tallies:
-            if y_j is None or y_j == tally.output:
-                deltas = payout(net, b"", focal, j)
-            else:
-                tally.arbitrations += k
-                deltas = payout(net, b"", focal, j, (not tally.strategy.adversarial, y_j == 0))
-            tally.add(focal_delta(deltas), k)
-    return [tally.estimate(trials, sum(buckets.values())) for tally in tallies]
+
+def _score_row(config: ScenarioConfig, strategies: list[ExecStrategy], trials: int,
+               challenges: int, classes: dict[Optional[int], list[int]],
+               ) -> list[StrategyEstimate]:
+    """Each strategy's estimate from a row's class table
+    (``_outcome_classes``): one ``payout`` per class, with the class's
+    first validator and no request id, since the focal node's delta depends
+    only on the verdict, weighted by the class's trials; and one for the
+    unchallenged trials, which pay the same whatever their id."""
+    net = config.network
+    focal = config.focal_executor
+    account = f"exec:{focal}"
+
+    def focal_delta(*outcome) -> int:
+        return sum(d.amount for d in payout(net, b"", focal, *outcome) if d.account == account)
+
+    estimates = []
+    for strategy in strategies:
+        fraud = strategy.adversarial
+        output = _wrong_amount(strategy, focal) if fraud else 0
+        paid = [(focal_delta(), trials - challenges)]
+        arbitrations = 0
+        for answer, (j, k) in classes.items():
+            # a leaked copy or the focal output matches; any other goes to arbitration
+            contested = answer is not None and answer != output
+            arbitrations += k if contested else 0
+            paid.append((focal_delta(j, (not fraud, answer == 0) if contested else None), k))
+        estimates.append(_estimate(strategy, trials, challenges, arbitrations, paid,
+                                   0.0 if fraud else net.compute_cost))
+    return estimates

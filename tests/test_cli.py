@@ -70,6 +70,14 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def assert_one_refusal_line(err: str, label: str = "invalid") -> None:
+    """``err`` is one line that starts with ``label`` and holds at most
+    ``cli.MAX_REFUSAL`` characters."""
+    [line] = err.splitlines()
+    assert err == line + "\n" and line.startswith(label)
+    assert len(line) <= cli.MAX_REFUSAL
+
+
 class TestAnalyze:
     def test_baseline_params(self, baseline_params, capsys):
         code, out, _ = run_cli(["analyze", "--params", baseline_params], capsys)
@@ -132,6 +140,24 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run_cli(["analyze", "--params", str(tmp_path / "nope.json")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["bad\nkey", "bad\u2028key", "k" * 100_000],
+                             ids=["newline-key", "line-separator-key", "long-key"])
+    def test_unknown_key_is_refused_on_one_bounded_line(self, tmp_path, capsys, key):
+        path = write_json(tmp_path / "params.json", {**self.RECORDS["shorthand"], key: 1})
+        code, out, err = run_cli(["analyze", "--params", path], capsys)
+        assert (code, out) == (2, "")
+        assert_one_refusal_line(err, "invalid params file: ")
+
+    def test_report_with_a_non_finite_number_exits_2(self, tmp_path, capsys):
+        # every field is finite, but U2 + S overflows, so the dominance
+        # margin is -inf, which strict JSON cannot hold
+        path = write_json(tmp_path / "params.json", {
+            "B": 3, "R_A": 1, "R_V": 1, "U1": 1, "U2": 1.7e308, "S": 1.7e308, "C": 1,
+            "p": 0.5, "r": 0.5})
+        code, out, err = run_cli(["analyze", "--params", path], capsys)
+        assert (code, out) == (2, "")
+        assert_one_refusal_line(err, "invalid params file: ")
 
     RECORDS = {
         "full": {"B": 30, "R_A": 12, "R_V": 10, "S": 1500, "C": 10, "p": 0.01, "r": 0.1,
@@ -224,17 +250,34 @@ class TestSimulate:
         {"network": {**NETWORK, "payment_b": 10**40}},
         {"network": {**NETWORK, "compute_cost": "x"}},
         {"network": {**NETWORK, "compute_cost": float("inf")}},
+        {"network": {**NETWORK, "compute_cost": protocol.MAX_AMOUNT + 1}},
     ], ids=["model-too-large", "float-dim", "zero-dim", "one-layer", "too-many-requests",
             "float-requests", "too-many-executors", "fault-bound-too-large",
             "float-arrival-spacing", "arrival-spacing-too-large", "float-t-assert",
             "float-t-validate", "t-assert-too-large", "float-timeout-penalty",
-            "payment-too-large", "str-compute-cost", "infinite-compute-cost"])
+            "payment-too-large", "str-compute-cost", "infinite-compute-cost",
+            "compute-cost-too-large"])
     def test_input_out_of_bounds(self, small_scenario, tmp_path, capsys, change):
         path = write_json(tmp_path / "s.json",
                           {**json.loads(Path(small_scenario).read_text()), **change})
         code, _, err = run_cli(["simulate", "--scenario", path,
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == 2 and "invalid scenario" in err
+
+    def test_payoffs_at_the_compute_cost_cap_are_strict_json(self, tmp_path, capsys):
+        # every executor computes at p = 1, each paying the largest cost
+        scenario = json.loads((SCENARIOS / "all_honest.json").read_text())
+        scenario["network"].update(compute_cost=float(protocol.MAX_AMOUNT),
+                                   challenge_probability=1.0)
+        path = write_json(tmp_path / "s.json", scenario)
+        out_dir = tmp_path / "o"
+        code, _, _ = run_cli(["simulate", "--scenario", path, "--out", str(out_dir)], capsys)
+        assert code == 0
+
+        def refuse(literal):
+            raise ValueError(f"{literal} in report.json")
+        report = json.loads((out_dir / "report.json").read_text(), parse_constant=refuse)
+        assert min(report["node_payoffs"].values()) < -protocol.MAX_AMOUNT
 
     def test_protocol_error_exits_3(self, silent_scenario, tmp_path, capsys):
         code, _, err = run_cli(["simulate", "--scenario", silent_scenario,
@@ -442,6 +485,11 @@ class TestSweep:
         assert code == 3 and "no responsive validator" in err
 
 
+# an executor override 900 lists deep, each holding the next
+DEEP_LIST: list = []
+for _ in range(899):
+    DEEP_LIST = [DEEP_LIST]
+
 COMMANDS = {
     "simulate": lambda path, tmp_path: ["simulate", "--scenario", path,
                                         "--out", str(tmp_path / "o")],
@@ -575,6 +623,22 @@ class TestScenarioValidation:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("invalid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario", [
+        {"bad\nkey": 1},
+        {"bad\u2028key": 1},
+        {"k" * 100_000: 1},
+        # int() reads it as 1, so it is refused for its spelling, which is echoed
+        {"executor_overrides": {"0" * 4000 + "1": "honest"}},
+        {"orchestrator_overrides": {"0": "w" * 100_000}},
+        {"executor_overrides": {"1": DEEP_LIST}},
+        {"network": {**NETWORK, "compute_cost": 1.7e308}},
+    ], ids=["newline-key", "line-separator-key", "long-key", "long-override-key",
+            "long-behaviour", "deep-override", "huge-compute-cost"])
+    def test_refusal_is_one_bounded_line(self, tmp_path, capsys, scenario):
+        for code, err in self.run_all(scenario, tmp_path, capsys):
+            assert code == 2
+            assert_one_refusal_line(err)
 
     def test_largest_group_runs(self, tmp_path, capsys):
         scenario = {"executor_overrides": {"1": {"kind": "collude", "group": sim.MAX_GROUP - 1}},

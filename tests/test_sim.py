@@ -917,12 +917,8 @@ def reference_row(row, strategies, trials):
     def focal_delta(deltas):
         return sum(d.amount for d in deltas if d.account == account)
 
-    tallies = []
-    for strategy in strategies:
-        fraud = strategy.adversarial
-        output = sim._wrong_amount(strategy, focal) if fraud else 0
-        tallies.append(sim._Tally(strategy, output, 0.0 if fraud else net.compute_cost,
-                                  focal_delta(protocol.payout(net, b"", focal))))
+    paid = [[] for _ in strategies]
+    arbitrations = [0] * len(strategies)
     for reqid, tau_chal, s, u in sim._trial_draws(master, prefix, challenged):
         attempt = 1
         j = protocol.validator_of(u, focal, net.executors)
@@ -936,15 +932,19 @@ def reference_row(row, strategies, trials):
         copied = leak and table[j].adversarial
         y_j = None if copied else (
             sim._wrong_amount(table[j], j) if sim._lies(master, table[j], j, reqid) else 0)
-        for tally in tallies:
-            if copied or y_j == tally.output:
+        for i, strategy in enumerate(strategies):
+            fraud = strategy.adversarial
+            if copied or y_j == (sim._wrong_amount(strategy, focal) if fraud else 0):
                 deltas = protocol.payout(net, reqid, focal, j)
             else:
-                tally.arbitrations += 1
-                deltas = protocol.payout(net, reqid, focal, j,
-                                         (not tally.strategy.adversarial, y_j == 0))
-            tally.add(focal_delta(deltas))
-    return [tally.estimate(trials, len(challenged)) for tally in tallies]
+                arbitrations[i] += 1
+                deltas = protocol.payout(net, reqid, focal, j, (not fraud, y_j == 0))
+            paid[i].append((focal_delta(deltas), 1))
+    unchallenged = (focal_delta(protocol.payout(net, b"", focal)), trials - len(challenged))
+    return [sim._estimate(strategy, trials, len(challenged), arbitrations[i],
+                          paid[i] + [unchallenged],
+                          0.0 if strategy.adversarial else net.compute_cost)
+            for i, strategy in enumerate(strategies)]
 
 
 def per_request_challenges(row, trials):
@@ -1278,19 +1278,31 @@ class TestStandardError:
         above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
         assert max(below, 0) ** 2 <= target <= above ** 2
 
-    @given(deltas=st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=40),
-           unchallenged=st.integers(-10 ** 20, 10 ** 20), others=st.integers(0, 10 ** 9))
-    @example(deltas=[1, 2], unchallenged=0, others=0)  # var / trials = 1/8
-    def test_stderr_is_correctly_rounded(self, deltas, unchallenged, others):
-        trials = len(deltas) + others
+    @given(paid=st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(0, 8)),
+                         max_size=40),
+           unchallenged=st.integers(-10 ** 20, 10 ** 20), others=st.integers(0, 10 ** 9),
+           data=st.data())
+    @example(paid=[(1, 1), (2, 1)], unchallenged=0, others=0, data=None)  # var / trials = 1/8
+    def test_stderr_is_correctly_rounded(self, paid, unchallenged, others, data):
+        """Weighted (delta, trials) pairs, and a heavy pair of unchallenged
+        trials, give the exact moments rounded once; expanding the pairs
+        into single trials, in any order, gives the same estimate, which is
+        what lets a row pay each outcome class once."""
+        paid = [*paid, (unchallenged, others)]
+        trials = sum(k for _, k in paid)
         assume(trials > 0)
-        tally = sim._Tally(sim.HONEST_STRATEGY, 0, 0.0, unchallenged)
-        for delta in deltas:
-            tally.add(delta)
-        estimate = tally.estimate(trials, len(deltas))
-        mean = Fraction(sum(deltas) + others * unchallenged, trials)
-        squares = sum((d - mean) ** 2 for d in deltas) + others * (unchallenged - mean) ** 2
+        arbitrations = sum(k for _, k in paid[:-1])
+        estimate = sim._estimate(sim.HONEST_STRATEGY, trials, arbitrations, arbitrations,
+                                 paid, 0.0)
+        mean = Fraction(sum(k * delta for delta, k in paid), trials)
+        squares = sum(k * (delta - mean) ** 2 for delta, k in paid)
+        assert estimate.mean == float(mean)
         self.assert_nearest(estimate.stderr, squares / trials ** 2)
+        singles = [(delta, 1) for delta, k in paid[:-1] for _ in range(k)]
+        if data is not None:
+            singles = data.draw(st.permutations(singles))
+        assert sim._estimate(sim.HONEST_STRATEGY, trials, arbitrations, arbitrations,
+                             [*singles, paid[-1]], 0.0) == estimate
 
     @pytest.mark.parametrize("num,den,root", [
         ((2 ** 53 + 1) ** 2, 1, 2.0 ** 53),  # a tie, to even
