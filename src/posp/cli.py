@@ -96,15 +96,11 @@ def _params_from_file(data: dict) -> econ.EconomicParams:
     return econ.EconomicParams(**data)
 
 
-def cmd_analyze(args) -> int:
-    try:
-        data = _load_json(args.params)
-        params = _params_from_file(data)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        return _refuse("invalid params file", exc)
-
+def _analysis(params: econ.EconomicParams, p_given: bool) -> dict:
+    """The `analyze` report on ``params``; ``p_given`` says whether the
+    record named p, which makes the dominance margin, not the existence of
+    a threshold, decide whether equilibrium holds."""
     holds, violations = econ.check_stake_assumptions(params)
-    matrix = econ.validator_payoff_matrix(params)
     min_p = econ.min_challenge_probability(params)
     shown_min_p = "infeasible" if min_p is None else min_p
     # a single-validator record's shorthand bound is its min_p
@@ -115,27 +111,35 @@ def cmd_analyze(args) -> int:
         fraud_proof = econ.fraud_proof_undetected_fraud_probability(
             params.C, params.S, params.R_A, params.R_C)
     margin = econ.dominance_margin(params)
-    p_given = "p" in data
-    equilibrium = margin > 0 if p_given else min_p is not None
-
-    report = {
+    return {
         "params": asdict(params),
         "stake_assumptions": {"holds": holds, "violations": violations},
-        "validator_payoff_matrix": asdict(matrix),
+        "validator_payoff_matrix": asdict(econ.validator_payoff_matrix(params)),
         "dominance_margin": margin,
         "min_challenge_probability": shown_min_p,
         "single_validator_min_p": shown_min_p if single else None,
         "fraud_proof_undetected_fraud_probability": fraud_proof,
         "cheat_pass_probability": econ.cheat_pass_probability(params.p, params.r, params.n),
-        "equilibrium_holds": equilibrium,
+        "equilibrium_holds": margin > 0 if p_given else min_p is not None,
     }
+
+
+def cmd_analyze(args) -> int:
     try:
+        data = _load_json(args.params)
+        params = _params_from_file(data)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        return _refuse("invalid params file", exc)
+    try:
+        report = _analysis(params, "p" in data)
         text = _dump(report)
-    except ValueError:
-        # an amount so large that a derived quantity overflows to infinity
+    except (OverflowError, ValueError):
+        # amounts so large that a derived quantity overflows a float: an
+        # integer one raises OverflowError, a float one reaches infinity,
+        # which strict JSON refuses with ValueError
         return _refuse("invalid params file", "the report would hold a non-finite number")
     print(text)
-    return EXIT_OK if equilibrium else EXIT_MISMATCH
+    return EXIT_OK if report["equilibrium_holds"] else EXIT_MISMATCH
 
 
 def _load_scenario(path: str) -> sim.ScenarioConfig:

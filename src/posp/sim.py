@@ -26,7 +26,7 @@ import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Generator, Iterable, Iterator, Optional
 
 from . import crypto, protocol
@@ -893,14 +893,16 @@ def _outcome_classes(world: _World, prefix: bytes, candidates: memoryview, least
         candidates, map(least.__le__, candidates)))))
     per_request = {bucket for bucket in buckets
                    if world.strategies[validator_of(bucket, focal, n)].kind in _PER_REQUEST}
-    answers = [(_answer(world, prefix, bucket), k)
-               for bucket, k in buckets.items() if bucket not in per_request]
+    answers = ((_answer(world, prefix, bucket), k)
+               for bucket, k in buckets.items() if bucket not in per_request)
     if per_request:
         redrawn = (c & _TRIAL_MASK for c in candidates
                    if c >= least and c >> _TRIAL_BITS & _BUCKET_MASK in per_request)
-        answers += ((_answer(world, prefix, u, reqid, tau_chal), 1) for reqid, tau_chal, _s, u
-                    in _trial_draws(config.master_seed, prefix, redrawn))
+        answers = chain(answers, ((_answer(world, prefix, u, reqid, tau_chal), 1)
+                                  for reqid, tau_chal, _s, u
+                                  in _trial_draws(config.master_seed, prefix, redrawn)))
     classes: dict[Optional[int], list[int]] = {}
+    # each answer joins its class as it comes: none is kept
     for (j, answer), k in answers:
         classes.setdefault(answer, [j, 0])[1] += k
     return sum(buckets.values()), classes

@@ -149,11 +149,13 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert_one_refusal_line(err, "invalid params file: ")
 
-    def test_report_with_a_non_finite_number_exits_2(self, tmp_path, capsys):
-        # every field is finite, but U2 + S overflows, so the dominance
-        # margin is -inf, which strict JSON cannot hold
+    @pytest.mark.parametrize("amount", [1.7e308, 10**308], ids=["float", "int"])
+    def test_report_with_a_non_finite_number_exits_2(self, tmp_path, capsys, amount):
+        # every field is finite, but U2 + S overflows: as floats the dominance
+        # margin is -inf, which strict JSON cannot hold, and as integers
+        # r**n * (U2 + S) cannot be converted to a float at all
         path = write_json(tmp_path / "params.json", {
-            "B": 3, "R_A": 1, "R_V": 1, "U1": 1, "U2": 1.7e308, "S": 1.7e308, "C": 1,
+            "B": 3, "R_A": 1, "R_V": 1, "U1": 1, "U2": amount, "S": amount, "C": 1,
             "p": 0.5, "r": 0.5})
         code, out, err = run_cli(["analyze", "--params", path], capsys)
         assert (code, out) == (2, "")

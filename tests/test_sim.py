@@ -872,6 +872,25 @@ class TestEstimateOnePass:
         assert honest.challenges == fraud.challenges == trials
         assert peak < 8 * trials + 256 * 1024
 
+    def test_memory_is_the_kept_challenge_values_when_redrawn(self):
+        """The same bound when nine validators in ten decide from the
+        request, so nearly every challenged trial is redrawn and answered
+        one by one: each answer joins its class as it comes, and none is
+        kept."""
+        trials = 5000
+        row = replace(sweep_scenario(1.0), byzantine_fraction=0.9,
+                      byzantine_strategy=sim.ExecStrategy(kind=sim.FRAUD_WITH_PROBABILITY,
+                                                          fraud_probability=0.5))
+        tracemalloc.start()
+        try:
+            [[honest, fraud]] = sim.estimate_strategy_payoff(
+                [row], (sim.HONEST, sim.ALWAYS_FRAUD), trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert honest.challenges == fraud.challenges == trials
+        assert peak < 8 * trials + 256 * 1024
+
 
 class TestPackCandidates:
     """``_pack_candidates`` moves the trials below the largest threshold to
