@@ -124,11 +124,15 @@ def sha256(data: bytes) -> bytes:
 
 
 def sha256_fields(fields: Iterable[bytes]) -> bytes:
-    """``sha256(encode_fields(*fields))``, hashed one field at a time, so the
-    encoding is never held whole."""
+    """``sha256(encode_fields(*fields))``, hashed one field at a time (its
+    length prefix, then its bytes), so the encoding is never held whole."""
     h = hashlib.sha256()
-    for field in fields:
-        h.update(encode_fields(field))
+    try:
+        for field in fields:
+            h.update(len(field).to_bytes(4, "big"))
+            h.update(field)
+    except OverflowError:
+        raise ValueError("field too long for 4-byte length prefix") from None
     return h.digest()
 
 
@@ -147,17 +151,16 @@ def derive_reqid(prefix: bytes, user_nonce: bytes) -> bytes:
 
 # A path longer than this cannot belong to a tree that fits in memory.
 MERKLE_MAX_DEPTH = 64
+# the leaf and interior-node hash prefixes of RFC 9162 section 2.1
+_LEAF_PREFIX, _NODE_PREFIX = b"\x00", b"\x01"
 _LEFT, _RIGHT = 0, 1  # the side a path step's sibling sits on
+_LEFT_BYTE, _RIGHT_BYTE = bytes((_LEFT,)), bytes((_RIGHT,))
 _STEP = 33  # a path step: the side byte, then the sibling's hash
 
 
 def merkle_leaf(*fields: bytes) -> bytes:
     """Leaf hash of a message given as its canonical fields."""
-    return sha256(b"\x00" + encode_fields(*fields))
-
-
-def _merkle_node(left: bytes, right: bytes) -> bytes:
-    return sha256(b"\x01" + left + right)
+    return hashlib.sha256(_LEAF_PREFIX + encode_fields(*fields)).digest()
 
 
 def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
@@ -168,8 +171,11 @@ def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
         raise ValueError("a Merkle tree needs at least one leaf")
     levels = [list(leaves)]
     while len(level := levels[-1]) > 1:
-        levels.append([_merkle_node(*level[k:k + 2]) if k + 1 < len(level) else level[k]
-                       for k in range(0, len(level), 2)])
+        parents = [hashlib.sha256(_NODE_PREFIX + left + right).digest()
+                   for left, right in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            parents.append(level[-1])
+        levels.append(parents)
     return levels
 
 
@@ -177,14 +183,13 @@ def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> bytes:
     """Inclusion path of leaf ``index``: one 33-byte step per level where
     the node has a sibling, each the sibling's side byte followed by its
     hash, concatenated."""
-    path = bytearray()
+    steps = []
     for level in levels[:-1]:
         sibling = index ^ 1
         if sibling < len(level):
-            path.append(_LEFT if sibling < index else _RIGHT)
-            path += level[sibling]
+            steps.append((_LEFT_BYTE if sibling < index else _RIGHT_BYTE) + level[sibling])
         index //= 2
-    return bytes(path)
+    return b"".join(steps)
 
 
 def merkle_proves(root: bytes, leaf: bytes, path: bytes) -> bool:
@@ -199,9 +204,9 @@ def merkle_proves(root: bytes, leaf: bytes, path: bytes) -> bool:
     for k in range(0, len(path), _STEP):
         side, sibling = path[k], path[k + 1:k + _STEP]
         if side == _LEFT:
-            node = _merkle_node(sibling, node)
+            node = hashlib.sha256(_NODE_PREFIX + sibling + node).digest()
         elif side == _RIGHT:
-            node = _merkle_node(node, sibling)
+            node = hashlib.sha256(_NODE_PREFIX + node + sibling).digest()
         else:
             return False
     return type(root) is bytes and node == root

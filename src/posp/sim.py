@@ -5,7 +5,9 @@ collection that ties empirical payoffs back to the closed-form predictions.
 
 Each request is one generator (`_Simulation.request`) that runs the protocol
 path in order, from submission to conclusion; it yields the number of epochs
-it waits, and an epoch-ordered heap steps every request's generator.
+it waits.  The run keeps one list of waiting generators per epoch, and a
+heap of the epochs that have one; it steps each epoch's list in the order
+its generators were scheduled.
 
 Everything is a pure function of the scenario's master seed: two runs of the
 same scenario produce byte-identical trace hashes.
@@ -364,7 +366,14 @@ class _World:
 
 
 class _Simulation(_World):
-    """One run's mutable state; see run() for the public entry point."""
+    """One run's mutable state; see run() for the public entry point.
+
+    ``_due`` maps each epoch with a waiting request to its generators in
+    scheduling order, and ``_epochs`` is a heap of its keys.  Draining the
+    epochs in turn, each list in order, steps requests in the order of one
+    heap keyed on (epoch, scheduling counter): a step scheduled into the
+    epoch being drained would join the end of its list, where that heap
+    would run it too.  (Every wait is at least one epoch, so none is.)"""
 
     def __init__(self, config: ScenarioConfig):
         super().__init__(config)
@@ -399,19 +408,28 @@ class _Simulation(_World):
         self.metrics = MetricsReport()
         self.computations = [0] * net.executors
         self._trace = hashlib.sha256()
-        self._queue: list = []
-        self._seq = 0
+        self._due: dict[int, list[Generator[int, int, None]]] = {}
+        self._epochs: list[int] = []  # heap of the keys of _due
+        # tag -> the encoded tag and the epoch field's length prefix
+        self._trace_heads: dict[str, bytes] = {}
         self._arrived: dict[int, bytes] = {}  # request index -> id, until it wakes
 
     # -- event machinery ---------------------------------------------------
 
     def schedule(self, epoch: int, step: Generator[int, int, None]) -> None:
-        heapq.heappush(self._queue, (epoch, self._seq, step))
-        self._seq += 1
+        due = self._due.get(epoch)
+        if due is None:
+            self._due[epoch] = [step]
+            heapq.heappush(self._epochs, epoch)
+        else:
+            due.append(step)
 
     def trace(self, tag: str, epoch: int, *payload: bytes) -> None:
-        record = encode_fields(tag.encode(), epoch.to_bytes(8, "big"), *payload)
-        self._trace.update(record)
+        """Hash the record ``encode_fields(tag, epoch as 8 bytes, *payload)``."""
+        head = self._trace_heads.get(tag)
+        if head is None:
+            head = self._trace_heads[tag] = encode_fields(tag.encode()) + (8).to_bytes(4, "big")
+        self._trace.update(head + epoch.to_bytes(8, "big") + encode_fields(*payload))
         if log.isEnabledFor(logging.DEBUG):
             log.debug("epoch %d %s %s", epoch, tag, [p.hex()[:16] for p in payload])
 
@@ -526,19 +544,28 @@ class _Simulation(_World):
 
     # -- run ---------------------------------------------------------------
 
+    def _drain(self) -> int:
+        """Step every scheduled request to its conclusion, epoch by epoch and
+        each epoch's requests in scheduling order; returns the last epoch
+        stepped, or 0 if there was none."""
+        epoch = 0
+        while self._epochs:
+            epoch = heapq.heappop(self._epochs)
+            self.beacon.current_epoch = epoch
+            # the loop also steps any request scheduled into this epoch meanwhile
+            for step in self._due[epoch]:
+                try:
+                    self.schedule(epoch + step.send(epoch), step)
+                except StopIteration:
+                    pass  # the request concluded
+            del self._due[epoch]
+        return epoch
+
     def run(self) -> SimResult:
         for k in range(self.config.requests):
             step = self.request(k)
             self.schedule(next(step), step)  # from epoch 0 to its arrival
-        last_epoch = 0
-        while self._queue:
-            epoch, _seq, step = heapq.heappop(self._queue)
-            self.beacon.current_epoch = max(self.beacon.current_epoch, epoch)
-            try:
-                self.schedule(epoch + step.send(epoch), step)
-            except StopIteration:
-                pass  # the request concluded
-            last_epoch = epoch
+        last_epoch = self._drain()
 
         deltas = self.committee.concluded_deltas()
         if deltas:
@@ -566,7 +593,9 @@ class _Simulation(_World):
 
 def run(config: ScenarioConfig) -> SimResult:
     """Execute the full protocol for every request in the scenario, and log
-    one INFO line that sums the run up."""
+    one INFO line that sums the run up.  Requests are stepped epoch by epoch,
+    and within an epoch in the order they were scheduled there: the order of
+    one heap keyed on (epoch, scheduling counter)."""
     result = _Simulation(config).run()
     m = result.metrics
     log.info("run: %d requests, %d challenges, %d arbitrations, %d timeouts, trace %s",

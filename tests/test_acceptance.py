@@ -264,3 +264,11 @@ class TestAcceptance:
                           f"every slashed output differs from the recomputed "
                           f"truth and every rewarded output matches; "
                           f"{violations} violations")
+
+
+def test_10k_run_has_the_benchmark_pinned_trace_hash(mixed_large_run):
+    """The 10k ``mixed_adversaries`` run is the benchmark's ``mixed_10k``
+    workload, so an event-order slip at 10k fails here and not only there."""
+    _, result = mixed_large_run
+    pinned = json.loads((ROOT / "perfbench" / "hashes.json").read_text())["mixed_10k"]
+    assert result.metrics.trace_hash == pinned

@@ -220,6 +220,56 @@ class TestSignatures:
         assert pk.verify(sig, b"m")
 
 
+def rfc9162_leaf(*fields: bytes) -> bytes:
+    """RFC 9162 section 2.1 leaf hash: SHA-256(0x00 || the message), here
+    the message's canonical encoding."""
+    return hashlib.sha256(b"\x00" + b"".join(struct.pack(">I", len(f)) + f
+                                              for f in fields)).digest()
+
+
+def rfc9162_node(left: bytes, right: bytes) -> bytes:
+    """RFC 9162 section 2.1 interior node hash: SHA-256(0x01 || left || right)."""
+    return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+class TestMerkleBytes:
+    """The tree rule, byte for byte: leaves and nodes hashed as RFC 9162
+    writes them out, neighbours paired, and an unpaired last node moved up a
+    level unchanged."""
+
+    LEAVES = [rfc9162_leaf(b"message", bytes([k])) for k in range(5)]
+
+    def test_leaves(self):
+        assert [crypto.merkle_leaf(b"message", bytes([k])) for k in range(5)] == self.LEAVES
+
+    def test_roots(self):
+        l0, l1, l2, l3, l4 = self.LEAVES
+        n01 = rfc9162_node(l0, l1)
+        expected = {1: l0, 2: n01, 3: rfc9162_node(n01, l2),
+                    5: rfc9162_node(rfc9162_node(n01, rfc9162_node(l2, l3)), l4)}
+        for size, root in expected.items():
+            assert crypto.merkle_levels(self.LEAVES[:size])[-1] == [root]
+        assert expected[5].hex() == (
+            "5d3f1bd2335e8c3686195d10b079ee91631395e1a94b23a078adc3474c2dd303")
+
+    def test_paths_of_five_leaves(self):
+        l0, l1, l2, l3, l4 = self.LEAVES
+        n01, n23 = rfc9162_node(l0, l1), rfc9162_node(l2, l3)
+        left, right = b"\x00", b"\x01"  # the side the sibling sits on
+        expected = [
+            right + l1 + right + n23 + right + l4,
+            left + l0 + right + n23 + right + l4,
+            right + l3 + left + n01 + right + l4,
+            left + l2 + left + n01 + right + l4,
+            left + rfc9162_node(n01, n23),  # l4 is unpaired until the top level
+        ]
+        levels = crypto.merkle_levels(self.LEAVES)
+        assert [crypto.merkle_path(levels, k) for k in range(5)] == expected
+        root = levels[-1][0]
+        assert all(crypto.merkle_proves(root, leaf, path)
+                   for leaf, path in zip(self.LEAVES, expected))
+
+
 # fields that cannot be encoded (or, for a leaf, are not exactly bytes)
 NOT_BYTES = [None, "a str", 5]
 

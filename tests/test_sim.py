@@ -3,6 +3,7 @@ estimation, the leak attack, timeouts, and liveness under faulty
 orchestrators."""
 
 import errno
+import heapq
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import tracemalloc
 from array import array
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -511,6 +513,48 @@ class TestTracePaths:
         result = sim.run(trace_paths_config(spacing, requests))
         assert tags == TRACE_TAGS
         assert result.metrics.trace_hash == expected
+
+
+class _HeapOrderSimulation(sim._Simulation):
+    """The reference event loop: one heap of (epoch, scheduling counter,
+    step), which steps an epoch's requests in the order they were scheduled."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._heap = []
+        self._counter = count()
+
+    def schedule(self, epoch, step):
+        heapq.heappush(self._heap, (epoch, next(self._counter), step))
+
+    def _drain(self):
+        last_epoch = 0
+        while self._heap:
+            epoch, _, step = heapq.heappop(self._heap)
+            self.beacon.current_epoch = max(self.beacon.current_epoch, epoch)
+            try:
+                self.schedule(epoch + step.send(epoch), step)
+            except StopIteration:
+                pass
+            last_epoch = epoch
+        return last_epoch
+
+
+class TestEventOrder:
+    """The per-epoch lists step requests in the reference heap's order, under
+    drawn arrival spacings and response timeouts, on the runs of
+    ``TestTracePaths`` (which pin the default timeouts only)."""
+
+    @settings(max_examples=60)
+    @example(spacing=1, t_assert=2, t_validate=4, requests=24)
+    @given(spacing=st.integers(0, 3), t_assert=st.integers(1, 4),
+           t_validate=st.integers(1, 4), requests=st.integers(1, 24))
+    def test_epoch_lists_step_in_heap_order(self, spacing, t_assert, t_validate, requests):
+        cfg = trace_paths_config(spacing, requests)
+        cfg = replace(cfg, network=replace(cfg.network, t_assert=t_assert,
+                                           t_validate=t_validate))
+        expected = _HeapOrderSimulation(cfg).run().metrics.trace_hash
+        assert sim._Simulation(cfg).run().metrics.trace_hash == expected
 
 
 class TestLiveness:
